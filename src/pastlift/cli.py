@@ -85,7 +85,6 @@ def _build_argparser() -> _Parser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--support-cap", type=int, default=200_000)
     p_sim.add_argument("--coalesce", action="store_true")
-    p_sim.add_argument("--threads", type=int, default=1)
     p_sim.add_argument("--json", action="store_true")
 
     p_adv = sub.add_parser(
@@ -265,7 +264,6 @@ def _cmd_simulate(args) -> int:
         samples=args.samples,
         step_cap=args.step_cap,
         seed=args.seed,
-        threads=args.threads,
     )
     if args.json:
         _emit(reportmod.mc_doc(summary, term, strategy, policy.name))

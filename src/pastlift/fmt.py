@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from .rewriting import ScriptEntry
 from .system import MultiDistribution, ProbRule, Ptrs
@@ -186,16 +186,55 @@ class _Parser:
         return value, self.parse_term()
 
     def parse_term(self) -> RawTerm:
-        head = self.expect("ident")
-        node = RawTerm(head.text, [], head.line, head.col)
-        if self.peek().kind == "(":
-            self.next()
-            node.args.append(self.parse_term())
-            while self.peek().kind == ",":
+        """One term; a stack of open argument lists stands in for recursion,
+        so nesting depth is unbounded."""
+        root = node = self.parse_head()
+        open_lists: list[RawTerm] = []
+        while True:
+            if self.peek().kind == "(":
                 self.next()
-                node.args.append(self.parse_term())
-            self.expect(")")
-        return node
+                open_lists.append(node)
+                node = self.parse_head()
+                open_lists[-1].args.append(node)
+                continue
+            while open_lists:
+                if self.peek().kind == ",":
+                    self.next()
+                    node = self.parse_head()
+                    open_lists[-1].args.append(node)
+                    break
+                self.expect(")")
+                open_lists.pop()
+            else:
+                return root
+
+    def parse_head(self) -> RawTerm:
+        head = self.expect("ident")
+        return RawTerm(head.text, [], head.line, head.col)
+
+
+def _build_raw(raw: RawTerm, resolve: Callable[[RawTerm], Union[Term, Symbol]]) -> Term:
+    """Intern a raw term bottom-up without recursion. ``resolve`` sees the
+    nodes in source order, so diagnostics come out in that order, and
+    returns either the finished term (its arguments are then skipped) or the
+    symbol to apply to the built arguments."""
+    done: list[Term] = []
+    stack: list[tuple[RawTerm, Optional[Symbol]]] = [(raw, None)]
+    while stack:
+        node, sym = stack.pop()
+        if sym is not None:
+            cut = len(done) - len(node.args)
+            args = done[cut:]
+            del done[cut:]
+            done.append(app(sym, args))
+            continue
+        got = resolve(node)
+        if isinstance(got, Term):
+            done.append(got)
+            continue
+        stack.append((node, got))
+        stack.extend((a, None) for a in reversed(node.args))
+    return done[0]
 
 
 class _Builder:
@@ -220,6 +259,9 @@ class _Builder:
             )
 
     def build(self, raw: RawTerm) -> Term:
+        return _build_raw(raw, self._resolve)
+
+    def _resolve(self, raw: RawTerm) -> Union[Term, Symbol]:
         if raw.name in self.vars:
             if raw.args:
                 self.diagnostics.append(
@@ -229,9 +271,7 @@ class _Builder:
                 )
             return var(raw.name)
         self.note_arity(raw.name, len(raw.args), raw)
-        return app(
-            Symbol(raw.name, len(raw.args)), [self.build(a) for a in raw.args]
-        )
+        return Symbol(raw.name, len(raw.args))
 
 
 @dataclass
@@ -326,7 +366,7 @@ def parse_term(text: str, system: Ptrs, var_names: Sequence[str] = ()) -> Term:
         known_vars |= rule.lhs.vars
     diagnostics: list[Diagnostic] = []
 
-    def build(node: RawTerm) -> Term:
+    def resolve(node: RawTerm) -> Union[Term, Symbol]:
         if node.name in known_vars:
             if node.args:
                 diagnostics.append(
@@ -348,9 +388,9 @@ def parse_term(text: str, system: Ptrs, var_names: Sequence[str] = ()) -> Term:
                 )
             )
             sym = Symbol(node.name, len(node.args))
-        return app(sym, [build(a) for a in node.args])
+        return sym
 
-    t = build(raw)
+    t = _build_raw(raw, resolve)
     if diagnostics:
         raise ParseError(diagnostics)
     return t

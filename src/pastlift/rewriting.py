@@ -116,10 +116,9 @@ def first_move_redex(system: Ptrs, t: Term, strategy: Strategy) -> Redex:
     u = t
     while True:
         if strategy is Strategy.FULL:
-            for idx, rule in system.rules_at_root(u):
-                sigma = match(rule.lhs, u)
-                if sigma is not None:
-                    return Redex(tuple(pos), idx, sigma)
+            found = _first_root_match(system, u, pos)
+            if found is not None:
+                return found
         for k, a in enumerate(u.args):
             if not system.is_normal_form(a):
                 pos.append(k + 1)
@@ -127,11 +126,65 @@ def first_move_redex(system: Ptrs, t: Term, strategy: Strategy) -> Redex:
                 break
         else:
             # all children normal: u itself must be the innermost redex
-            for idx, rule in system.rules_at_root(u):
-                sigma = match(rule.lhs, u)
-                if sigma is not None:
+            return _innermost_at(system, u, pos)
+
+
+def rightmost_redex(system: Ptrs, t: Term) -> Redex:
+    """The position-lexicographic maximum among the redexes of t, lowest rule
+    first: every position inside a subterm follows the subterm's own, and
+    later children follow earlier ones, so it is the bottom of the rightmost
+    non-normal path. That node is innermost, so full and innermost
+    rewriting agree on it."""
+    pos: list[int] = []
+    u = t
+    while True:
+        for k in range(len(u.args), 0, -1):
+            a = u.args[k - 1]
+            if not system.is_normal_form(a):
+                pos.append(k)
+                u = a
+                break
+        else:
+            return _innermost_at(system, u, pos)
+
+
+def nth_redex(system: Ptrs, t: Term, k: int) -> Redex:
+    """``redexes(system, t)[k]``, found by descent: at each node its own
+    matches come first in rule order, then each child's, skipping whole
+    children by their cached redex counts."""
+    pos: list[int] = []
+    u = t
+    while True:
+        for idx, rule in system.rules_at_root(u):
+            sigma = match(rule.lhs, u)
+            if sigma is not None:
+                if k == 0:
                     return Redex(tuple(pos), idx, sigma)
-            raise InvalidRedex("term has no redex")
+                k -= 1
+        for i, a in enumerate(u.args):
+            n = system.redex_count(a)
+            if k < n:
+                pos.append(i + 1)
+                u = a
+                break
+            k -= n
+        else:
+            raise InvalidRedex("redex index out of range")
+
+
+def _first_root_match(system: Ptrs, u: Term, pos: list[int]) -> Optional[Redex]:
+    for idx, rule in system.rules_at_root(u):
+        sigma = match(rule.lhs, u)
+        if sigma is not None:
+            return Redex(tuple(pos), idx, sigma)
+    return None
+
+
+def _innermost_at(system: Ptrs, u: Term, pos: list[int]) -> Redex:
+    found = _first_root_match(system, u, pos)
+    if found is None:
+        raise InvalidRedex("term has no redex")
+    return found
 
 
 def leftmost_innermost_moves(system: Ptrs, t: Term) -> list[Redex]:
@@ -172,19 +225,17 @@ def simultaneous_groups(
     cannot nest inside itself), so every group is an admissible simultaneous
     move; ordered by (first position, rule index).
     """
-    pool = innermost_redexes(system, t) if innermost_only else redexes(system, t)
-    grouped: dict[tuple[int, Term], list[Redex]] = {}
-    for r in pool:
-        instance = subterm_at(t, r.position)
-        grouped.setdefault((r.rule_index, instance), []).append(r)
+    grouped: dict[tuple[int, Term], tuple[Substitution, list[Position]]] = {}
+    for pos, u, idx, sigma in _walk_redexes(system, t, innermost_only):
+        grouped.setdefault((idx, u), (sigma, []))[1].append(pos)
     groups = [
         SimGroup(
             rule_index=idx,
-            subst=rs[0].subst,
-            positions=tuple(sorted(r.position for r in rs)),
+            subst=sigma,
+            positions=tuple(sorted(found)),
             instance=instance,
         )
-        for (idx, instance), rs in grouped.items()
+        for (idx, instance), (sigma, found) in grouped.items()
     ]
     groups.sort(key=lambda g: (g.positions[0], g.rule_index))
     return groups
@@ -199,30 +250,43 @@ def sim_step(
     """Rewrite every chosen position of the group at once: branch j replaces
     all of them by the j-th right-hand side instance (merged, not a product).
     """
+    chosen = _checked_positions(t, group, chosen_positions)
+    rule = system.rules[group.rule_index]
+    return MultiDistribution(
+        (p, _replace_all(t, chosen, apply_subst(r, group.subst)))
+        for p, r in rule.rhs.entries
+    )
+
+
+def _checked_positions(
+    t: Term, group: SimGroup, chosen_positions: Optional[Sequence[Position]]
+) -> tuple[Position, ...]:
     chosen = tuple(chosen_positions) if chosen_positions is not None else group.positions
     if not chosen or not set(chosen) <= set(group.positions):
         raise InvalidGroup(f"positions {chosen} are not a non-empty subset of the group")
-    rule = system.rules[group.rule_index]
     for pos in chosen:
         if subterm_at(t, pos) is not group.instance:
             raise InvalidGroup(f"stale group: instance changed at {pos}")
-    entries = []
-    for p, r in rule.rhs.entries:
-        replacement = apply_subst(r, group.subst)
-        result = t
-        for pos in chosen:
-            result = replace_at(result, pos, replacement)
-        entries.append((p, result))
-    return MultiDistribution(entries)
+    return chosen
+
+
+def _replace_all(t: Term, chosen: Sequence[Position], replacement: Term) -> Term:
+    for pos in chosen:
+        t = replace_at(t, pos, replacement)
+    return t
 
 
 class Policy:
     """Deterministic choice among admissible moves."""
 
     name = "policy"
-    # policies that only ever take the first move in (position, rule) order
-    # may be served by direct descent instead of full enumeration
-    needs_all_moves = True
+
+    def choose(self, system: Ptrs, t: Term, strategy: Strategy) -> Redex:
+        """The move this policy takes on a non-normal-form term under a
+        non-simultaneous strategy. The default enumerates every admissible
+        move and defers to ``pick_redex``; subclasses that can locate their
+        pick by descent override it and must agree with this reference."""
+        return self.pick_redex(t, admissible_moves(system, t, strategy))
 
     def pick_redex(self, t: Term, moves: Sequence[Redex]) -> Redex:
         raise NotImplementedError
@@ -242,7 +306,9 @@ class FirstMove(Policy):
     """Leftmost position, lowest rule index; maximal group for simultaneous."""
 
     name = "first"
-    needs_all_moves = False
+
+    def choose(self, system: Ptrs, t: Term, strategy: Strategy) -> Redex:
+        return first_move_redex(system, t, strategy)
 
     def pick_redex(self, t: Term, moves: Sequence[Redex]) -> Redex:
         return moves[0]
@@ -254,6 +320,12 @@ class FirstMove(Policy):
 
 class RightmostFirst(Policy):
     name = "rightmost"
+
+    def choose(self, system: Ptrs, t: Term, strategy: Strategy) -> Redex:
+        if strategy is Strategy.LEFTMOST_INNERMOST:
+            # a single admissible position: lowest rule there
+            return first_move_redex(system, t, strategy)
+        return rightmost_redex(system, t)
 
     def pick_redex(self, t: Term, moves: Sequence[Redex]) -> Redex:
         rightmost = max(m.position for m in moves)
@@ -272,6 +344,12 @@ class RandomSeeded(Policy):
         self.seed = seed
         self.rng = random.Random(seed)
         self.name = f"random:{seed}"
+
+    def choose(self, system: Ptrs, t: Term, strategy: Strategy) -> Redex:
+        if strategy is Strategy.FULL:
+            # the same draw as pick_redex over all len(redexes) moves
+            return nth_redex(system, t, self.rng.randrange(system.redex_count(t)))
+        return super().choose(system, t, strategy)
 
     def pick_redex(self, t: Term, moves: Sequence[Redex]) -> Redex:
         return moves[self.rng.randrange(len(moves))]
@@ -339,14 +417,35 @@ def entry_step(
 ) -> MultiDistribution:
     """One policy-resolved step on a single non-normal-form term."""
     if strategy.simultaneous:
-        groups = simultaneous_groups(
-            system, t, innermost_only=strategy is Strategy.INNERMOST_SIMULTANEOUS
-        )
-        group, chosen = policy.pick_group(t, groups)
+        group, chosen = _pick_group(system, t, strategy, policy)
         return sim_step(system, t, group, chosen)
-    if not policy.needs_all_moves:
-        return step(system, t, first_move_redex(system, t, strategy))
-    return step(system, t, policy.pick_redex(t, admissible_moves(system, t, strategy)))
+    return step(system, t, policy.choose(system, t, strategy))
+
+
+def sample_step(
+    system: Ptrs, t: Term, strategy: Strategy, policy: Policy, x: float
+) -> Term:
+    """The successor ``entry_step`` would give for a uniform draw x in [0,1):
+    the policy's move is chosen first and only the sampled branch is built."""
+    if strategy.simultaneous:
+        group, chosen = _pick_group(system, t, strategy, policy)
+        chosen = _checked_positions(t, group, chosen)
+        rule = system.rules[group.rule_index]
+        rhs = rule.rhs.entries[rule.pick_branch(x)][1]
+        return _replace_all(t, chosen, apply_subst(rhs, group.subst))
+    redex = policy.choose(system, t, strategy)
+    rule = system.rules[redex.rule_index]
+    rhs = rule.rhs.entries[rule.pick_branch(x)][1]
+    return replace_at(t, redex.position, apply_subst(rhs, redex.subst))
+
+
+def _pick_group(
+    system: Ptrs, t: Term, strategy: Strategy, policy: Policy
+) -> tuple[SimGroup, tuple[Position, ...]]:
+    groups = simultaneous_groups(
+        system, t, innermost_only=strategy is Strategy.INNERMOST_SIMULTANEOUS
+    )
+    return policy.pick_group(t, groups)
 
 
 def lift_step(

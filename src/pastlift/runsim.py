@@ -35,18 +35,31 @@ class _Node:
 
 
 def _build(system: Ptrs, t: Term) -> _Node:
-    if isinstance(t, Var):
-        node = _Node(None, t.name)
-        node.nf = True
-        return node
-    node = _Node(t.symbol, None)
-    for i, a in enumerate(t.args):
-        kid = _build(system, a)
-        kid.parent = node
-        kid.slot = i
-        node.kids.append(kid)
-    node.nf = all(k.nf for k in node.kids) and _match_rule(system, node) is None
-    return node
+    """Mutable copy of t, children before parents, with no recursion so that
+    term depth is unbounded."""
+    built: list[_Node] = []
+    stack: list[tuple[Term, bool]] = [(t, False)]
+    while stack:
+        u, ready = stack.pop()
+        if isinstance(u, Var):
+            node = _Node(None, u.name)
+            node.nf = True
+            built.append(node)
+            continue
+        if not ready:
+            stack.append((u, True))
+            stack.extend((a, False) for a in reversed(u.args))
+            continue
+        node = _Node(u.symbol, None)
+        cut = len(built) - len(u.args)
+        node.kids = built[cut:]
+        del built[cut:]
+        for i, kid in enumerate(node.kids):
+            kid.parent = node
+            kid.slot = i
+        node.nf = all(k.nf for k in node.kids) and _match_rule(system, node) is None
+        built.append(node)
+    return built[0]
 
 
 def _match_rule(system: Ptrs, node: _Node):
@@ -126,15 +139,7 @@ def run_innermost_first(
         assert found is not None, "non-normal node with all-normal kids must match"
         _, rule, binding = found
         # sample a branch with the exact rule probabilities
-        pick = rng.random()
-        acc = 0
-        entries = rule.rhs.entries
-        chosen = entries[-1][1]
-        for p, r in entries:
-            acc += p
-            if pick < acc:
-                chosen = r
-                break
+        chosen = rule.rhs.entries[rule.pick_branch(rng.random())][1]
         replacement = _instantiate(system, chosen, binding)
         parent = cursor.parent
         if parent is None:

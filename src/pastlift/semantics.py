@@ -10,7 +10,6 @@ never a limit claim.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -25,6 +24,7 @@ from .rewriting import (
     innermost_redexes,
     leftmost_innermost_moves,
     lift_step,
+    sample_step,
     step,
 )
 from .system import MultiDistribution, Ptrs, singleton
@@ -237,15 +237,7 @@ def _run_generic(
     for steps in range(step_cap):
         if system.is_normal_form(t):
             return True, steps
-        branches = entry_step(system, t, strategy, policy)
-        pick = rng.random()
-        acc = Fraction(0)
-        t = branches.entries[-1][1]
-        for p, candidate in branches.entries:
-            acc += p
-            if pick < acc:
-                t = candidate
-                break
+        t = sample_step(system, t, strategy, policy, rng.random())
     return system.is_normal_form(t), step_cap
 
 
@@ -257,13 +249,13 @@ def mc_estimate(
     samples: int,
     step_cap: int,
     seed: int,
-    threads: int = 1,
 ) -> McSummary:
     """Estimate termination probability from independent seeded runs.
 
     Each run samples rule branches with their exact probabilities and stops
     on a normal form, or is censored at ``step_cap``. Run i uses its own RNG
-    derived from (seed, i), so the result does not depend on scheduling.
+    derived from (seed, i), and a random policy its own stream derived from
+    the same pair, so runs are independent of one another.
     Censoring biases the estimate downward, never upward.
     """
     if samples < 1:
@@ -282,11 +274,7 @@ def mc_estimate(
             system, start, strategy, policy.clone_for_run(f"{seed}:{i}:policy"), rng, step_cap
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one_run, range(samples)))
-    else:
-        outcomes = [one_run(i) for i in range(samples)]
+    outcomes = [one_run(i) for i in range(samples)]
 
     terminated = sum(1 for ok, _ in outcomes if ok)
     steps_done = [n for ok, n in outcomes if ok]

@@ -7,9 +7,11 @@ same term are kept apart, and equality of distributions is multiset equality.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .terms import App, Symbol, Term, Var, match, term_to_str
 
@@ -89,12 +91,36 @@ def singleton(t: Term) -> MultiDistribution:
     return MultiDistribution(((Fraction(1), t),))
 
 
+def _cut_points(rhs: MultiDistribution) -> tuple[float, ...]:
+    """For each cumulative probability acc, the smallest float >= acc, so
+    that ``x < cut`` holds exactly when ``x < acc`` for every float x."""
+    cuts = []
+    acc = Fraction(0)
+    for p, _ in rhs.entries:
+        acc += p
+        cut = float(acc)
+        if cut < acc:  # rounded down: the next float up is the least above
+            cut = math.nextafter(cut, math.inf)
+        cuts.append(cut)
+    return tuple(cuts)
+
+
 class ProbRule:
-    __slots__ = ("lhs", "rhs")
+    __slots__ = ("lhs", "rhs", "_cuts")
 
     def __init__(self, lhs: Term, rhs: MultiDistribution):
         self.lhs = lhs
         self.rhs = rhs
+        self._cuts: Optional[tuple[float, ...]] = None  # on first draw
+
+    def pick_branch(self, x: float) -> int:
+        """Index of the branch a uniform draw x in [0,1) selects: the first
+        whose cumulative probability exceeds x, else the last. Exact, with
+        no rational arithmetic after the rule's first draw."""
+        cuts = self._cuts
+        if cuts is None:
+            cuts = self._cuts = _cut_points(self.rhs)
+        return min(bisect_right(cuts, x), len(cuts) - 1)
 
     @property
     def is_trivial(self) -> bool:
@@ -157,6 +183,7 @@ class Ptrs:
                 key = (rule.lhs.symbol.name, rule.lhs.symbol.arity)
                 self._rules_by_root.setdefault(key, []).append((idx, rule))
         self._nf_cache: dict[Term, bool] = {}
+        self._count_cache: dict[Term, int] = {}
 
     @property
     def is_trivial(self) -> bool:
@@ -244,6 +271,34 @@ class Ptrs:
                 cache[u] = False
             else:
                 cache[u] = not self.root_match(u)
+        return cache[t]
+
+    def redex_count(self, t: Term) -> int:
+        """Number of redexes of t, one per (position, matching rule). Cached
+        per system for terms that are not normal forms (those count 0)."""
+        if self.is_normal_form(t):
+            return 0
+        nf = self._nf_cache  # now holds every subterm of t
+        cache = self._count_cache
+        got = cache.get(t)
+        if got is not None:
+            return got
+        stack = [t]
+        while stack:
+            u = stack[-1]
+            if u in cache:
+                stack.pop()
+                continue
+            pending = [a for a in u.args if not nf[a] and a not in cache]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            n = sum(cache[a] for a in u.args if not nf[a])
+            for _, rule in self.rules_at_root(u):
+                if match(rule.lhs, u) is not None:
+                    n += 1
+            cache[u] = n
         return cache[t]
 
     def is_basic(self, t: Term) -> bool:

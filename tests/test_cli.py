@@ -226,3 +226,21 @@ def test_exit_code_missing_file(capsys):
 def test_bad_term_is_a_parse_error(capsys):
     code, _, err = run(capsys, "simulate", path("srw"), "--term", "zap(1)")
     assert code == 2
+
+
+def test_simulate_accepts_a_start_term_deeper_than_the_recursion_limit(capsys):
+    deep = "g(" * 3000 + "0" + ")" * 3000
+    modes = (
+        ("--mode", "exact", "--depth", "2"),
+        ("--mode", "mc", "--samples", "3", "--step-cap", "3"),
+    )
+    for mode in modes:
+        for strategy in ("full", "i", "li", "par", "ipar"):
+            for policy in ("first", "rightmost", "random:1"):
+                code, out, err = run(
+                    capsys,
+                    "simulate", path("srw2"), "--term", deep, "--strategy", strategy,
+                    "--policy", policy, *mode, "--json",
+                )
+                assert code == 0 and "Traceback" not in err, (mode, strategy, policy, err)
+                jsonschema.validate(json.loads(out), SCHEMA)

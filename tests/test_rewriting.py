@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import load_system, random_system, random_term
+from conftest import CORPUS, load_system, random_system, random_term
 from pastlift.fmt import parse_term
 from pastlift.rewriting import (
     FirstMove,
@@ -15,6 +16,7 @@ from pastlift.rewriting import (
     Scripted,
     ScriptEntry,
     Strategy,
+    admissible_moves,
     coalesce,
     first_move_redex,
     innermost_redexes,
@@ -26,7 +28,7 @@ from pastlift.rewriting import (
     step,
 )
 from pastlift.system import MultiDistribution, singleton
-from pastlift.terms import Symbol, app, subterm_at, var
+from pastlift.terms import Symbol, app, positions, subterm_at, var
 
 half = Fraction(1, 2)
 
@@ -304,3 +306,68 @@ def test_coalesce_preserves_mass():
     )
     merged = coalesce(mu)
     assert merged.entries == ((Fraction(3, 4), t("s2", "f(a,a)")), (Fraction(1, 4), t("s2", "b")))
+
+
+def test_choose_agrees_with_picking_from_all_moves():
+    rng = random.Random(37)
+    strategies = [Strategy.FULL, Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST]
+    checked = 0
+    for case in range(1500):
+        system = random_system(rng)
+        term = random_term(rng, 4, vars_=())
+        if system.is_normal_form(term):
+            continue
+        for strategy in strategies:
+            moves = admissible_moves(system, term, strategy)
+            pairs = [
+                (FirstMove(), FirstMove()),
+                (RightmostFirst(), RightmostFirst()),
+                (RandomSeeded(case), RandomSeeded(case)),
+            ]
+            for chooser, picker in pairs:
+                for _ in range(3):  # random copies must stay in lockstep
+                    fast = chooser.choose(system, term, strategy)
+                    slow = picker.pick_redex(term, moves)
+                    assert (fast.position, fast.rule_index, fast.subst) == (
+                        slow.position,
+                        slow.rule_index,
+                        slow.subst,
+                    ), (case, strategy, chooser.name)
+            checked += 1
+    assert checked > 100
+
+
+def test_redex_count_memo_matches_enumeration_on_every_subterm():
+    rng = random.Random(43)
+    counted = 0
+    for _ in range(1500):
+        system = random_system(rng)
+        term = random_term(rng, 5, vars_=())
+        for pos in positions(term):
+            u = subterm_at(term, pos)
+            assert system.redex_count(u) == len(redexes(system, u))
+            counted += system.redex_count(u) > 0
+    assert counted > 150
+
+
+def test_cut_points_pick_the_same_branch_as_fraction_sums():
+    rng = random.Random(47)
+    corpus = [rule for name in CORPUS + ["srw2"] for rule in load_system(name).rules]
+    # random weights give cumulative sums such as 1/3 that no float equals
+    generated = [rule for _ in range(40) for rule in random_system(rng).rules]
+    inexact = 0
+    for rule in corpus + generated:
+        sums = []
+        acc = Fraction(0)
+        for p, _ in rule.rhs.entries:
+            acc += p
+            sums.append(acc)
+        probes = [rng.random() for _ in range(10_000 if rule in corpus else 1_000)]
+        for acc in sums:
+            near = float(acc)
+            inexact += Fraction(near) != acc
+            probes += [near, math.nextafter(near, 0), math.nextafter(near, 2)]
+        for x in probes:
+            by_sums = next((j for j, acc in enumerate(sums) if x < acc), len(sums) - 1)
+            assert rule.pick_branch(x) == by_sums, (rule, x)
+    assert inexact > 10

@@ -1,12 +1,26 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import load_system
+from conftest import load_system, random_system, random_term
+from pastlift import runsim
 from pastlift.fmt import parse_term
-from pastlift.rewriting import FirstMove, RandomSeeded, Scripted, ScriptEntry, Strategy
+from pastlift.rewriting import (
+    FirstMove,
+    RandomSeeded,
+    RightmostFirst,
+    Scripted,
+    ScriptEntry,
+    Strategy,
+    admissible_moves,
+    sim_step,
+    step,
+)
 from pastlift.semantics import (
     CapExceeded,
+    McSummary,
+    _run_generic,
     adversarial_lower_bound,
     build_rst,
     edl_partial,
@@ -232,14 +246,14 @@ def test_mc_scripted_loop_censors_everything():
     assert summary.mean_steps_of_terminated is None
 
 
-def test_mc_deterministic_and_thread_invariant():
+def test_mc_deterministic():
     srw = load_system("srw")
     g = t("srw", "g")
     runs = [
-        mc_estimate(srw, g, Strategy.INNERMOST, first, 50, 2000, seed=7, threads=n)
-        for n in (1, 1, 4)
+        mc_estimate(srw, g, Strategy.INNERMOST, first, 50, 2000, seed=7)
+        for _ in range(2)
     ]
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1]
 
 
 def test_mc_estimate_tracks_extinction_probability():
@@ -276,3 +290,126 @@ def test_mc_fast_and_generic_paths_agree():
     # random policy degenerates to first-move and runs must coincide
     assert fast.estimate == generic.estimate
     assert fast.mean_steps_of_terminated == generic.mean_steps_of_terminated
+
+
+# (system, start, strategy, policy, samples, step cap, seed) ->
+# (terminated, estimate, censored fraction, mean steps of terminated runs),
+# recorded with the sampler that built every branch and summed Fractions
+RECORDED_MC = [
+    (('srw', 'g', 'full', 'random:2', 100, 250, 2), (95, 0.95, 0.05, 12.368421052631579)),
+    (('srw', 'g', 'full', 'rightmost', 100, 250, 2), (95, 0.95, 0.05, 12.368421052631579)),
+    (('srw2', 'g(0)', 'full', 'random:2', 100, 250, 2), (95, 0.95, 0.05, 12.368421052631579)),
+    (('srw2', 'g(0)', 'full', 'rightmost', 100, 250, 2), (95, 0.95, 0.05, 12.368421052631579)),
+    (('s6', 'g', 'par', 'first', 200, 250, 2), (200, 1.0, 0.0, 7.05)),
+    (('s6', 'g', 'par', 'random:2', 200, 250, 2), (200, 1.0, 0.0, 6.91)),
+    (('srw', 'g', 'i', 'first', 50, 50000, 2), (50, 1.0, 0.0, 31.68)),
+    (('srw', 'g', 'li', 'first', 50, 50000, 2), (50, 1.0, 0.0, 31.68)),
+    (('srw2', 'g(0)', 'i', 'first', 50, 50000, 2), (50, 1.0, 0.0, 31.68)),
+    (('srw2', 'g(0)', 'li', 'first', 50, 50000, 2), (50, 1.0, 0.0, 31.68)),
+    (('s8', 'f(g)', 'i', 'first', 50, 2000, 2), (49, 0.98, 0.02, 20.836734693877553)),
+    # the policy changes the outcome on these: they pin selection too
+    (('s1', 'g', 'full', 'random:2', 30, 120, 2), (15, 0.5, 0.5, 4.266666666666667)),
+    (('s1', 'g', 'full', 'rightmost', 30, 120, 2), (30, 1.0, 0.0, 7.666666666666667)),
+    (('s1', 'g', 'full', 'first', 30, 120, 2), (9, 0.3, 0.7, 5.666666666666667)),
+    (('s6', 'g', 'full', 'random:2', 30, 120, 2), (18, 0.6, 0.4, 9.0)),
+    (('s6', 'g', 'full', 'rightmost', 30, 120, 2), (6, 0.2, 0.8, 1.0)),
+    (('s6', 'g', 'full', 'first', 30, 120, 2), (30, 1.0, 0.0, 8.733333333333333)),
+    (('s8', 'f(g)', 'full', 'random:2', 30, 120, 2), (16, 0.5333333333333333, 0.4666666666666667, 7.1875)),
+    (('s8', 'f(g)', 'full', 'rightmost', 30, 120, 2), (28, 0.9333333333333333, 0.06666666666666667, 11.035714285714286)),
+    (('s8', 'f(g)', 'full', 'first', 30, 120, 2), (9, 0.3, 0.7, 5.666666666666667)),
+    (('s4', 'f(a,b)', 'full', 'random:2', 30, 120, 2), (30, 1.0, 0.0, 4.0)),
+    (('s4', 'f(a,b)', 'full', 'rightmost', 30, 120, 2), (30, 1.0, 0.0, 4.7)),
+    (('s4', 'f(a,b)', 'full', 'first', 30, 120, 2), (30, 1.0, 0.0, 5.5)),
+    (('s7', 'g', 'full', 'random:2', 30, 120, 2), (30, 1.0, 0.0, 2.2333333333333334)),
+    (('s7', 'g', 'full', 'rightmost', 30, 120, 2), (30, 1.0, 0.0, 2.2333333333333334)),
+    (('s7', 'g', 'full', 'first', 30, 120, 2), (30, 1.0, 0.0, 2.2333333333333334)),
+    (('s4', 'f(a,b)', 'i', 'random:2', 40, 250, 2), (40, 1.0, 0.0, 4.175)),
+    (('s4', 'f(a,b)', 'i', 'rightmost', 40, 250, 2), (40, 1.0, 0.0, 4.475)),
+    (('s4', 'f(a,b)', 'li', 'random:2', 40, 250, 2), (40, 1.0, 0.0, 5.0)),
+    (('s4', 'f(a,b)', 'li', 'rightmost', 40, 250, 2), (40, 1.0, 0.0, 5.15)),
+    (('s1', 'g', 'i', 'random:2', 40, 250, 2), (40, 1.0, 0.0, 6.7)),
+    (('s1', 'g', 'i', 'rightmost', 40, 250, 2), (40, 1.0, 0.0, 6.7)),
+    (('s1', 'g', 'li', 'random:2', 40, 250, 2), (40, 1.0, 0.0, 6.7)),
+    (('s1', 'g', 'li', 'rightmost', 40, 250, 2), (40, 1.0, 0.0, 6.7)),
+]
+
+
+def make_policy(spec):
+    if spec == "first":
+        return FirstMove()
+    if spec == "rightmost":
+        return RightmostFirst()
+    return RandomSeeded(int(spec.split(":")[1]))
+
+
+def test_mc_summaries_match_recorded_values():
+    for (name, text, strategy, policy, samples, cap, seed), got in RECORDED_MC:
+        system = load_system(name)
+        summary = mc_estimate(
+            system, t(name, text), Strategy(strategy), make_policy(policy),
+            samples, cap, seed,
+        )
+        terminated, estimate, censored, mean = got
+        assert summary == McSummary(
+            samples, terminated, estimate, censored, mean, cap, seed
+        ), (name, text, strategy, policy)
+
+
+def reference_run(system, start, strategy, policy, rng, step_cap):
+    """One run the long way: every admissible move enumerated for the
+    policy, every branch of the step built, and the branch picked by
+    comparing the draw with running Fraction sums."""
+    term = start
+    for steps in range(step_cap):
+        if system.is_normal_form(term):
+            return True, steps
+        moves = admissible_moves(system, term, strategy)
+        if strategy.simultaneous:
+            group, chosen = policy.pick_group(term, moves)
+            branches = sim_step(system, term, group, chosen)
+        else:
+            branches = step(system, term, policy.pick_redex(term, moves))
+        pick = rng.random()
+        acc = Fraction(0)
+        term = branches.entries[-1][1]
+        for p, candidate in branches.entries:
+            acc += p
+            if pick < acc:
+                term = candidate
+                break
+    return system.is_normal_form(term), step_cap
+
+
+def test_sampled_runs_match_the_reference_sampler_on_random_systems():
+    rng = random.Random(53)
+    compared = 0
+    for case in range(3000):
+        system = random_system(rng)
+        start = random_term(rng, 4, vars_=())
+        if system.is_normal_form(start):
+            continue
+        for strategy in Strategy:
+            for spec in ("first", "rightmost", f"random:{case}"):
+                policy = make_policy(spec)
+                for i in range(3):
+                    run_seed = f"{case}:{i}"
+                    expected = reference_run(
+                        system, start, strategy,
+                        policy.clone_for_run(run_seed + ":policy"),
+                        random.Random(run_seed), 25,
+                    )
+                    got = _run_generic(
+                        system, start, strategy,
+                        policy.clone_for_run(run_seed + ":policy"),
+                        random.Random(run_seed), 25,
+                    )
+                    assert got == expected, (case, strategy, spec, i)
+                    if spec == "first" and strategy in (
+                        Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST
+                    ):
+                        fast = runsim.run_innermost_first(
+                            system, start, random.Random(run_seed), 25
+                        )
+                        assert fast == expected, (case, strategy, i)
+                    compared += 1
+    assert compared > 6000
