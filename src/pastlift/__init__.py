@@ -7,7 +7,7 @@ The package splits into:
 - ``props``      syntactic properties and bounded local confluence
 - ``spareness``  sound spareness check and bounded falsifier
 - ``rewriting``  the five rewrite relations, policies, lifting
-- ``semantics``  exact unfolding, rewrite trees, adversary bounds, sampling
+- ``semantics``  exact unfolding, adversary bounds, sampling
 - ``transform``  generator rules and basic-term encodings
 - ``analyzer``   the strategy-equivalence theorem engine
 - ``fmt``        rule file parsing and serialization

@@ -12,7 +12,7 @@ import enum
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from .system import MultiDistribution, Ptrs, merge, scale
 from .terms import (
@@ -20,6 +20,7 @@ from .terms import (
     Substitution,
     Term,
     Var,
+    app,
     apply_subst,
     match,
     replace_at,
@@ -102,50 +103,78 @@ def innermost_redexes(system: Ptrs, t: Term) -> list[Redex]:
     return found
 
 
+# A descent rule is a policy's choice at one non-normal node u, made from u
+# alone: the (rule index, substitution) of the redex at u, or the 1-based
+# index of the child to descend into. A pick made this way in t is the pick
+# made in that child, under t's root symbol.
+Pick = Union[int, tuple[int, Substitution]]
+Descent = Callable[[Ptrs, Term], Pick]
+
+
+def _root_match(system: Ptrs, u: Term) -> Optional[tuple[int, Substitution]]:
+    for idx, rule in system.rules_at_root(u):
+        sigma = match(rule.lhs, u)
+        if sigma is not None:
+            return idx, sigma
+    return None
+
+
+def _innermost_match(system: Ptrs, u: Term) -> tuple[int, Substitution]:
+    found = _root_match(system, u)
+    if found is None:
+        raise InvalidRedex("term has no redex")
+    return found
+
+
+def _leftmost_innermost(system: Ptrs, u: Term) -> Pick:
+    """Into the leftmost non-normal child; the bottom of that path is the
+    leftmost innermost redex, lowest rule first."""
+    for k, a in enumerate(u.args, 1):
+        if not system.is_normal_form(a):
+            return k
+    return _innermost_match(system, u)
+
+
+def _leftmost_outermost(system: Ptrs, u: Term) -> Pick:
+    """A rule matching at u first: an ancestor position precedes everything
+    inside it, so the first match on the leftmost non-normal path is the
+    position-lexicographic minimum."""
+    found = _root_match(system, u)
+    if found is not None:
+        return found
+    return _leftmost_innermost(system, u)
+
+
+def _rightmost_innermost(system: Ptrs, u: Term) -> Pick:
+    """Into the rightmost non-normal child: every position inside a subterm
+    follows the subterm's own, and later children follow earlier ones, so the
+    bottom of that path is the position-lexicographic maximum. That node is
+    innermost, so full and innermost rewriting agree on it."""
+    for k in range(len(u.args), 0, -1):
+        if not system.is_normal_form(u.args[k - 1]):
+            return k
+    return _innermost_match(system, u)
+
+
+def descend(system: Ptrs, t: Term, rule: Descent) -> Redex:
+    """The redex a descent rule picks in a non-normal-form term, in time
+    linear in the non-normal spine instead of enumerating every move."""
+    pos: list[int] = []
+    u = t
+    while True:
+        found = rule(system, u)
+        if isinstance(found, int):
+            pos.append(found)
+            u = u.args[found - 1]
+        else:
+            return Redex(tuple(pos), *found)
+
+
 def first_move_redex(system: Ptrs, t: Term, strategy: Strategy) -> Redex:
-    """The redex FirstMove would pick, located by direct descent in time
-    linear in the non-normal spine instead of enumerating every move.
-
-    For full rewriting the position-lexicographic minimum is leftmost
-    outermost: an ancestor position precedes everything inside it, so the
-    first match on the leftmost non-normal path wins. For the innermost
-    strategies it is the bottom of that same path.
-    """
+    """The redex FirstMove picks: leftmost outermost for full rewriting, the
+    leftmost innermost for the innermost strategies."""
     assert not strategy.simultaneous
-    pos: list[int] = []
-    u = t
-    while True:
-        if strategy is Strategy.FULL:
-            found = _first_root_match(system, u, pos)
-            if found is not None:
-                return found
-        for k, a in enumerate(u.args):
-            if not system.is_normal_form(a):
-                pos.append(k + 1)
-                u = a
-                break
-        else:
-            # all children normal: u itself must be the innermost redex
-            return _innermost_at(system, u, pos)
-
-
-def rightmost_redex(system: Ptrs, t: Term) -> Redex:
-    """The position-lexicographic maximum among the redexes of t, lowest rule
-    first: every position inside a subterm follows the subterm's own, and
-    later children follow earlier ones, so it is the bottom of the rightmost
-    non-normal path. That node is innermost, so full and innermost
-    rewriting agree on it."""
-    pos: list[int] = []
-    u = t
-    while True:
-        for k in range(len(u.args), 0, -1):
-            a = u.args[k - 1]
-            if not system.is_normal_form(a):
-                pos.append(k)
-                u = a
-                break
-        else:
-            return _innermost_at(system, u, pos)
+    return descend(system, t, FirstMove().descent(strategy))
 
 
 def nth_redex(system: Ptrs, t: Term, k: int) -> Redex:
@@ -170,21 +199,6 @@ def nth_redex(system: Ptrs, t: Term, k: int) -> Redex:
             k -= n
         else:
             raise InvalidRedex("redex index out of range")
-
-
-def _first_root_match(system: Ptrs, u: Term, pos: list[int]) -> Optional[Redex]:
-    for idx, rule in system.rules_at_root(u):
-        sigma = match(rule.lhs, u)
-        if sigma is not None:
-            return Redex(tuple(pos), idx, sigma)
-    return None
-
-
-def _innermost_at(system: Ptrs, u: Term, pos: list[int]) -> Redex:
-    found = _first_root_match(system, u, pos)
-    if found is None:
-        raise InvalidRedex("term has no redex")
-    return found
 
 
 def leftmost_innermost_moves(system: Ptrs, t: Term) -> list[Redex]:
@@ -281,11 +295,20 @@ class Policy:
 
     name = "policy"
 
+    def descent(self, strategy: Strategy) -> Optional[Descent]:
+        """The rule that makes this policy's pick node by node under a
+        non-simultaneous strategy, or None when the pick is not made that
+        way (it depends on state, or on the whole term)."""
+        return None
+
     def choose(self, system: Ptrs, t: Term, strategy: Strategy) -> Redex:
         """The move this policy takes on a non-normal-form term under a
-        non-simultaneous strategy. The default enumerates every admissible
-        move and defers to ``pick_redex``; subclasses that can locate their
-        pick by descent override it and must agree with this reference."""
+        non-simultaneous strategy: by descent where the policy has a descent
+        rule, otherwise by enumerating every admissible move and deferring
+        to ``pick_redex``. Either way it must agree with ``pick_redex``."""
+        rule = self.descent(strategy)
+        if rule is not None:
+            return descend(system, t, rule)
         return self.pick_redex(t, admissible_moves(system, t, strategy))
 
     def pick_redex(self, t: Term, moves: Sequence[Redex]) -> Redex:
@@ -307,8 +330,10 @@ class FirstMove(Policy):
 
     name = "first"
 
-    def choose(self, system: Ptrs, t: Term, strategy: Strategy) -> Redex:
-        return first_move_redex(system, t, strategy)
+    def descent(self, strategy: Strategy) -> Optional[Descent]:
+        if strategy is Strategy.FULL:
+            return _leftmost_outermost
+        return None if strategy.simultaneous else _leftmost_innermost
 
     def pick_redex(self, t: Term, moves: Sequence[Redex]) -> Redex:
         return moves[0]
@@ -321,11 +346,11 @@ class FirstMove(Policy):
 class RightmostFirst(Policy):
     name = "rightmost"
 
-    def choose(self, system: Ptrs, t: Term, strategy: Strategy) -> Redex:
+    def descent(self, strategy: Strategy) -> Optional[Descent]:
         if strategy is Strategy.LEFTMOST_INNERMOST:
             # a single admissible position: lowest rule there
-            return first_move_redex(system, t, strategy)
-        return rightmost_redex(system, t)
+            return _leftmost_innermost
+        return None if strategy.simultaneous else _rightmost_innermost
 
     def pick_redex(self, t: Term, moves: Sequence[Redex]) -> Redex:
         rightmost = max(m.position for m in moves)
@@ -449,17 +474,60 @@ def _pick_group(
 
 
 def lift_step(
-    system: Ptrs, mu: MultiDistribution, strategy: Strategy, policy: Policy
+    system: Ptrs,
+    mu: MultiDistribution,
+    strategy: Strategy,
+    policy: Policy,
+    memo: Optional[dict[Term, MultiDistribution]] = None,
 ) -> MultiDistribution:
     """One lifting step: normal forms are kept, every other entry takes the
-    policy-chosen move and its branch distribution is spliced in place."""
+    policy-chosen move and its branch distribution is spliced in place.
+
+    Where the policy has a descent rule, entries are stepped through
+    ``memo`` (a fresh one when none is given; see ``memo_step``), so a
+    caller that lifts repeatedly can pass one dict to every step."""
+    rule = policy.descent(strategy)
+    if rule is not None and memo is None:
+        memo = {}
     parts = []
     for p, t in mu.entries:
         if system.is_normal_form(t):
             parts.append([(p, t)])
-        else:
+        elif rule is None:
             parts.append(scale(p, entry_step(system, t, strategy, policy)))
+        else:
+            parts.append(scale(p, memo_step(system, t, rule, memo)))
     return merge(parts)
+
+
+def memo_step(
+    system: Ptrs, t: Term, rule: Descent, memo: dict[Term, MultiDistribution]
+) -> MultiDistribution:
+    """``entry_step`` for a policy whose pick follows a descent rule, paying
+    only for the subterms on the pick's path that ``memo`` has not seen.
+
+    The rule's pick in a node that descends into child k is the pick in that
+    child, so the node's step is the child's with every branch put back under
+    the node's root symbol. The walk goes down to the first memoised subterm
+    or to the redex, which ``step`` contracts as usual, then builds back up
+    one level at a time, memoising every level."""
+    path: list[tuple[Term, int]] = []
+    u = t
+    dist = memo.get(u)
+    while dist is None:
+        found = rule(system, u)
+        if isinstance(found, int):
+            path.append((u, found))
+            u = u.args[found - 1]
+            dist = memo.get(u)
+        else:
+            dist = memo[u] = step(system, u, Redex((), *found))
+    for parent, k in reversed(path):
+        sym, head, tail = parent.symbol, parent.args[: k - 1], parent.args[k:]
+        dist = memo[parent] = MultiDistribution(
+            (p, app(sym, head + (s,) + tail)) for p, s in dist.entries
+        )
+    return dist
 
 
 def coalesce(mu: MultiDistribution) -> MultiDistribution:

@@ -1,6 +1,5 @@
-"""Quantitative semantics: exact depth-bounded unfolding, rewrite-sequence
-trees, adversarial lower bounds on bounded termination probability, and
-Monte-Carlo estimation.
+"""Quantitative semantics: exact depth-bounded unfolding, adversarial lower
+bounds on bounded termination probability, and Monte-Carlo estimation.
 
 All probability arithmetic is exact. Convergence probability is reported as
 the interval [nf_mass(final state), 1]: a finite unfolding yields evidence,
@@ -10,7 +9,7 @@ never a limit claim.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -20,7 +19,6 @@ from .rewriting import (
     Policy,
     Strategy,
     coalesce,
-    entry_step,
     innermost_redexes,
     leftmost_innermost_moves,
     lift_step,
@@ -83,8 +81,9 @@ def unfold_exact(
     states = [mu]
     masses = [system.nf_mass(mu)]
     trace = SemanticsTrace(start, strategy, policy.name, states, masses)
+    memo: dict[Term, MultiDistribution] = {}  # successors, for this call only
     for _ in range(depth):
-        mu = lift_step(system, mu, strategy, policy)
+        mu = lift_step(system, mu, strategy, policy, memo)
         if coalesce_states:
             mu = coalesce(mu)
         if len(mu) > support_cap:
@@ -94,75 +93,6 @@ def unfold_exact(
         states.append(mu)
         masses.append(system.nf_mass(mu))
     return trace
-
-
-@dataclass
-class RstNode:
-    probability: Fraction
-    term: Term
-    depth: int
-    children: list[int] = field(default_factory=list)
-
-
-@dataclass
-class Rst:
-    """Depth-truncated rewrite sequence tree for one policy."""
-
-    nodes: list[RstNode]
-    depth: int
-
-    def leaves(self) -> list[RstNode]:
-        return [n for n in self.nodes if not n.children]
-
-
-def build_rst(
-    system: Ptrs,
-    start: Term,
-    strategy: Strategy,
-    policy: Policy,
-    depth: int,
-    node_cap: int = DEFAULT_SUPPORT_CAP,
-) -> Rst:
-    nodes = [RstNode(Fraction(1), start, 0)]
-    frontier = [0]
-    for level in range(depth):
-        next_frontier: list[int] = []
-        for idx in frontier:
-            node = nodes[idx]
-            if system.is_normal_form(node.term):
-                continue
-            branches = entry_step(system, node.term, strategy, policy)
-            for p, t in branches.entries:
-                child = RstNode(node.probability * p, t, level + 1)
-                nodes.append(child)
-                node.children.append(len(nodes) - 1)
-                next_frontier.append(len(nodes) - 1)
-            if len(nodes) > node_cap:
-                raise CapExceeded(f"tree exceeded {node_cap} nodes", Rst(nodes, level))
-        frontier = next_frontier
-    return Rst(nodes, depth)
-
-
-def leaf_mass(system: Ptrs, tree: Rst) -> Fraction:
-    """Probability mass of leaves that are genuine normal forms."""
-    return sum(
-        (n.probability for n in tree.leaves() if system.is_normal_form(n.term)),
-        Fraction(0),
-    )
-
-
-def pending_mass(system: Ptrs, tree: Rst) -> Fraction:
-    """Mass cut off at the frontier: leaves that are not normal forms."""
-    return sum(
-        (n.probability for n in tree.leaves() if not system.is_normal_form(n.term)),
-        Fraction(0),
-    )
-
-
-def edl_partial(tree: Rst) -> Fraction:
-    """Expected derivation length accumulated inside the truncated tree:
-    the probability-weighted count of internal nodes."""
-    return sum((n.probability for n in tree.nodes if n.children), Fraction(0))
 
 
 def adversarial_lower_bound(
@@ -178,6 +108,9 @@ def adversarial_lower_bound(
     Value iteration: V_0 = [term is normal form]; V_{n+1}(t) = min over
     admissible moves of the branch-weighted V_n. Monotone in depth, and 0
     exactly when an adversary can keep all mass away from normal forms.
+    Each term's moves and their branches are computed once per call, and the
+    (term, depth) pairs are evaluated on an explicit stack, so ``depth`` is
+    not limited by Python's recursion limit.
     """
     if strategy is Strategy.INNERMOST:
         moves_of = innermost_redexes
@@ -186,32 +119,61 @@ def adversarial_lower_bound(
     else:
         raise ValueError("adversarial bound supports innermost strategies only")
 
-    memo: dict[tuple[Term, int], Fraction] = {}
     zero, one = Fraction(0), Fraction(1)
+    memo: dict[tuple[Term, int], Fraction] = {}
+    # each term's moves as their branch lists, computed once per call
+    transitions: dict[Term, list[tuple[tuple[Fraction, Term], ...]]] = {}
 
-    def value(t: Term, n: int) -> Fraction:
+    def known(t: Term, n: int) -> Optional[Fraction]:
         if system.is_normal_form(t):
             return one
         if n == 0:
             return zero
-        key = (t, n)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if len(memo) >= memo_cap:
-            raise CapExceeded(f"memo table exceeded {memo_cap} entries")
+        return memo.get((t, n))
+
+    def value(t: Term, n: int):
+        """V_n(t) as a frame of an explicit stack: yields each successor
+        pair whose value is not yet known and is sent that value back."""
+        moves = transitions.get(t)
+        if moves is None:
+            moves = transitions[t] = [
+                step(system, t, redex).entries for redex in moves_of(system, t)
+            ]
         best: Optional[Fraction] = None
-        for redex in moves_of(system, t):
+        for branches in moves:
             total = zero
-            for p, successor in step(system, t, redex).entries:
-                total += p * value(successor, n - 1)
+            for p, successor in branches:
+                got = known(successor, n - 1)
+                if got is None:
+                    got = yield successor, n - 1
+                total += p * got
             if best is None or total < best:
                 best = total
         assert best is not None
-        memo[key] = best
+        memo[(t, n)] = best
         return best
 
-    return value(start, depth)
+    def enter(t: Term, n: int):
+        if len(memo) >= memo_cap:
+            raise CapExceeded(f"memo table exceeded {memo_cap} entries")
+        return value(t, n)
+
+    result = known(start, depth)
+    if result is not None:
+        return result
+    # depth-first in the order a recursive evaluation would visit the pairs,
+    # so the memo fills, and the cap fires, exactly as it would there
+    stack = [enter(start, depth)]
+    while stack:
+        try:
+            pair = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(enter(*pair))
+            result = None
+    return result
 
 
 @dataclass

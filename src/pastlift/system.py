@@ -31,7 +31,7 @@ class MultiDistribution:
 
     def __init__(self, entries: Iterable[WeightedTerm], *, require_proper: bool = True):
         self.entries: tuple[WeightedTerm, ...] = tuple(
-            (Fraction(p), t) for p, t in entries
+            (p if isinstance(p, Fraction) else Fraction(p), t) for p, t in entries
         )
         if require_proper:
             if not self.entries:

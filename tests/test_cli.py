@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import jsonschema
 
@@ -165,6 +169,42 @@ def test_adversary_json(capsys):
         "--depth", "40", "--json",
     )
     assert doc["lower_bound"] == "8191/8192"
+
+
+def test_adversary_deeper_than_the_recursion_limit(capsys):
+    bounds = {}
+    for strategy in ("i", "li"):
+        code, out, err = run(
+            capsys,
+            "adversary", path("s4"), "--term", "f(a,b)", "--strategy", strategy,
+            "--depth", "3000", "--json",
+        )
+        assert code == 0 and "Traceback" not in err, (strategy, err)
+        doc = json.loads(out)
+        jsonschema.validate(doc, SCHEMA)
+        bounds[strategy] = Fraction(doc["lower_bound"])
+    assert bounds["i"] == 0
+    assert bounds["li"] >= Fraction(99, 100)
+
+
+def test_runs_as_a_module_from_a_checkout():
+    src = str(SYSTEMS_DIR.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pastlift", "adversary", path("s4"), "--term", "f(a,b)",
+         "--strategy", "li", "--depth", "40", "--json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    jsonschema.validate(doc, SCHEMA)
+    assert doc["lower_bound"] == "8191/8192"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pastlift", "simulate"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1 and "usage error" in proc.stderr
 
 
 def test_spare_json(capsys):

@@ -14,6 +14,11 @@ from pastlift.rewriting import (
     ScriptEntry,
     Strategy,
     admissible_moves,
+    coalesce,
+    entry_step,
+    innermost_redexes,
+    leftmost_innermost_moves,
+    lift_step,
     sim_step,
     step,
 )
@@ -22,15 +27,18 @@ from pastlift.semantics import (
     McSummary,
     _run_generic,
     adversarial_lower_bound,
-    build_rst,
-    edl_partial,
-    leaf_mass,
     mc_estimate,
-    pending_mass,
     unfold_exact,
 )
-from pastlift.system import MultiDistribution
-from pastlift.terms import term_to_str
+from pastlift.system import MultiDistribution, singleton
+from pastlift.terms import (
+    apply_subst,
+    match,
+    positions,
+    replace_at,
+    subterm_at,
+    term_to_str,
+)
 
 half = Fraction(1, 2)
 first = FirstMove()
@@ -123,74 +131,260 @@ def test_adversary_memo_cap():
         adversarial_lower_bound(s1, t("s1", "g"), Strategy.INNERMOST, 30, memo_cap=3)
 
 
-def test_rst_of_s1_matches_the_biased_walk_tree():
+def test_unfold_s1_states_follow_the_biased_walk():
     s1 = load_system("s1")
-    tree = build_rst(s1, t("s1", "g"), Strategy.INNERMOST, first, 4)
-    by_depth = {}
-    for node in tree.nodes:
-        by_depth.setdefault(node.depth, []).append(
-            (term_to_str(node.term), node.probability)
-        )
-    assert by_depth[0] == [("g", 1)]
-    assert by_depth[1] == [("d(g)", Fraction(3, 4)), ("bot", Fraction(1, 4))]
-    assert by_depth[2] == [
-        ("d(d(g))", Fraction(9, 16)),
-        ("d(bot)", Fraction(3, 16)),
+    trace = unfold_exact(s1, t("s1", "g"), Strategy.INNERMOST, first, 4)
+    states = [[(term_to_str(u), p) for p, u in mu.entries] for mu in trace.states]
+    assert states == [
+        [("g", 1)],
+        [("d(g)", Fraction(3, 4)), ("bot", Fraction(1, 4))],
+        [("d(d(g))", Fraction(9, 16)), ("d(bot)", Fraction(3, 16)), ("bot", Fraction(1, 4))],
+        [
+            ("d(d(d(g)))", Fraction(27, 64)),
+            ("d(d(bot))", Fraction(9, 64)),
+            ("c(bot,bot)", Fraction(3, 16)),
+            ("bot", Fraction(1, 4)),
+        ],
+        [
+            ("d(d(d(d(g))))", Fraction(81, 256)),
+            ("d(d(d(bot)))", Fraction(27, 256)),
+            ("d(c(bot,bot))", Fraction(9, 64)),
+            ("c(bot,bot)", Fraction(3, 16)),
+            ("bot", Fraction(1, 4)),
+        ],
     ]
-    assert ("c(bot,bot)", Fraction(3, 16)) in by_depth[3]
-    assert ("d(c(bot,bot))", Fraction(9, 64)) in by_depth[4]
 
 
-def test_rst_trivial_normal_form():
-    srw = load_system("srw")
-    tree = build_rst(srw, t("srw", "bot"), Strategy.FULL, first, 3)
-    assert len(tree.nodes) == 1
-    assert leaf_mass(srw, tree) == 1
-    assert edl_partial(tree) == 0
-
-
-def test_rst_depth_two_of_argument_walk():
+def test_unfold_depth_two_of_argument_walk():
     srw2 = load_system("srw2")
-    tree = build_rst(srw2, t("srw2", "g(0)"), Strategy.FULL, first, 2)
-    leaves = sorted(
-        (term_to_str(n.term), n.probability) for n in tree.leaves()
-    )
-    assert leaves == [
+    trace = unfold_exact(srw2, t("srw2", "g(0)"), Strategy.FULL, first, 2)
+    assert sorted((term_to_str(u), p) for p, u in trace.states[2].entries) == [
         ("0", half),
         ("g(0)", Fraction(1, 4)),
         ("g(g(g(0)))", Fraction(1, 4)),
     ]
 
 
-def test_rst_edges_are_valid_steps_of_the_strategy():
-    from pastlift.rewriting import entry_step
+# a start term for every corpus system that leaves it something to rewrite
+CORPUS_STARTS = {
+    "r_d": "d(s(s(s(0))))", "r1": "f(g,g,g)", "r2": "f(a)", "r3": "f(a)",
+    "srw": "g", "srw2": "g(0)", "s1": "g", "s2": "f(a,a)", "s2bar": "f(a,a)",
+    "s2prime": "f(a,a)", "s3": "f(a,a)", "s4": "f(a,b)", "s5": "f(a,a)",
+    "s6": "g", "s7": "g", "s8": "f(g)",
+}
 
-    s1 = load_system("s1")
-    tree = build_rst(s1, t("s1", "g"), Strategy.INNERMOST, first, 5)
-    for node in tree.nodes:
-        if not node.children:
-            continue
-        fanout = MultiDistribution(
-            (tree.nodes[c].probability / node.probability, tree.nodes[c].term)
-            for c in node.children
+
+def reference_unfold(system, start, strategy, policy, depth, coalesce_states):
+    """The unfolding the long way: ``entry_step`` on every entry that is not
+    a normal form, entry by entry in order, with no memo."""
+    mu = singleton(start)
+    states = [mu]
+    for _ in range(depth):
+        entries = []
+        for p, u in mu.entries:
+            if system.is_normal_form(u):
+                entries.append((p, u))
+            else:
+                branches = entry_step(system, u, strategy, policy)
+                entries.extend((p * q, v) for q, v in branches.entries)
+        mu = MultiDistribution(entries)
+        if coalesce_states:
+            mu = coalesce(mu)
+        states.append(mu)
+    return states
+
+
+def assert_memo_unfolding_matches_reference(system, start, depth):
+    for strategy in (Strategy.FULL, Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST):
+        for policy in (FirstMove(), RightmostFirst()):
+            for coalesce_states in (False, True):
+                trace = unfold_exact(
+                    system, start, strategy, policy, depth,
+                    coalesce_states=coalesce_states,
+                )
+                want = reference_unfold(
+                    system, start, strategy, policy, depth, coalesce_states
+                )
+                where = (term_to_str(start), strategy, policy.name, coalesce_states)
+                assert len(trace.states) == len(want), where
+                for got_mu, want_mu in zip(trace.states, want):
+                    assert len(got_mu) == len(want_mu), where
+                    for (p, u), (q, v) in zip(got_mu.entries, want_mu.entries):
+                        assert u is v and p == q, where
+                assert trace.nf_masses == [system.nf_mass(mu) for mu in want], where
+            # lift_step without a memo of the caller's starts from an empty one
+            one = lift_step(system, singleton(start), strategy, policy)
+            assert one.entries == reference_unfold(
+                system, start, strategy, policy, 1, False
+            )[1].entries, (term_to_str(start), strategy, policy.name)
+
+
+def test_memoised_unfolding_matches_stepping_every_entry_on_the_corpus():
+    for name, text in CORPUS_STARTS.items():
+        assert_memo_unfolding_matches_reference(load_system(name), t(name, text), 7)
+
+
+def random_start(rng, system, max_depth):
+    """A ground term of a random system that is not a normal form: a random
+    term, or, most of the time, a term holding a ground instance of a random
+    left-hand side at one or two places."""
+    start = random_term(rng, max_depth, vars_=())
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        lhs = rng.choice(system.rules).lhs
+        redex = apply_subst(
+            lhs, {x: random_term(rng, 2, vars_=()) for x in sorted(lhs.vars)}
         )
-        assert fanout == entry_step(s1, node.term, Strategy.INNERMOST, first)
+        start = replace_at(start, rng.choice(positions(start)), redex)
+    return start
 
 
-def test_rst_masses_agree_with_unfolding():
-    for name, text, strategy in [
-        ("srw", "g", Strategy.FULL),
-        ("s1", "g", Strategy.INNERMOST),
-        ("s7", "g", Strategy.FULL),
-    ]:
-        system = load_system(name)
-        start = parse_term(text, system)
-        depth = 7
-        tree = build_rst(system, start, strategy, first, depth)
-        trace = unfold_exact(system, start, strategy, first, depth)
-        assert leaf_mass(system, tree) == trace.nf_masses[-1]
-        assert leaf_mass(system, tree) + pending_mass(system, tree) == 1
-        assert edl_partial(tree) == trace.partial_edl
+def test_memoised_unfolding_matches_stepping_every_entry_on_random_systems():
+    rng = random.Random(61)
+    compared = 0
+    for _ in range(300):
+        system = random_system(rng)
+        start = random_start(rng, system, 4)
+        if system.is_normal_form(start):
+            continue
+        assert_memo_unfolding_matches_reference(system, start, 4)
+        compared += 1
+    assert compared > 150
+
+
+def reference_adversary(system, start, strategy, depth, memo_cap):
+    """The adversary as a recursive value iteration, recomputing each term's
+    moves at every depth. Returns the bound and the final memo size."""
+    moves_of = (
+        innermost_redexes if strategy is Strategy.INNERMOST else leftmost_innermost_moves
+    )
+    memo = {}
+
+    def value(u, n):
+        if system.is_normal_form(u):
+            return Fraction(1)
+        if n == 0:
+            return Fraction(0)
+        if (u, n) in memo:
+            return memo[(u, n)]
+        if len(memo) >= memo_cap:
+            raise CapExceeded(f"memo table exceeded {memo_cap} entries")
+        best = None
+        for redex in moves_of(system, u):
+            total = Fraction(0)
+            for p, successor in step(system, u, redex).entries:
+                total += p * value(successor, n - 1)
+            if best is None or total < best:
+                best = total
+        memo[(u, n)] = best
+        return best
+
+    return value(start, depth), len(memo)
+
+
+def assert_adversary_matches_reference(system, start, strategy, depth):
+    bound, size = reference_adversary(system, start, strategy, depth, 10**9)
+    assert adversarial_lower_bound(system, start, strategy, depth) == bound
+    for cap in range(1, size + 1):
+        try:
+            want = reference_adversary(system, start, strategy, depth, cap)[0]
+        except CapExceeded:
+            want = CapExceeded
+        try:
+            got = adversarial_lower_bound(system, start, strategy, depth, memo_cap=cap)
+        except CapExceeded:
+            got = CapExceeded
+        assert got == want, (term_to_str(start), strategy, depth, cap)
+
+
+def test_adversary_matches_the_recursive_reference_and_its_memo_cap():
+    for name, text, depth in (("s1", "g", 8), ("s4", "f(a,b)", 12), ("s4", "f(a,b)", 0)):
+        for strategy in (Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST):
+            assert_adversary_matches_reference(load_system(name), t(name, text), strategy, depth)
+    rng = random.Random(67)
+    compared = 0
+    for _ in range(1000):
+        system = random_system(rng)
+        start = random_start(rng, system, 4)
+        for strategy in (Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST):
+            assert_adversary_matches_reference(system, start, strategy, rng.randint(0, 4))
+        compared += not system.is_normal_form(start)
+    assert compared > 500
+
+
+def naive_innermost_moves(system, term, leftmost):
+    """(position, rule index, substitution) of every innermost redex, from
+    the definitions alone: every position tried against every rule, and a
+    redex kept when no other redex lies strictly below it."""
+    found = []
+    for pos in positions(term):
+        for idx, rule in enumerate(system.rules):
+            sigma = match(rule.lhs, subterm_at(term, pos))
+            if sigma is not None:
+                found.append((pos, idx, sigma))
+    at = {pos for pos, _, _ in found}
+    inner = [
+        m for m in found
+        if not any(q != m[0] and q[: len(m[0])] == m[0] for q in at)
+    ]
+    if leftmost and inner:
+        # innermost positions are parallel, so tuple order is left to right
+        best = min(pos for pos, _, _ in inner)
+        inner = [m for m in inner if m[0] == best]
+    return inner
+
+
+def achievable_masses(system, term, n, leftmost):
+    """Every probability of reaching a normal form within n steps that some
+    policy achieves from term. A policy may choose differently after every
+    history, so the choices below different branches are independent and
+    each branch contributes any of its own achievable values."""
+    moves = naive_innermost_moves(system, term, leftmost)
+    if not moves:
+        return {Fraction(1)}
+    if n == 0:
+        return {Fraction(0)}
+    out = set()
+    for pos, idx, sigma in moves:
+        sums = {Fraction(0)}
+        for p, rhs in system.rules[idx].rhs.entries:
+            successor = replace_at(term, pos, apply_subst(rhs, sigma))
+            below = achievable_masses(system, successor, n - 1, leftmost)
+            sums = {acc + p * v for acc in sums for v in below}
+        out |= sums
+    return out
+
+
+def assert_adversary_is_the_least_policy_value(system, start, depth):
+    """Returns how many of the two strategies let the policy change the
+    outcome."""
+    choices = 0
+    for strategy in (Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST):
+        leftmost = strategy is Strategy.LEFTMOST_INNERMOST
+        values = achievable_masses(system, start, depth, leftmost)
+        bound = adversarial_lower_bound(system, start, strategy, depth)
+        assert bound == min(values), (term_to_str(start), strategy, depth)
+        choices += len(values) > 1
+    return choices
+
+
+def test_adversary_equals_brute_force_over_policies():
+    s4 = load_system("s4")
+    for depth in range(5):
+        assert_adversary_is_the_least_policy_value(s4, t("s4", "f(a,b)"), depth)
+    # the four-step horizon is the first where a single coin can end s4's cycle
+    assert min(achievable_masses(s4, t("s4", "f(a,b)"), 4, True)) == half
+    rng = random.Random(71)
+    compared = choices = 0
+    for _ in range(3000):
+        system = random_system(rng)
+        start = random_start(rng, system, 3)
+        if system.is_normal_form(start):
+            continue
+        choices += assert_adversary_is_the_least_policy_value(
+            system, start, rng.randint(1, 4)
+        )
+        compared += 1
+    assert compared > 1500 and choices > 40
 
 
 def test_adversary_s4():
