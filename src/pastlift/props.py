@@ -228,7 +228,7 @@ def _joinable(system: Ptrs, left: Term, right: Term, depth: int) -> bool:
             nxt: set[Term] = set()
             for u in frontier:
                 for r in redexes(system, u):
-                    for _, v in step(system, u, r).entries:
+                    for v in step(system, u, r).terms:
                         if v not in seen:
                             seen.add(v)
                             nxt.add(v)

@@ -9,12 +9,13 @@ sequence is a pure function of (system, start, strategy, policy).
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .system import MultiDistribution, Ptrs, merge, scale
+from .system import MultiDistribution, Ptrs
 from .terms import (
     Position,
     Substitution,
@@ -216,7 +217,9 @@ def leftmost_innermost_moves(system: Ptrs, t: Term) -> list[Redex]:
 
 
 def step(system: Ptrs, t: Term, redex: Redex) -> MultiDistribution:
-    """Apply one probabilistic rewrite step at the given redex."""
+    """Apply one probabilistic rewrite step at the given redex. The result
+    carries the rule's branch weights over ``system.branch_den``; they were
+    checked where they entered (see ``MultiDistribution``)."""
     rule = system.rules[redex.rule_index]
     sub = subterm_at(t, redex.position)
     sigma = match(rule.lhs, sub)
@@ -224,9 +227,10 @@ def step(system: Ptrs, t: Term, redex: Redex) -> MultiDistribution:
         raise InvalidRedex(
             f"rule {redex.rule_index} does not match at {redex.position}"
         )
-    return MultiDistribution(
-        (p, replace_at(t, redex.position, apply_subst(r, sigma)))
-        for p, r in rule.rhs.entries
+    return MultiDistribution.of_weights(
+        system.branch_weights[redex.rule_index],
+        tuple(replace_at(t, redex.position, apply_subst(r, sigma)) for r in rule.rhs.terms),
+        system.branch_den,
     )
 
 
@@ -266,9 +270,10 @@ def sim_step(
     """
     chosen = _checked_positions(t, group, chosen_positions)
     rule = system.rules[group.rule_index]
-    return MultiDistribution(
-        (p, _replace_all(t, chosen, apply_subst(r, group.subst)))
-        for p, r in rule.rhs.entries
+    return MultiDistribution.of_weights(
+        system.branch_weights[group.rule_index],
+        tuple(_replace_all(t, chosen, apply_subst(r, group.subst)) for r in rule.rhs.terms),
+        system.branch_den,
     )
 
 
@@ -456,11 +461,11 @@ def sample_step(
         group, chosen = _pick_group(system, t, strategy, policy)
         chosen = _checked_positions(t, group, chosen)
         rule = system.rules[group.rule_index]
-        rhs = rule.rhs.entries[rule.pick_branch(x)][1]
+        rhs = rule.rhs.terms[rule.pick_branch(x)]
         return _replace_all(t, chosen, apply_subst(rhs, group.subst))
     redex = policy.choose(system, t, strategy)
     rule = system.rules[redex.rule_index]
-    rhs = rule.rhs.entries[rule.pick_branch(x)][1]
+    rhs = rule.rhs.terms[rule.pick_branch(x)]
     return replace_at(t, redex.position, apply_subst(rhs, redex.subst))
 
 
@@ -483,21 +488,41 @@ def lift_step(
     """One lifting step: normal forms are kept, every other entry takes the
     policy-chosen move and its branch distribution is spliced in place.
 
+    Weights are integers: with ``mu`` over D and every step over L (the
+    system's ``branch_den``), the new state is over D*L, an entry of weight
+    n contributing n*w for each branch weight w, or n*L if it is a normal
+    form. Its weights must sum to D*L, or ValueError is raised; the common
+    factor is then divided out.
+
     Where the policy has a descent rule, entries are stepped through
     ``memo`` (a fresh one when none is given; see ``memo_step``), so a
     caller that lifts repeatedly can pass one dict to every step."""
     rule = policy.descent(strategy)
     if rule is not None and memo is None:
         memo = {}
-    parts = []
-    for p, t in mu.entries:
+    branch_den = system.branch_den
+    weights: list[int] = []
+    terms: list[Term] = []
+    for n, t in zip(mu.weights, mu.terms):
         if system.is_normal_form(t):
-            parts.append([(p, t)])
-        elif rule is None:
-            parts.append(scale(p, entry_step(system, t, strategy, policy)))
+            weights.append(n * branch_den)
+            terms.append(t)
+            continue
+        if rule is None:
+            dist = entry_step(system, t, strategy, policy)
         else:
-            parts.append(scale(p, memo_step(system, t, rule, memo)))
-    return merge(parts)
+            dist = memo_step(system, t, rule, memo)
+        weights.extend([n * w for w in dist.weights])
+        terms.extend(dist.terms)
+    den = mu.den * branch_den
+    total = sum(weights)
+    if total != den:
+        raise ValueError(f"probabilities sum to {Fraction(total, den)}, expected 1")
+    g = math.gcd(den, *weights)
+    if g > 1:
+        weights = [w // g for w in weights]
+        den //= g
+    return MultiDistribution.of_weights(tuple(weights), tuple(terms), den)
 
 
 def memo_step(
@@ -508,9 +533,9 @@ def memo_step(
 
     The rule's pick in a node that descends into child k is the pick in that
     child, so the node's step is the child's with every branch put back under
-    the node's root symbol. The walk goes down to the first memoised subterm
-    or to the redex, which ``step`` contracts as usual, then builds back up
-    one level at a time, memoising every level."""
+    the node's root symbol and the same weights. The walk goes down to the
+    first memoised subterm or to the redex, which ``step`` contracts as
+    usual, then builds back up one level at a time, memoising every level."""
     path: list[tuple[Term, int]] = []
     u = t
     dist = memo.get(u)
@@ -522,21 +547,18 @@ def memo_step(
             dist = memo.get(u)
         else:
             dist = memo[u] = step(system, u, Redex((), *found))
+    weights, den = dist.weights, dist.den
     for parent, k in reversed(path):
         sym, head, tail = parent.symbol, parent.args[: k - 1], parent.args[k:]
-        dist = memo[parent] = MultiDistribution(
-            (p, app(sym, head + (s,) + tail)) for p, s in dist.entries
+        dist = memo[parent] = MultiDistribution.of_weights(
+            weights, tuple(app(sym, head + (s,) + tail) for s in dist.terms), den
         )
     return dist
 
 
 def coalesce(mu: MultiDistribution) -> MultiDistribution:
-    """Merge equal terms by summing probabilities (first-occurrence order)."""
-    order: list[Term] = []
-    total: dict[Term, Fraction] = {}
-    for p, t in mu.entries:
-        if t not in total:
-            order.append(t)
-            total[t] = Fraction(0)
-        total[t] += p
-    return MultiDistribution((total[t], t) for t in order)
+    """Merge equal terms by summing weights (first-occurrence order)."""
+    total: dict[Term, int] = {}
+    for w, t in zip(mu.weights, mu.terms):
+        total[t] = total.get(t, 0) + w
+    return MultiDistribution.of_weights(tuple(total.values()), tuple(total), mu.den)

@@ -139,7 +139,7 @@ def run_innermost_first(
         assert found is not None, "non-normal node with all-normal kids must match"
         _, rule, binding = found
         # sample a branch with the exact rule probabilities
-        chosen = rule.rhs.entries[rule.pick_branch(rng.random())][1]
+        chosen = rule.rhs.terms[rule.pick_branch(rng.random())]
         replacement = _instantiate(system, chosen, binding)
         parent = cursor.parent
         if parent is None:

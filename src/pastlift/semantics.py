@@ -112,6 +112,8 @@ def adversarial_lower_bound(
     (term, depth) pairs are evaluated on an explicit stack, so ``depth`` is
     not limited by Python's recursion limit.
     """
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
     if strategy is Strategy.INNERMOST:
         moves_of = innermost_redexes
     elif strategy is Strategy.LEFTMOST_INNERMOST:
@@ -222,6 +224,8 @@ def mc_estimate(
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if step_cap < 0:
+        raise ValueError("step cap must be non-negative")
 
     fast = (
         strategy in (Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST)

@@ -202,7 +202,7 @@ def _falsify_from(
                         duplicated_variable=bad,
                     )
                 branches = step(system, t, redex)
-                for branch_index, (_, successor) in enumerate(branches.entries):
+                for branch_index, successor in enumerate(branches.terms):
                     if successor not in seen:
                         seen.add(successor)
                         next_queue.append(

@@ -1,6 +1,7 @@
 """Probabilistic rewrite rules, multi-distributions and whole-system checks.
 
-Probabilities are exact rationals throughout; floats appear only in report
+Probabilities are exact: a distribution holds integer weights over one
+common denominator, and floats appear only in Monte-Carlo draws and report
 rendering. A multi-distribution is an ordered multiset: duplicates of the
 same term are kept apart, and equality of distributions is multiset equality.
 """
@@ -11,7 +12,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .terms import App, Symbol, Term, Var, match, term_to_str
 
@@ -21,45 +22,78 @@ WeightedTerm = tuple[Fraction, Term]
 class MultiDistribution:
     """Finite multiset of (probability, term) pairs summing to one.
 
-    Distributions produced by the rewrite engine always carry an exact sum of
-    one (asserted here). The parser may construct improper distributions with
-    ``require_proper=False`` so that ``Ptrs.validate`` can report the defect
-    as a diagnostic instead of an exception.
+    Held as integer ``weights`` over one denominator ``den``, the
+    i-th weight belonging to the i-th of ``terms``; ``entries`` is the
+    (Fraction, term) view, built on first use. Probabilities are checked
+    once, where they enter: here, from (probability, term) pairs, or by the
+    caller of ``of_weights``. The parser may construct improper
+    distributions with ``require_proper=False`` so that ``Ptrs.validate``
+    can report the defect as a diagnostic instead of an exception.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("weights", "terms", "den", "_entries")
 
     def __init__(self, entries: Iterable[WeightedTerm], *, require_proper: bool = True):
-        self.entries: tuple[WeightedTerm, ...] = tuple(
+        pairs = tuple(
             (p if isinstance(p, Fraction) else Fraction(p), t) for p, t in entries
         )
+        den = math.lcm(*(p.denominator for p, _ in pairs))
+        self.weights: tuple[int, ...] = tuple(
+            p.numerator * (den // p.denominator) for p, _ in pairs
+        )
+        self.terms: tuple[Term, ...] = tuple(t for _, t in pairs)
+        self.den = den
+        self._entries: Optional[tuple[WeightedTerm, ...]] = pairs
         if require_proper:
-            if not self.entries:
+            if not pairs:
                 raise ValueError("empty distribution")
-            if any(not (0 < p <= 1) for p, _ in self.entries):
+            if any(not (0 < w <= den) for w in self.weights):
                 raise ValueError("probabilities must lie in (0,1]")
-            total = self.total()
-            if total != 1:
-                raise ValueError(f"probabilities sum to {total}, expected 1")
+            total = sum(self.weights)
+            if total != den:
+                raise ValueError(
+                    f"probabilities sum to {Fraction(total, den)}, expected 1"
+                )
+
+    @classmethod
+    def of_weights(
+        cls, weights: tuple[int, ...], terms: tuple[Term, ...], den: int
+    ) -> "MultiDistribution":
+        """The distribution weights[i]/den on terms[i], for a caller that has
+        already checked the weights: positive, and summing to ``den``."""
+        mu = cls.__new__(cls)
+        mu.weights, mu.terms, mu.den, mu._entries = weights, terms, den, None
+        return mu
+
+    @property
+    def entries(self) -> tuple[WeightedTerm, ...]:
+        got = self._entries
+        if got is None:
+            den = self.den
+            got = self._entries = tuple(
+                (Fraction(w, den), t) for w, t in zip(self.weights, self.terms)
+            )
+        return got
 
     def total(self) -> Fraction:
-        return sum((p for p, _ in self.entries), Fraction(0))
+        return Fraction(sum(self.weights), self.den)
 
     def support(self) -> list[Term]:
-        return [t for _, t in self.entries]
+        return list(self.terms)
 
     def is_proper(self) -> bool:
+        den = self.den
         return (
-            bool(self.entries)
-            and all(0 < p <= 1 for p, _ in self.entries)
-            and self.total() == 1
+            bool(self.weights)
+            and all(0 < w <= den for w in self.weights)
+            and sum(self.weights) == den
         )
 
     def __iter__(self) -> Iterator[WeightedTerm]:
         return iter(self.entries)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiDistribution):
@@ -71,20 +105,6 @@ class MultiDistribution:
     def __repr__(self) -> str:
         inner = ", ".join(f"{p}:{term_to_str(t)}" for p, t in self.entries)
         return "{" + inner + "}"
-
-
-def scale(p: Fraction, mu: MultiDistribution | Sequence[WeightedTerm]) -> list[WeightedTerm]:
-    """p*mu as a plain weighted multiset (the weights no longer sum to one)."""
-    entries = mu.entries if isinstance(mu, MultiDistribution) else mu
-    return [(p * q, t) for q, t in entries]
-
-
-def merge(parts: Iterable[Sequence[WeightedTerm]]) -> MultiDistribution:
-    """Concatenate weighted parts into a distribution; total weight must be 1."""
-    flat: list[WeightedTerm] = []
-    for part in parts:
-        flat.extend(part)
-    return MultiDistribution(flat)
 
 
 def singleton(t: Term) -> MultiDistribution:
@@ -125,7 +145,7 @@ class ProbRule:
     @property
     def is_trivial(self) -> bool:
         """Singleton right-hand side with probability one."""
-        return len(self.rhs) == 1 and self.rhs.entries[0][0] == 1
+        return self.rhs.weights == (self.rhs.den,)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProbRule):
@@ -182,6 +202,13 @@ class Ptrs:
             if isinstance(rule.lhs, App):
                 key = (rule.lhs.symbol.name, rule.lhs.symbol.arity)
                 self._rules_by_root.setdefault(key, []).append((idx, rule))
+        # L, the lcm of every rule's branch denominators, and each rule's
+        # branch weights over it: a rewrite step's distribution is over L
+        self.branch_den = math.lcm(*(rule.rhs.den for rule in self.rules))
+        self.branch_weights: tuple[tuple[int, ...], ...] = tuple(
+            tuple(w * (self.branch_den // rule.rhs.den) for w in rule.rhs.weights)
+            for rule in self.rules
+        )
         self._nf_cache: dict[Term, bool] = {}
         self._count_cache: dict[Term, int] = {}
 
@@ -226,14 +253,16 @@ class Ptrs:
             if isinstance(rule.lhs, Var):
                 violations.append(f"{where}: left-hand side is a variable")
             check_arities(rule.lhs, where)
-            if not rule.rhs.entries:
+            rhs = rule.rhs
+            if not rhs.terms:
                 violations.append(f"{where}: empty right-hand side distribution")
-            total = rule.rhs.total()
-            if total != 1:
-                violations.append(f"{where}: probabilities sum to {total}")
-            for p, t in rule.rhs.entries:
-                if not (0 < p <= 1):
-                    violations.append(f"{where}: probability {p} outside (0,1]")
+            if sum(rhs.weights) != rhs.den:
+                violations.append(f"{where}: probabilities sum to {rhs.total()}")
+            for w, t in zip(rhs.weights, rhs.terms):
+                if not (0 < w <= rhs.den):
+                    violations.append(
+                        f"{where}: probability {Fraction(w, rhs.den)} outside (0,1]"
+                    )
                 check_arities(t, where)
                 loose = t.vars - rule.lhs.vars
                 for name in sorted(loose):
@@ -316,8 +345,9 @@ class Ptrs:
         return True
 
     def nf_mass(self, mu: MultiDistribution) -> Fraction:
-        return sum(
-            (p for p, t in mu.entries if self.is_normal_form(t)), Fraction(0)
+        nf = self.is_normal_form
+        return Fraction(
+            sum(w for w, t in zip(mu.weights, mu.terms) if nf(t)), mu.den
         )
 
     def __repr__(self) -> str:

@@ -10,10 +10,10 @@ round-trip.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .system import MultiDistribution, ProbRule, Ptrs
-from .terms import Symbol, Term, Var, app, var
+from .terms import App, Symbol, Term, Var, app, var
 
 
 def _fresh_name(base: str, taken: set[str]) -> str:
@@ -108,20 +108,46 @@ def union_with_generators(system: Ptrs) -> Ptrs:
     return Ptrs(system.rules + gen.rules, system.extra_constructors)
 
 
-def cv(system: Ptrs, t: Term, ext: Optional[ExtendedSignature] = None) -> Term:
-    """Constructor variant: defined symbols are replaced by cons wrappers."""
-    ext = ext or ExtendedSignature(system)
+def _map_bottom_up(
+    t: Term, rebuild: Callable[[App, tuple[Term, ...]], Term], image: dict[Term, Term]
+) -> Term:
+    """t's image: ``rebuild(u, images of u's arguments)`` for an application
+    u, a variable itself. Each distinct subterm is rebuilt once, remembered
+    in ``image``, and the walk keeps its own stack, so neither sharing nor
+    depth costs more than the DAG's size."""
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        if u in image:
+            stack.pop()
+        elif isinstance(u, Var):
+            image[u] = stack.pop()
+        else:
+            pending = [a for a in u.args if a not in image]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            image[u] = rebuild(u, tuple(image[a] for a in u.args))
+    return image[t]
+
+
+def _constructor_variants(
+    system: Ptrs, ext: ExtendedSignature, terms: tuple[Term, ...]
+) -> tuple[Term, ...]:
     defined = {s.name for s in system.defined_symbols}
 
-    def walk(u: Term) -> Term:
-        if isinstance(u, Var):
-            return u
-        args = tuple(walk(a) for a in u.args)
-        if u.symbol.name in defined:
-            return app(ext.cons[u.symbol.name], args)
-        return app(u.symbol, args)
+    def rebuild(u: App, args: tuple[Term, ...]) -> Term:
+        name = u.symbol.name
+        return app(ext.cons[name] if name in defined else u.symbol, args)
 
-    return walk(t)
+    image: dict[Term, Term] = {}
+    return tuple(_map_bottom_up(u, rebuild, image) for u in terms)
+
+
+def cv(system: Ptrs, t: Term, ext: Optional[ExtendedSignature] = None) -> Term:
+    """Constructor variant: defined symbols are replaced by cons wrappers."""
+    return _constructor_variants(system, ext or ExtendedSignature(system), (t,))[0]
 
 
 def bv(system: Ptrs, t: Term, ext: Optional[ExtendedSignature] = None) -> Term:
@@ -129,7 +155,7 @@ def bv(system: Ptrs, t: Term, ext: Optional[ExtendedSignature] = None) -> Term:
     if isinstance(t, Var):
         raise ValueError("basic variant of a variable is undefined")
     ext = ext or ExtendedSignature(system)
-    return app(ext.enc[t.symbol.name], tuple(cv(system, a, ext) for a in t.args))
+    return app(ext.enc[t.symbol.name], _constructor_variants(system, ext, t.args))
 
 
 def dv(system: Ptrs, t: Term, ext: Optional[ExtendedSignature] = None) -> Term:
@@ -141,12 +167,9 @@ def dv(system: Ptrs, t: Term, ext: Optional[ExtendedSignature] = None) -> Term:
     for name, sym in ext.cons.items():
         back[sym.name] = system.signature[name]
 
-    def walk(u: Term) -> Term:
-        if isinstance(u, Var):
-            return u
+    def rebuild(u: App, args: tuple[Term, ...]) -> Term:
         if u.symbol == ext.argenc:
-            return walk(u.args[0])
-        args = tuple(walk(a) for a in u.args)
+            return args[0]
         return app(back.get(u.symbol.name, u.symbol), args)
 
-    return walk(t)
+    return _map_bottom_up(t, rebuild, {})

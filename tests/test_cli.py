@@ -187,24 +187,45 @@ def test_adversary_deeper_than_the_recursion_limit(capsys):
     assert bounds["li"] >= Fraction(99, 100)
 
 
-def test_runs_as_a_module_from_a_checkout():
+def run_module(*argv):
+    """``python -m pastlift`` from this checkout, in its own process."""
     src = str(SYSTEMS_DIR.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pastlift", "adversary", path("s4"), "--term", "f(a,b)",
-         "--strategy", "li", "--depth", "40", "--json"],
+    return subprocess.run(
+        [sys.executable, "-m", "pastlift", *argv],
         capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_runs_as_a_module_from_a_checkout():
+    proc = run_module(
+        "adversary", path("s4"), "--term", "f(a,b)", "--strategy", "li", "--depth", "40",
+        "--json",
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     jsonschema.validate(doc, SCHEMA)
     assert doc["lower_bound"] == "8191/8192"
-    proc = subprocess.run(
-        [sys.executable, "-m", "pastlift", "simulate"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_module("simulate")
     assert proc.returncode == 1 and "usage error" in proc.stderr
+
+
+def test_adversary_rejects_a_negative_depth():
+    # it used never to return, so it runs in a process with a timeout
+    proc = run_module("adversary", path("srw"), "--term", "g", "--depth", "-2")
+    assert proc.returncode == 2, proc.stderr
+    assert "depth must be non-negative" in proc.stderr
+
+
+def test_simulate_mc_rejects_a_negative_step_cap(capsys):
+    code, out, err = run(
+        capsys,
+        "simulate", path("srw"), "--term", "g", "--mode", "mc", "--samples", "5",
+        "--step-cap", "-3", "--json",
+    )
+    assert code == 2 and out == ""
+    assert "step cap must be non-negative" in err
 
 
 def test_spare_json(capsys):

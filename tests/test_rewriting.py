@@ -27,7 +27,7 @@ from pastlift.rewriting import (
     simultaneous_groups,
     step,
 )
-from pastlift.system import MultiDistribution, singleton
+from pastlift.system import MultiDistribution, ProbRule, Ptrs, singleton
 from pastlift.terms import Symbol, app, positions, subterm_at, var
 
 half = Fraction(1, 2)
@@ -147,6 +147,41 @@ def test_lift_step_examples():
     )
     nf = singleton(t("srw", "bot"))
     assert lift_step(srw, nf, Strategy.INNERMOST, first) == nf
+
+
+def test_lift_step_weighs_each_step_by_its_entry():
+    a, b, c = (app(Symbol(name, 0)) for name in "abc")
+    system = Ptrs([ProbRule(a, MultiDistribution([(half, c), (half, b)]))])
+    quarter = Fraction(1, 4)
+    for policy in (FirstMove(), RandomSeeded(1)):
+        for strategy in (Strategy.FULL, Strategy.SIMULTANEOUS):
+            # a's step at 1/2 each, spliced in place; the normal form b is kept
+            mu = lift_step(system, MultiDistribution([(half, a), (half, b)]), strategy, policy)
+            assert mu.entries == ((quarter, c), (quarter, b), (half, b))
+            assert lift_step(system, singleton(b), strategy, policy) == singleton(b)
+            # a state that does not sum to one is refused
+            with pytest.raises(ValueError, match="sum to 1/2"):
+                lift_step(
+                    system,
+                    MultiDistribution([(half, a)], require_proper=False),
+                    strategy,
+                    policy,
+                )
+
+
+def test_lift_step_refuses_a_rule_whose_branches_do_not_sum_to_one():
+    # the checked constructor would refuse these branches; built unchecked,
+    # as the parser builds them for Ptrs.validate, they are caught by
+    # lift_step's one sum over the new state
+    a, b, c = (app(Symbol(name, 0)) for name in "abc")
+    quarter = Fraction(1, 4)
+    rhs = MultiDistribution([(quarter, c), (quarter, b)], require_proper=False)
+    system = Ptrs([ProbRule(a, rhs)])
+    assert system.validate() == ["rule 0: probabilities sum to 1/2"]
+    for policy in (FirstMove(), RightmostFirst(), RandomSeeded(1)):
+        for strategy in Strategy:
+            with pytest.raises(ValueError, match="sum to 1/2"):
+                lift_step(system, singleton(a), strategy, policy)
 
 
 def test_lift_step_conserves_mass_and_monotone_nf():

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import load_system, random_system, random_term
 from pastlift import runsim
-from pastlift.fmt import parse_term
+from pastlift.fmt import parse_file, parse_term
 from pastlift.rewriting import (
     FirstMove,
     RandomSeeded,
@@ -219,9 +219,24 @@ def assert_memo_unfolding_matches_reference(system, start, depth):
             )[1].entries, (term_to_str(start), strategy, policy.name)
 
 
+# branch denominators 2, 3 and 5: a step's weights are over their lcm, 30
+COPRIME = """
+(RULES
+  g -> {1/2: c(g,h), 1/2: bot}
+  h -> {1/3: c(h,k), 2/3: bot}
+  k -> {1/5: c(k,g), 4/5: bot}
+)
+"""
+
+
 def test_memoised_unfolding_matches_stepping_every_entry_on_the_corpus():
     for name, text in CORPUS_STARTS.items():
         assert_memo_unfolding_matches_reference(load_system(name), t(name, text), 7)
+    coprime = parse_file(COPRIME).system
+    assert coprime.branch_den == 30
+    assert_memo_unfolding_matches_reference(
+        coprime, parse_term("c(g,c(h,k))", coprime), 8
+    )
 
 
 def random_start(rng, system, max_depth):
@@ -416,6 +431,20 @@ def test_adversary_rejects_full_strategy():
     s4 = load_system("s4")
     with pytest.raises(ValueError):
         adversarial_lower_bound(s4, t("s4", "f(a,b)"), Strategy.FULL, 5)
+
+
+def test_negative_bounds_are_rejected():
+    srw = load_system("srw")
+    g, bot = t("srw", "g"), t("srw", "bot")
+    with pytest.raises(ValueError, match="depth must be non-negative"):
+        adversarial_lower_bound(srw, g, Strategy.INNERMOST, -2)
+    with pytest.raises(ValueError, match="step cap must be non-negative"):
+        mc_estimate(srw, g, Strategy.FULL, first, samples=5, step_cap=-3, seed=1)
+    # a cap of 0 takes no step: only a start in normal form terminates
+    for start, estimate in ((g, 0.0), (bot, 1.0)):
+        for strategy in (Strategy.FULL, Strategy.INNERMOST):
+            summary = mc_estimate(srw, start, strategy, first, samples=5, step_cap=0, seed=1)
+            assert summary.estimate == estimate and summary.step_cap == 0
 
 
 def test_mc_s7_always_terminates():

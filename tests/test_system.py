@@ -1,10 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from conftest import load_system
 from pastlift.fmt import parse_term
-from pastlift.system import MultiDistribution, ProbRule, Ptrs, merge, scale, singleton
+from pastlift.system import MultiDistribution, ProbRule, Ptrs, singleton
 from pastlift.terms import Symbol, app, var
 
 half = Fraction(1, 2)
@@ -13,14 +14,36 @@ half = Fraction(1, 2)
 def test_distribution_requires_proper_sum():
     A = app(Symbol("a", 0))
     B = app(Symbol("b", 0))
-    with pytest.raises(ValueError):
-        MultiDistribution([(Fraction(1, 3), A), (Fraction(1, 3), B)])
-    with pytest.raises(ValueError):
-        MultiDistribution([])
+    for entries, message in [
+        ([(Fraction(1, 3), A), (Fraction(1, 3), B)], "sum to 2/3, expected 1"),
+        ([], "empty distribution"),
+        ([(Fraction(0), A), (Fraction(1), B)], "(0,1]"),
+        ([(Fraction(3, 2), A)], "(0,1]"),
+        ([(half, A), (Fraction(1, 3), B)], "sum to 5/6, expected 1"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MultiDistribution(entries)
     loose = MultiDistribution(
         [(Fraction(1, 3), A), (Fraction(1, 3), B)], require_proper=False
     )
     assert not loose.is_proper()
+    assert loose.total() == Fraction(2, 3)
+
+
+def test_distribution_holds_integer_weights_over_one_denominator():
+    A = app(Symbol("a", 0))
+    B = app(Symbol("b", 0))
+    C = app(Symbol("c", 0))
+    given = [(half, A), (Fraction(1, 3), B), (Fraction(1, 6), C)]
+    mu = MultiDistribution(given)
+    assert (mu.weights, mu.terms, mu.den) == ((3, 2, 1), (A, B, C), 6)
+    # the public view hands back the very Fractions that went in
+    assert all(p is q for (p, _), (q, _) in zip(mu.entries, given))
+    assert mu.support() == [A, B, C] and len(mu) == 3 and list(mu) == given
+    assert mu.is_proper() and mu.total() == 1
+    # weights over a larger denominator are the same distribution
+    wide = MultiDistribution.of_weights((15, 10, 5), (A, B, C), 30)
+    assert wide == mu and wide.entries == tuple(given)
 
 
 def test_distribution_is_a_multiset():
@@ -121,45 +144,14 @@ def test_nf_mass_example():
     assert srw.nf_mass(singleton(t("g"))) == 0
 
 
-def test_scale_and_merge():
-    A = app(Symbol("a", 0))
-    B = app(Symbol("b", 0))
-    mu = MultiDistribution([(half, A), (half, B)])
-    scaled = scale(half, mu)
-    assert scaled == [(Fraction(1, 4), A), (Fraction(1, 4), B)]
-    combined = merge([scaled, [(half, B)]])
-    assert combined == MultiDistribution(
-        [(Fraction(1, 4), A), (Fraction(1, 4), B), (half, B)]
-    )
-    with pytest.raises(ValueError):
-        merge([scaled])  # sums to 1/2
-    assert merge([[(Fraction(1), A)]]) == singleton(A)
-
-
-def test_nf_mass_linear_under_merge():
+def test_nf_mass_is_linear_over_parts():
     srw = load_system("srw")
     t = lambda s: parse_term(s, srw)
     part1 = [(Fraction(1, 4), t("bot")), (Fraction(1, 4), t("g"))]
     part2 = [(Fraction(1, 2), t("c(bot,bot)"))]
-    total = srw.nf_mass(merge([part1, part2]))
+    total = srw.nf_mass(MultiDistribution(part1 + part2))
     by_parts = sum(
         (p for part in (part1, part2) for p, u in part if srw.is_normal_form(u)),
         Fraction(0),
     )
     assert total == by_parts == Fraction(3, 4)
-
-
-def test_merge_example_from_random_walk():
-    srw = load_system("srw")
-    t = lambda s: parse_term(s, srw)
-    # second lifting step: the c(g,g) entry splits, bot stays
-    part1 = scale(half, MultiDistribution([(half, t("c(c(g,g),g)")), (half, t("c(bot,g)"))]))
-    part2 = [(half, t("bot"))]
-    mu2 = merge([part1, part2])
-    assert mu2 == MultiDistribution(
-        [
-            (Fraction(1, 4), t("c(c(g,g),g)")),
-            (Fraction(1, 4), t("c(bot,g)")),
-            (half, t("bot")),
-        ]
-    )

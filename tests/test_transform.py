@@ -149,3 +149,21 @@ def test_dv_inverts_cv_and_bv_on_random_terms(seed):
     assert dv(s8, cv(s8, t)) is t
     if not isinstance(t, Var):
         assert dv(s8, bv(s8, t)) is t
+
+
+def test_variants_of_a_term_deeper_than_the_recursion_limit():
+    s8 = load_system("s8")
+    t = parse_term("f(" * 3000 + "g" + ")" * 3000, s8)
+    assert cv(s8, t).depth == 3001
+    assert dv(s8, cv(s8, t)) is t
+    assert dv(s8, bv(s8, t)) is t
+
+
+def test_variants_of_a_shared_term_cost_its_dag_not_its_tree():
+    s8 = load_system("s8")
+    c = s8.signature["c"]
+    t = parse_term("f(g)", s8)
+    for _ in range(40):  # a tree of 2^41 nodes over a DAG of 42
+        t = app(c, (t, t))
+    assert dv(s8, cv(s8, t)) is t
+    assert dv(s8, bv(s8, t)) is t
