@@ -209,24 +209,34 @@ def match(pattern: Term, subject: Term) -> Optional[Substitution]:
 
 
 def apply_subst(t: Term, sigma: Mapping[str, Term]) -> Term:
-    if not sigma or not t.vars or not (t.vars & sigma.keys()):
+    """t with every variable in sigma replaced by its image, memoised by
+    subterm so a shared subterm is rebuilt once, and without recursion so
+    depth is unbounded: a node is built once all its arguments are."""
+    keys = sigma.keys()
+    if not t.vars or not (t.vars & keys):
         return t
-    memo: dict[int, Term] = {}
-
-    def walk(u: Term) -> Term:
-        got = memo.get(id(u))
-        if got is not None:
-            return got
-        if isinstance(u, Var):
-            r = sigma.get(u.name, u)
-        elif not (u.vars & sigma.keys()):
-            r = u
+    if isinstance(t, Var):
+        return sigma[t.name]
+    done: dict[Term, Term] = {}
+    stack: list[App] = [t]
+    while stack:
+        u = stack[-1]
+        args: list[Term] = []
+        for a in u.args:
+            if isinstance(a, Var):
+                args.append(sigma.get(a.name, a))
+            elif a.vars & keys:
+                r = done.get(a)
+                if r is None:
+                    stack.append(a)  # built first, then u is scanned again
+                    break
+                args.append(r)
+            else:
+                args.append(a)
         else:
-            r = app(u.symbol, tuple(walk(a) for a in u.args))
-        memo[id(u)] = r
-        return r
-
-    return walk(t)
+            stack.pop()
+            done[u] = app(u.symbol, args)
+    return done[t]
 
 
 def is_linear_term(t: Term) -> bool:
@@ -285,17 +295,31 @@ def unify(s: Term, t: Term) -> Optional[Substitution]:
             if a.symbol != b.symbol:
                 return None
             stack.extend(zip(a.args, b.args))
-    # Flatten the triangular bindings so applying the result twice equals once.
+    # Flatten the triangular bindings so applying the result twice equals
+    # once: each bound variable's image is built bottom-up, memoised by term.
+    done: dict[Term, Term] = {}
+
+    def deep(t: Term) -> Term:
+        stack = [t]
+        while stack:
+            u = stack[-1]
+            if u in done:
+                stack.pop()
+                continue
+            r = _resolve(u, binding)
+            if isinstance(r, Var) or not (r.vars & binding.keys()):
+                done[u] = r
+                stack.pop()
+                continue
+            pending = [a for a in r.args if a not in done]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            done[u] = app(r.symbol, [done[a] for a in r.args])
+        return done[t]
+
     resolved: Substitution = {}
-
-    def deep(u: Term) -> Term:
-        u = _resolve(u, binding)
-        if isinstance(u, Var):
-            return u
-        if not (u.vars & binding.keys()):
-            return u
-        return app(u.symbol, tuple(deep(a) for a in u.args))
-
     for name in binding:
         image = deep(var(name))
         if image is not var(name):

@@ -305,3 +305,32 @@ def test_simulate_accepts_a_start_term_deeper_than_the_recursion_limit(capsys):
                 )
                 assert code == 0 and "Traceback" not in err, (mode, strategy, policy, err)
                 jsonschema.validate(json.loads(out), SCHEMA)
+
+
+def test_rules_deeper_than_the_recursion_limit(tmp_path):
+    # each command substitutes into or unifies with a rule side deeper than
+    # the recursion limit
+    deep_rhs = tmp_path / "deep_rhs.ptrs"
+    deep_rhs.write_text(
+        "(VAR x)\n(CONSTRUCTORS a/0)\n(RULES\n"
+        f"  f(x) -> {{1: {'h(' * 1500}x{')' * 1500}}}\n)\n"
+    )
+    deep_lhs = tmp_path / "deep_lhs.ptrs"
+    deep_lhs.write_text(
+        "(VAR x)\n(CONSTRUCTORS a/0)\n(RULES\n"
+        f"  f({'h(' * 3000}x{')' * 3000}) -> {{1: x}}\n)\n"
+    )
+    commands = (
+        ("simulate", str(deep_rhs), "--term", "f(a)", "--mode", "exact", "--depth", "3"),
+        ("simulate", str(deep_rhs), "--term", "f(a)", "--mode", "mc", "--strategy", "full",
+         "--samples", "3", "--step-cap", "5"),
+        ("simulate", str(deep_rhs), "--term", "f(a)", "--mode", "mc", "--strategy", "i",
+         "--samples", "3", "--step-cap", "5"),
+        ("adversary", str(deep_rhs), "--term", "f(a)", "--depth", "3"),
+        ("check", str(deep_lhs)),
+        ("analyze", str(deep_lhs)),
+    )
+    for argv in commands:
+        proc = run_module(*argv, "--json")
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr, (argv, proc.stderr)
+        jsonschema.validate(json.loads(proc.stdout), SCHEMA)

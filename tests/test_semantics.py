@@ -636,3 +636,27 @@ def test_sampled_runs_match_the_reference_sampler_on_random_systems():
                         assert fast == expected, (case, strategy, i)
                     compared += 1
     assert compared > 6000
+
+
+# corpus runs long enough to open deep frames in runsim's zipper, which the
+# 25-step random systems above never reach
+CORPUS_RUNS = [
+    ("s1", "g"), ("s4", "f(a,b)"), ("s6", "g"), ("s8", "f(g)"), ("srw", "g"), ("srw2", "g(0)"),
+]
+
+
+def test_innermost_runs_match_the_generic_sampler_on_the_corpus():
+    deepest = 0
+    for name, text in CORPUS_RUNS:
+        system = load_system(name)
+        start = t(name, text)
+        for strategy in (Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST):
+            for i in range(20):
+                run_seed = f"{name}:{i}"
+                expected = _run_generic(
+                    system, start, strategy, FirstMove(), random.Random(run_seed), 300
+                )
+                fast = runsim.run_innermost_first(system, start, random.Random(run_seed), 300)
+                assert fast == expected, (name, strategy, i)
+                deepest = max(deepest, expected[1])
+    assert deepest == 300

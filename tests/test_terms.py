@@ -143,6 +143,33 @@ def test_deep_term_operations_do_not_recurse():
     assert term_to_str(t).startswith("d(d(")
 
 
+def test_apply_subst_rebuilds_a_shared_subterm_once():
+    # d(x) occurs twice, once under another d: a pre-order walk replayed in
+    # reverse would meet the inner occurrence before it was built
+    dx = app(D1, [x])
+    t = app(C2, [app(D1, [dx]), dx])
+    got = apply_subst(t, {"x": a})
+    da = app(D1, [a])
+    assert got is app(C2, [app(D1, [da]), da])
+    assert got.args[0].args[0] is got.args[1]
+    assert apply_subst(t, {"y": a}) is t
+    assert apply_subst(x, {"x": a}) is a
+
+
+def test_substitution_and_unification_on_deep_terms():
+    def tower(n, leaf):
+        for _ in range(n):
+            leaf = app(D1, [leaf])
+        return leaf
+
+    assert apply_subst(tower(3000, x), {"x": g}) is tower(3000, g)
+    # y is bound to g, so x's image d^3000(y) must be flattened all the way down
+    sigma = unify(app(C2, [x, y]), app(C2, [tower(3000, y), g]))
+    assert sigma == {"x": tower(3000, g), "y": g}
+    assert unify(tower(3000, x), tower(3000, app(S1, [y]))) == {"x": app(S1, [y])}
+    assert unify(tower(3000, x), tower(2999, x)) is None  # occurs check
+
+
 # -- randomized invariants ---------------------------------------------------
 
 _SYMS = [F2, D1, S1, C2, A, B, G]
