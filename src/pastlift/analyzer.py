@@ -476,6 +476,7 @@ def analyze(
     falsify_depth: int = 6,
     falsify_arg_depth: int = 3,
     falsify_start_cap: int = 500,
+    join_depth: int = 10,
 ) -> AnalysisReport:
     """Evaluate the probabilistic strategy-equivalence criteria.
 
@@ -485,7 +486,7 @@ def analyze(
     """
     if scope not in ("all", "basic"):
         raise ValueError("scope must be 'all' or 'basic'")
-    report = property_report(system)
+    report = property_report(system, join_depth)
     spare = prove_spare(system)
     spare_evidence = None
     if scope == "basic" and spare is SpareVerdict.UNKNOWN:

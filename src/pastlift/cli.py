@@ -122,7 +122,10 @@ def _make_policy(spec: str, system: Ptrs) -> Policy:
     if spec == "rightmost":
         return RightmostFirst()
     if spec.startswith("random:"):
-        return RandomSeeded(int(spec.split(":", 1)[1]))
+        try:
+            return RandomSeeded(int(spec.split(":", 1)[1]))
+        except ValueError:
+            raise UsageError(f"policy {spec!r} needs an integer seed") from None
     if spec.startswith("script:"):
         path = spec.split(":", 1)[1]
         with open(path, "r", encoding="utf-8") as fh:
@@ -215,7 +218,7 @@ def _cmd_analyze(args) -> int:
         )
     elif nonprob_assert:
         raise UsageError("SN/WN assertions require a trivial-probability system")
-    reports.append(analyze(loaded.system, scope=args.scope, assertions=prob_assert))
+    reports.append(analyze(loaded.system, args.scope, prob_assert, join_depth=args.join_depth))
     if args.json:
         _emit(reportmod.analysis_doc(loaded.system, reports, args.scope))
         return EXIT_OK

@@ -262,6 +262,8 @@ def property_report(system: Ptrs, join_depth: int = 10) -> PropertyReport:
     """Full syntactic property report. Local confluence is only decided for
     trivial-probability systems; probabilistic input gets UNKNOWN (the
     probabilistic analogue is deliberately not modelled)."""
+    if join_depth < 0:
+        raise ValueError("join depth must be non-negative")
     overlaps = critical_overlaps(system)
     no = not overlaps
     ll = is_left_linear(system)

@@ -157,6 +157,10 @@ def _rightmost_innermost(system: Ptrs, u: Term) -> Pick:
     return _innermost_match(system, u)
 
 
+# descent rules whose pick at a node changes only when a child becomes normal
+INNERMOST_DESCENTS = (_leftmost_innermost, _rightmost_innermost)
+
+
 def descend(system: Ptrs, t: Term, rule: Descent) -> Redex:
     """The redex a descent rule picks in a non-normal-form term, in time
     linear in the non-normal spine instead of enumerating every move."""

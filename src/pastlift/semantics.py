@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import runsim
 from .rewriting import (
-    FirstMove,
+    INNERMOST_DESCENTS,
     Policy,
     Strategy,
     coalesce,
@@ -77,6 +77,8 @@ def unfold_exact(
     """Iterate the lifting for ``depth`` steps with exact rationals."""
     if depth < 0:
         raise ValueError("depth must be non-negative")
+    if support_cap < 0:
+        raise ValueError("support cap must be non-negative")
     mu = singleton(start)
     states = [mu]
     masses = [system.nf_mass(mu)]
@@ -114,6 +116,8 @@ def adversarial_lower_bound(
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
+    if memo_cap < 0:
+        raise ValueError("memo cap must be non-negative")
     if strategy is Strategy.INNERMOST:
         moves_of = innermost_redexes
     elif strategy is Strategy.LEFTMOST_INNERMOST:
@@ -227,15 +231,12 @@ def mc_estimate(
     if step_cap < 0:
         raise ValueError("step cap must be non-negative")
 
-    fast = (
-        strategy in (Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST)
-        and isinstance(policy, FirstMove)
-    )
+    rule = policy.descent(strategy)
 
     def one_run(i: int) -> tuple[bool, int]:
         rng = random.Random(f"{seed}:{i}")
-        if fast:
-            return runsim.run_innermost_first(system, start, rng, step_cap)
+        if rule in INNERMOST_DESCENTS:
+            return runsim.run_innermost_first(system, start, rule, rng, step_cap)
         return _run_generic(
             system, start, strategy, policy.clone_for_run(f"{seed}:{i}:policy"), rng, step_cap
         )

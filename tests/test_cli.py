@@ -228,6 +228,27 @@ def test_simulate_mc_rejects_a_negative_step_cap(capsys):
     assert "step cap must be non-negative" in err
 
 
+def test_negative_caps_and_join_depths_are_rejected(capsys):
+    # these used to be reported as a cap hit (exit 3), or taken as 0 (exit 0)
+    cases = [
+        (("simulate", path("srw"), "--term", "g", "--support-cap", "-1"), "support cap"),
+        (("adversary", path("s4"), "--term", "f(a,b)", "--memo-cap", "-1"), "memo cap"),
+    ]
+    for command in ("check", "analyze"):
+        for name in ("r1", "srw"):
+            cases.append(((command, path(name), "--join-depth", "-1"), "join depth"))
+    for argv, what in cases:
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 2 and out == "", argv
+        assert f"{what} must be non-negative" in err, argv
+
+
+def test_random_policy_needs_an_integer_seed(capsys):
+    code, out, err = run(capsys, "simulate", path("srw"), "--term", "g", "--policy", "random:x")
+    assert code == 1 and out == ""
+    assert "usage error" in err and "'random:x'" in err and "invalid literal" not in err
+
+
 def test_spare_json(capsys):
     doc = run_json(capsys, "spare", path("s7"), "--json")
     assert doc["verdict"] == "Spare"

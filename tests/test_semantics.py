@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import load_system, random_system, random_term
-from pastlift import runsim
+from pastlift import runsim, terms
 from pastlift.fmt import parse_file, parse_term
 from pastlift.rewriting import (
+    INNERMOST_DESCENTS,
     FirstMove,
     RandomSeeded,
     RightmostFirst,
@@ -515,6 +516,18 @@ def test_mc_fast_and_generic_paths_agree():
     assert fast.mean_steps_of_terminated == generic.mean_steps_of_terminated
 
 
+def test_rightmost_full_runs_do_not_rebuild_the_spine_per_step():
+    """rightmost under full descends innermost, so its runs keep the term
+    open at the redex: a step interns its contractum and the parents it
+    climbs out of, not the path from the root (1.15M new pool entries when
+    every step rebuilt that path)."""
+    srw = load_system("srw")
+    before = len(terms._APP_POOL)
+    summary = mc_estimate(srw, t("srw", "g"), Strategy.FULL, RightmostFirst(), 50, 4000, seed=1)
+    assert summary.terminated == 48
+    assert len(terms._APP_POOL) - before < 20_000
+
+
 # (system, start, strategy, policy, samples, step cap, seed) ->
 # (terminated, estimate, censored fraction, mean steps of terminated runs),
 # recorded with the sampler that built every branch and summed Fractions
@@ -605,7 +618,7 @@ def reference_run(system, start, strategy, policy, rng, step_cap):
 
 def test_sampled_runs_match_the_reference_sampler_on_random_systems():
     rng = random.Random(53)
-    compared = 0
+    compared = zipped = 0
     for case in range(3000):
         system = random_system(rng)
         start = random_term(rng, 4, vars_=())
@@ -627,15 +640,17 @@ def test_sampled_runs_match_the_reference_sampler_on_random_systems():
                         random.Random(run_seed), 25,
                     )
                     assert got == expected, (case, strategy, spec, i)
-                    if spec == "first" and strategy in (
-                        Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST
-                    ):
+                    rule = policy.descent(strategy)
+                    if rule in INNERMOST_DESCENTS:
                         fast = runsim.run_innermost_first(
-                            system, start, random.Random(run_seed), 25
+                            system, start, rule, random.Random(run_seed), 25
                         )
-                        assert fast == expected, (case, strategy, i)
+                        assert fast == expected, (case, strategy, spec, i)
+                        zipped += 1
                     compared += 1
     assert compared > 6000
+    # first under i/li and rightmost under full/i/li
+    assert zipped > 2000
 
 
 # corpus runs long enough to open deep frames in runsim's zipper, which the
@@ -647,16 +662,26 @@ CORPUS_RUNS = [
 
 def test_innermost_runs_match_the_generic_sampler_on_the_corpus():
     deepest = 0
+    pairs = 0
     for name, text in CORPUS_RUNS:
         system = load_system(name)
         start = t(name, text)
-        for strategy in (Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST):
-            for i in range(20):
-                run_seed = f"{name}:{i}"
-                expected = _run_generic(
-                    system, start, strategy, FirstMove(), random.Random(run_seed), 300
-                )
-                fast = runsim.run_innermost_first(system, start, random.Random(run_seed), 300)
-                assert fast == expected, (name, strategy, i)
-                deepest = max(deepest, expected[1])
+        for strategy in Strategy:
+            for policy in (FirstMove(), RightmostFirst()):
+                rule = policy.descent(strategy)
+                if rule not in INNERMOST_DESCENTS:
+                    continue
+                pairs += 1
+                for i in range(20):
+                    run_seed = f"{name}:{i}"
+                    expected = _run_generic(
+                        system, start, strategy, policy, random.Random(run_seed), 300
+                    )
+                    fast = runsim.run_innermost_first(
+                        system, start, rule, random.Random(run_seed), 300
+                    )
+                    assert fast == expected, (name, strategy, policy.name, i)
+                    deepest = max(deepest, expected[1])
+    # first under i/li and rightmost under full/i/li, on every corpus start
+    assert pairs == 5 * len(CORPUS_RUNS)
     assert deepest == 300
