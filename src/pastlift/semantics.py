@@ -232,11 +232,12 @@ def mc_estimate(
         raise ValueError("step cap must be non-negative")
 
     rule = policy.descent(strategy)
+    memo: runsim.Memo = {}  # deterministic segments, shared by this call's runs
 
     def one_run(i: int) -> tuple[bool, int]:
         rng = random.Random(f"{seed}:{i}")
         if rule in INNERMOST_DESCENTS:
-            return runsim.run_innermost_first(system, start, rule, rng, step_cap)
+            return runsim.run_innermost_first(system, start, rule, rng, step_cap, memo)
         return _run_generic(
             system, start, strategy, policy.clone_for_run(f"{seed}:{i}:policy"), rng, step_cap
         )

@@ -192,6 +192,7 @@ class Ptrs:
             occurring.setdefault(sym.name, sym)
 
         self.defined_symbols: frozenset[Symbol] = frozenset(defined.values())
+        self._defined_names: frozenset[str] = frozenset(defined)
         self.constructor_symbols: frozenset[Symbol] = frozenset(
             sym for name, sym in occurring.items() if name not in defined
         )
@@ -334,7 +335,7 @@ class Ptrs:
         """Defined root symbol applied to constructor-only arguments."""
         if isinstance(t, Var) or t.symbol not in self.defined_symbols:
             return False
-        defined_names = {sym.name for sym in self.defined_symbols}
+        defined_names = self._defined_names
         stack = list(t.args)
         while stack:
             u = stack.pop()

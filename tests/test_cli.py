@@ -1,14 +1,22 @@
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
+from hypothesis import given, settings, strategies as st
 
-from conftest import SYSTEMS_DIR
+from conftest import DEFAULT_SYMBOLS, SYSTEMS_DIR, random_system, random_term
 from pastlift.cli import main
+from pastlift.fmt import serialize
 from pastlift.report import load_schema
+from pastlift.terms import term_to_str
 
 SCHEMA = load_schema()
 
@@ -355,3 +363,46 @@ def test_rules_deeper_than_the_recursion_limit(tmp_path):
         proc = run_module(*argv, "--json")
         assert proc.returncode == 0 and "Traceback" not in proc.stderr, (argv, proc.stderr)
         jsonschema.validate(json.loads(proc.stdout), SCHEMA)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    system_seed=st.integers(0, 2**32),
+    term_seed=st.integers(0, 2**32),
+    strategy=st.sampled_from(["full", "i", "li", "par", "ipar"]),
+    policy=st.one_of(
+        st.sampled_from(["first", "rightmost"]), st.integers(0, 99).map(lambda s: f"random:{s}")
+    ),
+    samples=st.integers(1, 5),
+    cap=st.integers(0, 50),
+    as_json=st.booleans(),
+)
+def test_mc_exit_code_contract_on_random_systems(
+    system_seed, term_seed, strategy, policy, samples, cap, as_json
+):
+    """``simulate --mode mc`` on random systems exits 0-3, never with a
+    traceback, and every JSON document it prints follows the schema."""
+    system = random_system(random.Random(system_seed))
+    # terms over the system's own signature; without a constant there, over
+    # symbols it may not know, which the parser rejects (exit 2)
+    symbols = tuple(system.signature.values())
+    if not any(sym.arity == 0 for sym in symbols):
+        symbols = DEFAULT_SYMBOLS
+    term = term_to_str(random_term(random.Random(term_seed), 4, vars_=(), symbols=symbols))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "random.ptrs"
+        file.write_text(serialize(system))
+        argv = [
+            "simulate", str(file), "--term", term, "--mode", "mc", "--strategy", strategy,
+            "--policy", policy, "--samples", str(samples), "--step-cap", str(cap),
+            "--seed", str(system_seed % 1000),
+        ]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + ["--json"] if as_json else argv)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 0 and as_json:
+        doc = json.loads(out.getvalue())
+        jsonschema.validate(doc, SCHEMA)
+        assert doc["kind"] == "simulate-mc"

@@ -685,3 +685,183 @@ def test_innermost_runs_match_the_generic_sampler_on_the_corpus():
     # first under i/li and rightmost under full/i/li, on every corpus start
     assert pairs == 5 * len(CORPUS_RUNS)
     assert deepest == 300
+
+
+def memo_free_zipper_run(system, start, rule, rng, step_cap):
+    """``runsim.run_innermost_first`` as it was before deterministic segments
+    were memoised: one contraction and one draw per step."""
+    nf = system.is_normal_form
+    frames = []
+    u = start
+    for steps in range(step_cap + 1):
+        while nf(u):
+            if not frames:
+                return True, steps
+            parent, k = frames.pop()
+            args = parent.args
+            u = terms.app(parent.symbol, args[: k - 1] + (u,) + args[k:])
+        if steps == step_cap:
+            break
+        found = rule(system, u)
+        while isinstance(found, int):
+            frames.append((u, found))
+            u = u.args[found - 1]
+            found = rule(system, u)
+        idx, sigma = found
+        contracted = system.rules[idx]
+        u = apply_subst(contracted.rhs.terms[contracted.pick_branch(rng.random())], sigma)
+    return False, step_cap
+
+
+class CountingMemo(dict):
+    """A segment memo that counts the lookups that find a segment."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        got = super().get(key, default)
+        if got is not None:
+            self.hits += 1
+        return got
+
+
+def innermost_rules():
+    """The descent rule of each (strategy, policy) pair the zipper takes."""
+    rules = []
+    for strategy in Strategy:
+        for policy in (FirstMove(), RightmostFirst()):
+            rule = policy.descent(strategy)
+            if rule in INNERMOST_DESCENTS:
+                rules.append((strategy, policy.name, rule))
+    assert len(rules) == 5  # first under i/li, rightmost under full/i/li
+    return rules
+
+
+# s8 starts whose duplicated f(s^k(bot)) is a deterministic segment, with
+# g's draws after it under one descent and before it under the other
+S8_SEGMENT_STARTS = [
+    "f(s(s(s(s(s(bot))))))", "c(f(s(s(s(bot)))), g)", "c(g, f(s(s(s(bot)))))",
+]
+
+
+def test_memoised_runs_match_the_memo_free_zipper_on_the_corpus():
+    hits = 0
+    for name, text in CORPUS_RUNS + [("s8", text) for text in S8_SEGMENT_STARTS]:
+        system = load_system(name)
+        start = t(name, text)
+        for strategy, policy, rule in innermost_rules():
+            memo = CountingMemo()  # one per batch of runs, as in mc_estimate
+            for i in range(20):
+                run_seed = f"{name}:{i}"
+                expected = memo_free_zipper_run(system, start, rule, random.Random(run_seed), 300)
+                got = runsim.run_innermost_first(
+                    system, start, rule, random.Random(run_seed), 300, memo
+                )
+                assert got == expected, (name, text, strategy, policy, i)
+            hits += memo.hits
+    assert hits > 300
+
+
+def test_memoised_runs_match_the_memo_free_zipper_at_every_cap():
+    """Caps that land inside a memoised segment, at its last step and one
+    past it: f(s^k(bot)) normalises in 2^k - 1 steps, for k up to 5."""
+    s8 = load_system("s8")
+    for text in S8_SEGMENT_STARTS:
+        start = t("s8", text)
+        for strategy, policy, rule in innermost_rules():
+            memo = CountingMemo()  # shared across caps: segments do not depend on them
+            caps = list(range(2**5 + 3))
+            for cap in caps + caps[::-1]:  # short caps before and after long ones
+                for i in range(2):
+                    run_seed = f"{cap}:{i}"
+                    expected = memo_free_zipper_run(s8, start, rule, random.Random(run_seed), cap)
+                    got = runsim.run_innermost_first(
+                        s8, start, rule, random.Random(run_seed), cap, memo
+                    )
+                    assert got == expected, (text, strategy, policy, cap, i)
+            assert memo.hits > 0
+            normal, steps = memo[t("s8", "f(s(s(s(bot))))")]
+            assert steps == 7 and s8.is_normal_form(normal)
+
+
+def test_memoised_runs_match_the_memo_free_zipper_on_random_systems():
+    rng = random.Random(59)
+    compared = hits = 0
+    for case in range(4000):
+        system = random_system(rng)
+        start = random_term(rng, 4, vars_=())
+        if system.is_normal_form(start):
+            continue
+        for strategy, policy, rule in innermost_rules():
+            memo = CountingMemo()
+            for i, cap in enumerate((25, 3, 25, 8, 1, 25)):
+                run_seed = f"{case}:{i}"
+                expected = memo_free_zipper_run(system, start, rule, random.Random(run_seed), cap)
+                got = runsim.run_innermost_first(
+                    system, start, rule, random.Random(run_seed), cap, memo
+                )
+                assert got == expected, (case, strategy, policy, i, cap)
+                compared += 1
+            hits += memo.hits
+    assert compared > 5000
+    assert hits > 1000
+
+
+def s8_tower(k):
+    return t("s8", "f(" + "s(" * k + "bot" + ")" * (k + 1))
+
+
+def count_contractions(monkeypatch):
+    """Count the zipper's contractions: each builds one contractum."""
+    counter = {"calls": 0}
+    real = runsim.apply_subst
+
+    def counted(term, sigma):
+        counter["calls"] += 1
+        return real(term, sigma)
+
+    monkeypatch.setattr(runsim, "apply_subst", counted)
+    return counter
+
+
+def test_duplicated_subterms_cost_one_contraction_each(monkeypatch):
+    """s8 normalises f(s^k(bot)) in 2^k - 1 innermost steps, but it has only
+    k distinct non-normal f-subterms, so a run contracts O(k) times."""
+    s8 = load_system("s8")
+    k = 20
+    start = s8_tower(k)
+    counter = count_contractions(monkeypatch)
+    for rule in INNERMOST_DESCENTS:
+        counter["calls"] = 0
+        got = runsim.run_innermost_first(s8, start, rule, random.Random(1), 2**21)
+        assert got == (True, 2**k - 1)
+        assert counter["calls"] <= 2 * k
+        counter["calls"] = 0
+        got = runsim.run_innermost_first(s8, start, rule, random.Random(1), 2**k - 2)
+        assert got == (False, 2**k - 2)
+        assert counter["calls"] <= 2 * k
+
+
+def test_skipped_segments_pay_their_draws_before_the_next_draw(monkeypatch):
+    s8 = load_system("s8")
+    leftmost = first.descent(Strategy.INNERMOST)
+    k = 12
+    n = 2**k - 1  # more owed draws than one chunk pays
+    memo = {}
+    rng = random.Random(7)
+    assert runsim.run_innermost_first(s8, s8_tower(k), leftmost, rng, n, memo) == (
+        True, n,
+    )
+    # a run that ends owing draws pays none
+    assert rng.getstate() == random.Random(7).getstate()
+
+    counter = count_contractions(monkeypatch)
+    rng = random.Random(7)
+    start = t("s8", f"c({terms.term_to_str(s8_tower(k))}, g)")
+    _, steps = runsim.run_innermost_first(s8, start, leftmost, rng, n + 1, memo)
+    assert steps == n + 1
+    assert counter["calls"] == 1  # the segment was skipped; only g was contracted
+    fresh = random.Random(7)
+    for _ in range(n + 1):
+        fresh.random()
+    assert rng.getstate() == fresh.getstate()
