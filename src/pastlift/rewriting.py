@@ -48,6 +48,16 @@ class Strategy(enum.Enum):
     def simultaneous(self) -> bool:
         return self in (Strategy.SIMULTANEOUS, Strategy.INNERMOST_SIMULTANEOUS)
 
+    @property
+    def plain(self) -> "Strategy":
+        """The strategy whose redexes this one contracts: full rewriting's
+        for par, innermost's for ipar."""
+        if self is Strategy.SIMULTANEOUS:
+            return Strategy.FULL
+        if self is Strategy.INNERMOST_SIMULTANEOUS:
+            return Strategy.INNERMOST
+        return self
+
 
 @dataclass
 class Redex:
@@ -56,14 +66,84 @@ class Redex:
     subst: Substitution
 
 
-@dataclass
 class SimGroup:
-    """Maximal set of parallel positions carrying the same redex instance."""
+    """Every occurrence of one redex instance in a term, with the rule that
+    rewrites it. The occurrences are pairwise parallel (a term cannot nest
+    inside itself), so the group is an admissible simultaneous move.
 
-    rule_index: int
-    subst: Substitution
-    positions: tuple[Position, ...]
-    instance: Term
+    ``first`` is the leftmost position, found when the group is. ``last``
+    (the rightmost) and ``positions`` (all of them, left to right) are
+    listed on first use, entering only the subterms that hold the instance.
+    """
+
+    __slots__ = ("rule_index", "subst", "instance", "term", "first", "_holds", "_positions")
+
+    def __init__(
+        self, rule_index: int, subst: Substitution, instance: Term, term: Term, first: Position
+    ):
+        self.rule_index = rule_index
+        self.subst = subst
+        self.instance = instance
+        self.term = term
+        self.first = first
+        self._holds: Optional[dict[Term, bool]] = None
+        self._positions: Optional[tuple[Position, ...]] = None
+
+    def _holders(self) -> dict[Term, bool]:
+        """For each distinct subterm of ``term`` deeper than the instance,
+        and each child of one, whether the instance occurs in it."""
+        if self._holds is None:
+            instance = self.instance
+            depth = instance.depth
+            holds = self._holds = {instance: True}
+            stack = [self.term]
+            while stack:
+                u = stack[-1]
+                if u in holds:
+                    stack.pop()
+                elif u.depth <= depth:  # not the instance, so too shallow to hold it
+                    holds[u] = False
+                    stack.pop()
+                else:
+                    pending = [a for a in u.args if a not in holds]
+                    if pending:
+                        stack.extend(pending)
+                    else:
+                        stack.pop()
+                        holds[u] = any(holds[a] for a in u.args)
+        return self._holds
+
+    @property
+    def positions(self) -> tuple[Position, ...]:
+        if self._positions is None:
+            holds = self._holders()
+            found: list[Position] = []
+            stack: list[tuple[Term, Position]] = [(self.term, ())]
+            while stack:
+                u, pos = stack.pop()
+                if u is self.instance:
+                    found.append(pos)
+                    continue
+                for k in range(len(u.args), 0, -1):
+                    if holds[u.args[k - 1]]:
+                        stack.append((u.args[k - 1], pos + (k,)))
+            self._positions = tuple(found)
+        return self._positions
+
+    @property
+    def last(self) -> Position:
+        """The rightmost position: down the rightmost child that holds the
+        instance, from the root to the instance."""
+        holds = self._holders()
+        pos: list[int] = []
+        u = self.term
+        while u is not self.instance:
+            k = len(u.args)
+            while not holds[u.args[k - 1]]:
+                k -= 1
+            pos.append(k)
+            u = u.args[k - 1]
+        return tuple(pos)
 
 
 def _walk_redexes(system: Ptrs, t: Term, innermost_only: bool):
@@ -241,25 +321,32 @@ def step(system: Ptrs, t: Term, redex: Redex) -> MultiDistribution:
 def simultaneous_groups(
     system: Ptrs, t: Term, innermost_only: bool
 ) -> list[SimGroup]:
-    """Group redexes by rule and identical instance.
+    """Group redexes by rule and identical instance, ordered by (first
+    position, rule index).
 
-    Positions carrying the same instance are automatically parallel (a term
-    cannot nest inside itself), so every group is an admissible simultaneous
-    move; ordered by (first position, rule index).
+    One pre-order walk, children left to right, over the distinct non-normal
+    subterms of t: the walk meets positions in lexicographic order and stops
+    at a subterm it has met before, so each subterm is visited once, at its
+    leftmost position, and the groups come out already in order.
     """
-    grouped: dict[tuple[int, Term], tuple[Substitution, list[Position]]] = {}
-    for pos, u, idx, sigma in _walk_redexes(system, t, innermost_only):
-        grouped.setdefault((idx, u), (sigma, []))[1].append(pos)
-    groups = [
-        SimGroup(
-            rule_index=idx,
-            subst=sigma,
-            positions=tuple(sorted(found)),
-            instance=instance,
-        )
-        for (idx, instance), (sigma, found) in grouped.items()
-    ]
-    groups.sort(key=lambda g: (g.positions[0], g.rule_index))
+    nf = system.is_normal_form
+    groups: list[SimGroup] = []
+    seen: set[Term] = set()
+    stack: list[tuple[Term, Position]] = [(t, ())]
+    while stack:
+        u, pos = stack.pop()
+        if u in seen or nf(u):
+            continue
+        seen.add(u)
+        args = u.args
+        if not innermost_only or all(nf(a) for a in args):
+            for idx, rule in system.rules_at_root(u):
+                sigma = match(rule.lhs, u)
+                if sigma is not None:
+                    groups.append(SimGroup(idx, sigma, u, t, pos))
+        for k in range(len(args), 0, -1):
+            if args[k - 1] not in seen:
+                stack.append((args[k - 1], pos + (k,)))
     return groups
 
 
@@ -269,28 +356,92 @@ def sim_step(
     group: SimGroup,
     chosen_positions: Optional[Sequence[Position]] = None,
 ) -> MultiDistribution:
-    """Rewrite every chosen position of the group at once: branch j replaces
-    all of them by the j-th right-hand side instance (merged, not a product).
+    """Rewrite every chosen position of the group at once (all of them when
+    none are given): branch j replaces all of them by the j-th right-hand
+    side instance (merged, not a product).
     """
     chosen = _checked_positions(t, group, chosen_positions)
-    rule = system.rules[group.rule_index]
-    return MultiDistribution.of_weights(
-        system.branch_weights[group.rule_index],
-        tuple(_replace_all(t, chosen, apply_subst(r, group.subst)) for r in rule.rhs.terms),
-        system.branch_den,
-    )
+    return _sim_dist(system, t, group.rule_index, group.subst, group.instance, chosen)
 
 
 def _checked_positions(
     t: Term, group: SimGroup, chosen_positions: Optional[Sequence[Position]]
-) -> tuple[Position, ...]:
+) -> Optional[tuple[Position, ...]]:
+    """The chosen positions, checked against t; None when they are every
+    occurrence of the instance in t, the group's own term."""
+    if chosen_positions is None and group.term is t:
+        return None
     chosen = tuple(chosen_positions) if chosen_positions is not None else group.positions
     if not chosen or not set(chosen) <= set(group.positions):
         raise InvalidGroup(f"positions {chosen} are not a non-empty subset of the group")
     for pos in chosen:
         if subterm_at(t, pos) is not group.instance:
             raise InvalidGroup(f"stale group: instance changed at {pos}")
+    if group.term is t and len(set(chosen)) == len(group.positions):
+        return None
     return chosen
+
+
+def _sim_dist(
+    system: Ptrs,
+    t: Term,
+    rule_index: int,
+    sigma: Substitution,
+    instance: Term,
+    chosen: Optional[Sequence[Position]],
+) -> MultiDistribution:
+    rule = system.rules[rule_index]
+    return MultiDistribution.of_weights(
+        system.branch_weights[rule_index],
+        tuple(
+            _rewrite_group(system, t, instance, chosen, apply_subst(r, sigma))
+            for r in rule.rhs.terms
+        ),
+        system.branch_den,
+    )
+
+
+def _rewrite_group(
+    system: Ptrs,
+    t: Term,
+    instance: Term,
+    chosen: Optional[Sequence[Position]],
+    replacement: Term,
+) -> Term:
+    if chosen is None:
+        return _replace_instance(system, t, instance, replacement)
+    return _replace_all(t, chosen, replacement)
+
+
+def _replace_instance(system: Ptrs, t: Term, instance: Term, replacement: Term) -> Term:
+    """t with every occurrence of ``instance`` replaced, in one bottom-up
+    pass over distinct subterms, each rebuilt once. Normal forms and other
+    subterms no deeper than the instance cannot hold it and are kept as they
+    are. The occurrences are parallel, so this is the term that replacing
+    them one position at a time gives."""
+    if t is instance:
+        return replacement
+    nf = system.is_normal_form
+    depth = instance.depth
+    done: dict[Term, Term] = {instance: replacement}
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        args: list[Term] = []
+        changed = False
+        for a in u.args:
+            r = done.get(a)
+            if r is None:
+                if a.depth > depth and not nf(a):
+                    stack.append(a)  # built first, then u is scanned again
+                    break
+                r = a
+            args.append(r)
+            changed = changed or r is not a
+        else:
+            stack.pop()
+            done[u] = app(u.symbol, args) if changed else u
+    return done[t]
 
 
 def _replace_all(t: Term, chosen: Sequence[Position], replacement: Term) -> Term:
@@ -310,6 +461,17 @@ class Policy:
         way (it depends on state, or on the whole term)."""
         return None
 
+    def group_descent(self, strategy: Strategy) -> Optional[Descent]:
+        """Under a simultaneous strategy, the descent rule whose redex is
+        this policy's pick, its group being every occurrence of that
+        instance; None when the group is picked from the list of all
+        groups (``pick_group``). It is the policy's descent rule under the
+        plain strategy: ``first``'s least (first position, rule index) of
+        any group is the least redex, leftmost-outermost under par and
+        leftmost-innermost under ipar, and ``rightmost``'s greatest last
+        position is the greatest redex position, innermost under both."""
+        return self.descent(strategy.plain) if strategy.simultaneous else None
+
     def choose(self, system: Ptrs, t: Term, strategy: Strategy) -> Redex:
         """The move this policy takes on a non-normal-form term under a
         non-simultaneous strategy: by descent where the policy has a descent
@@ -325,7 +487,8 @@ class Policy:
 
     def pick_group(
         self, t: Term, groups: Sequence[SimGroup]
-    ) -> tuple[SimGroup, tuple[Position, ...]]:
+    ) -> tuple[SimGroup, Optional[tuple[Position, ...]]]:
+        """A group and the positions of it to rewrite, None for all."""
         raise NotImplementedError
 
     def clone_for_run(self, run_seed: object) -> "Policy":
@@ -348,8 +511,7 @@ class FirstMove(Policy):
         return moves[0]
 
     def pick_group(self, t, groups):
-        g = min(groups, key=lambda g: (g.positions[0], g.rule_index))
-        return g, g.positions
+        return min(groups, key=lambda g: (g.first, g.rule_index)), None
 
 
 class RightmostFirst(Policy):
@@ -369,8 +531,7 @@ class RightmostFirst(Policy):
         )
 
     def pick_group(self, t, groups):
-        g = max(groups, key=lambda g: (g.positions[-1], -g.rule_index))
-        return g, g.positions
+        return max(groups, key=lambda g: (g.last, -g.rule_index)), None
 
 
 class RandomSeeded(Policy):
@@ -389,8 +550,7 @@ class RandomSeeded(Policy):
         return moves[self.rng.randrange(len(moves))]
 
     def pick_group(self, t, groups):
-        g = groups[self.rng.randrange(len(groups))]
-        return g, g.positions
+        return groups[self.rng.randrange(len(groups))], None
 
     def clone_for_run(self, run_seed: object) -> "RandomSeeded":
         return RandomSeeded(run_seed)
@@ -451,8 +611,7 @@ def entry_step(
 ) -> MultiDistribution:
     """One policy-resolved step on a single non-normal-form term."""
     if strategy.simultaneous:
-        group, chosen = _pick_group(system, t, strategy, policy)
-        return sim_step(system, t, group, chosen)
+        return _sim_dist(system, t, *_sim_move(system, t, strategy, policy))
     return step(system, t, policy.choose(system, t, strategy))
 
 
@@ -462,24 +621,32 @@ def sample_step(
     """The successor ``entry_step`` would give for a uniform draw x in [0,1):
     the policy's move is chosen first and only the sampled branch is built."""
     if strategy.simultaneous:
-        group, chosen = _pick_group(system, t, strategy, policy)
-        chosen = _checked_positions(t, group, chosen)
-        rule = system.rules[group.rule_index]
+        idx, sigma, instance, chosen = _sim_move(system, t, strategy, policy)
+        rule = system.rules[idx]
         rhs = rule.rhs.terms[rule.pick_branch(x)]
-        return _replace_all(t, chosen, apply_subst(rhs, group.subst))
+        return _rewrite_group(system, t, instance, chosen, apply_subst(rhs, sigma))
     redex = policy.choose(system, t, strategy)
     rule = system.rules[redex.rule_index]
     rhs = rule.rhs.terms[rule.pick_branch(x)]
     return replace_at(t, redex.position, apply_subst(rhs, redex.subst))
 
 
-def _pick_group(
+def _sim_move(
     system: Ptrs, t: Term, strategy: Strategy, policy: Policy
-) -> tuple[SimGroup, tuple[Position, ...]]:
+) -> tuple[int, Substitution, Term, Optional[tuple[Position, ...]]]:
+    """The policy's simultaneous move on t: rule index, substitution,
+    instance, and the positions to rewrite, None for every occurrence. A
+    policy with a group descent finds the instance along one path; any
+    other picks from the list of all groups."""
+    rule = policy.group_descent(strategy)
+    if rule is not None:
+        redex = descend(system, t, rule)
+        return redex.rule_index, redex.subst, subterm_at(t, redex.position), None
     groups = simultaneous_groups(
         system, t, innermost_only=strategy is Strategy.INNERMOST_SIMULTANEOUS
     )
-    return policy.pick_group(t, groups)
+    group, chosen = policy.pick_group(t, groups)
+    return group.rule_index, group.subst, group.instance, _checked_positions(t, group, chosen)
 
 
 def lift_step(
@@ -500,9 +667,13 @@ def lift_step(
 
     Where the policy has a descent rule, entries are stepped through
     ``memo`` (a fresh one when none is given; see ``memo_step``), so a
-    caller that lifts repeatedly can pass one dict to every step."""
+    caller that lifts repeatedly can pass one dict to every step. Where it
+    has a group descent, ``memo`` holds each entry's simultaneous step by
+    whole term: a group reaches into sibling subterms, so the step of a
+    term is not rebuilt from its child's."""
     rule = policy.descent(strategy)
-    if rule is not None and memo is None:
+    by_term = policy.group_descent(strategy) is not None
+    if (rule is not None or by_term) and memo is None:
         memo = {}
     branch_den = system.branch_den
     weights: list[int] = []
@@ -512,10 +683,14 @@ def lift_step(
             weights.append(n * branch_den)
             terms.append(t)
             continue
-        if rule is None:
-            dist = entry_step(system, t, strategy, policy)
-        else:
+        if rule is not None:
             dist = memo_step(system, t, rule, memo)
+        elif by_term:
+            dist = memo.get(t)
+            if dist is None:
+                dist = memo[t] = entry_step(system, t, strategy, policy)
+        else:
+            dist = entry_step(system, t, strategy, policy)
         weights.extend([n * w for w in dist.weights])
         terms.extend(dist.terms)
     den = mu.den * branch_den

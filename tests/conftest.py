@@ -44,6 +44,15 @@ CORPUS = [
 ]
 
 
+# a start term for every corpus system that leaves it something to rewrite
+CORPUS_STARTS = {
+    "r_d": "d(s(s(s(0))))", "r1": "f(g,g,g)", "r2": "f(a)", "r3": "f(a)",
+    "srw": "g", "srw2": "g(0)", "s1": "g", "s2": "f(a,a)", "s2bar": "f(a,a)",
+    "s2prime": "f(a,a)", "s3": "f(a,a)", "s4": "f(a,b)", "s5": "f(a,a)",
+    "s6": "g", "s7": "g", "s8": "f(g)",
+}
+
+
 @pytest.fixture
 def corpus():
     return {name: load_system(name) for name in CORPUS}

@@ -365,23 +365,15 @@ def test_rules_deeper_than_the_recursion_limit(tmp_path):
         jsonschema.validate(json.loads(proc.stdout), SCHEMA)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(
-    system_seed=st.integers(0, 2**32),
-    term_seed=st.integers(0, 2**32),
-    strategy=st.sampled_from(["full", "i", "li", "par", "ipar"]),
-    policy=st.one_of(
-        st.sampled_from(["first", "rightmost"]), st.integers(0, 99).map(lambda s: f"random:{s}")
-    ),
-    samples=st.integers(1, 5),
-    cap=st.integers(0, 50),
-    as_json=st.booleans(),
+STRATEGIES = st.sampled_from(["full", "i", "li", "par", "ipar"])
+POLICIES = st.one_of(
+    st.sampled_from(["first", "rightmost"]), st.integers(0, 99).map(lambda s: f"random:{s}")
 )
-def test_mc_exit_code_contract_on_random_systems(
-    system_seed, term_seed, strategy, policy, samples, cap, as_json
-):
-    """``simulate --mode mc`` on random systems exits 0-3, never with a
-    traceback, and every JSON document it prints follows the schema."""
+
+
+def run_on_random_system(system_seed, term_seed, argv):
+    """``main`` on ``argv`` with the file of a serialised random system and a
+    start term appended after the subcommand: (exit code, stdout, stderr)."""
     system = random_system(random.Random(system_seed))
     # terms over the system's own signature; without a constant there, over
     # symbols it may not know, which the parser rejects (exit 2)
@@ -393,16 +385,99 @@ def test_mc_exit_code_contract_on_random_systems(
     with tempfile.TemporaryDirectory() as tmp:
         file = Path(tmp) / "random.ptrs"
         file.write_text(serialize(system))
-        argv = [
-            "simulate", str(file), "--term", term, "--mode", "mc", "--strategy", strategy,
-            "--policy", policy, "--samples", str(samples), "--step-cap", str(cap),
-            "--seed", str(system_seed % 1000),
-        ]
         with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv + ["--json"] if as_json else argv)
-    assert code in (0, 1, 2, 3), (argv, err.getvalue())
-    assert "Traceback" not in err.getvalue(), argv
-    if code == 0 and as_json:
-        doc = json.loads(out.getvalue())
+            code = main([argv[0], str(file), "--term", term, *argv[1:]])
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_contract(argv, code, out, err, kind):
+    """Exit 0-3, no traceback, and a schema-valid document on a JSON success."""
+    assert code in (0, 1, 2, 3), (argv, err)
+    assert "Traceback" not in err, argv
+    if code == 0 and "--json" in argv:
+        doc = json.loads(out)
         jsonschema.validate(doc, SCHEMA)
-        assert doc["kind"] == "simulate-mc"
+        assert doc["kind"] == kind
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    system_seed=st.integers(0, 2**32),
+    term_seed=st.integers(0, 2**32),
+    strategy=STRATEGIES,
+    policy=POLICIES,
+    samples=st.integers(1, 5),
+    cap=st.integers(0, 50),
+    as_json=st.booleans(),
+)
+def test_mc_exit_code_contract_on_random_systems(
+    system_seed, term_seed, strategy, policy, samples, cap, as_json
+):
+    """``simulate --mode mc`` on random systems exits 0-3, never with a
+    traceback, and every JSON document it prints follows the schema."""
+    argv = [
+        "simulate", "--mode", "mc", "--strategy", strategy,
+        "--policy", policy, "--samples", str(samples), "--step-cap", str(cap),
+        "--seed", str(system_seed % 1000),
+    ] + (["--json"] if as_json else [])
+    code, out, err = run_on_random_system(system_seed, term_seed, argv)
+    assert_contract(argv, code, out, err, "simulate-mc")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    system_seed=st.integers(0, 2**32),
+    term_seed=st.integers(0, 2**32),
+    strategy=STRATEGIES,
+    policy=POLICIES,
+    depth=st.integers(0, 6),
+    cap=st.integers(0, 50),
+    coalesce=st.booleans(),
+    as_json=st.booleans(),
+)
+def test_exact_exit_code_contract_on_random_systems(
+    system_seed, term_seed, strategy, policy, depth, cap, coalesce, as_json
+):
+    """``simulate --mode exact`` on random systems keeps the same contract,
+    whatever the depth, support cap and coalescing."""
+    argv = [
+        "simulate", "--mode", "exact", "--strategy", strategy, "--policy", policy,
+        "--depth", str(depth), "--support-cap", str(cap),
+    ] + (["--coalesce"] if coalesce else []) + (["--json"] if as_json else [])
+    code, out, err = run_on_random_system(system_seed, term_seed, argv)
+    assert_contract(argv, code, out, err, "simulate-exact")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    system_seed=st.integers(0, 2**32),
+    term_seed=st.integers(0, 2**32),
+    strategy=STRATEGIES,
+    depth=st.integers(0, 6),
+    cap=st.integers(0, 50),
+    as_json=st.booleans(),
+)
+def test_adversary_exit_code_contract_on_random_systems(
+    system_seed, term_seed, strategy, depth, cap, as_json
+):
+    """``adversary`` keeps it too; strategies other than i and li are usage
+    errors."""
+    argv = [
+        "adversary", "--strategy", strategy, "--depth", str(depth), "--memo-cap", str(cap),
+    ] + (["--json"] if as_json else [])
+    code, out, err = run_on_random_system(system_seed, term_seed, argv)
+    assert_contract(argv, code, out, err, "adversary")
+    if strategy not in ("i", "li"):
+        assert code == 1, argv
+
+
+def test_ipar_random_runs_on_a_shared_term_finish(capsys):
+    """Random ipar runs on s6 reach terms whose trees have hundreds of
+    thousands of nodes over a DAG of a few dozen; a step costs the DAG."""
+    code, out, _ = run(
+        capsys, "simulate", path("s6"), "--term", "g", "--strategy", "ipar",
+        "--policy", "random:2", "--mode", "mc", "--samples", "40",
+        "--step-cap", "250", "--seed", "2",
+    )
+    assert code == 0
+    assert "termination estimate" in out

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import load_system, random_system, random_term
+from conftest import CORPUS_STARTS, load_system, random_system, random_term
 from pastlift import runsim, terms
 from pastlift.fmt import parse_file, parse_term
 from pastlift.rewriting import (
@@ -164,15 +164,6 @@ def test_unfold_depth_two_of_argument_walk():
         ("g(0)", Fraction(1, 4)),
         ("g(g(g(0)))", Fraction(1, 4)),
     ]
-
-
-# a start term for every corpus system that leaves it something to rewrite
-CORPUS_STARTS = {
-    "r_d": "d(s(s(s(0))))", "r1": "f(g,g,g)", "r2": "f(a)", "r3": "f(a)",
-    "srw": "g", "srw2": "g(0)", "s1": "g", "s2": "f(a,a)", "s2bar": "f(a,a)",
-    "s2prime": "f(a,a)", "s3": "f(a,a)", "s4": "f(a,b)", "s5": "f(a,a)",
-    "s6": "g", "s7": "g", "s8": "f(g)",
-}
 
 
 def reference_unfold(system, start, strategy, policy, depth, coalesce_states):
