@@ -71,9 +71,9 @@ class SimGroup:
     rewrites it. The occurrences are pairwise parallel (a term cannot nest
     inside itself), so the group is an admissible simultaneous move.
 
-    ``first`` is the leftmost position, found when the group is. ``last``
-    (the rightmost) and ``positions`` (all of them, left to right) are
-    listed on first use, entering only the subterms that hold the instance.
+    ``first`` is the leftmost position, found when the group is.
+    ``positions`` (all of them, left to right) are listed on first use,
+    entering only the subterms that hold the instance.
     """
 
     __slots__ = ("rule_index", "subst", "instance", "term", "first", "_holds", "_positions")
@@ -129,21 +129,6 @@ class SimGroup:
                         stack.append((u.args[k - 1], pos + (k,)))
             self._positions = tuple(found)
         return self._positions
-
-    @property
-    def last(self) -> Position:
-        """The rightmost position: down the rightmost child that holds the
-        instance, from the root to the instance."""
-        holds = self._holders()
-        pos: list[int] = []
-        u = self.term
-        while u is not self.instance:
-            k = len(u.args)
-            while not holds[u.args[k - 1]]:
-                k -= 1
-            pos.append(k)
-            u = u.args[k - 1]
-        return tuple(pos)
 
 
 def _walk_redexes(system: Ptrs, t: Term, innermost_only: bool):
@@ -531,7 +516,7 @@ class RightmostFirst(Policy):
         )
 
     def pick_group(self, t, groups):
-        return max(groups, key=lambda g: (g.last, -g.rule_index)), None
+        return max(groups, key=lambda g: (g.positions[-1], -g.rule_index)), None
 
 
 class RandomSeeded(Policy):
@@ -667,13 +652,9 @@ def lift_step(
 
     Where the policy has a descent rule, entries are stepped through
     ``memo`` (a fresh one when none is given; see ``memo_step``), so a
-    caller that lifts repeatedly can pass one dict to every step. Where it
-    has a group descent, ``memo`` holds each entry's simultaneous step by
-    whole term: a group reaches into sibling subterms, so the step of a
-    term is not rebuilt from its child's."""
+    caller that lifts repeatedly can pass one dict to every step."""
     rule = policy.descent(strategy)
-    by_term = policy.group_descent(strategy) is not None
-    if (rule is not None or by_term) and memo is None:
+    if rule is not None and memo is None:
         memo = {}
     branch_den = system.branch_den
     weights: list[int] = []
@@ -683,14 +664,10 @@ def lift_step(
             weights.append(n * branch_den)
             terms.append(t)
             continue
-        if rule is not None:
-            dist = memo_step(system, t, rule, memo)
-        elif by_term:
-            dist = memo.get(t)
-            if dist is None:
-                dist = memo[t] = entry_step(system, t, strategy, policy)
-        else:
+        if rule is None:
             dist = entry_step(system, t, strategy, policy)
+        else:
+            dist = memo_step(system, t, rule, memo)
         weights.extend([n * w for w in dist.weights])
         terms.extend(dist.terms)
     den = mu.den * branch_den
