@@ -32,6 +32,13 @@ from .spareness import (
 from .system import Ptrs
 from .terms import term_to_str
 
+# the bounded falsifier that ``analyze`` runs at basic scope when the sound
+# spareness check is inconclusive: search depth, start-term argument depth,
+# and the number of start terms
+FALSIFY_DEPTH = 6
+FALSIFY_ARG_DEPTH = 3
+FALSIFY_START_CAP = 500
+
 
 @dataclass(frozen=True)
 class Prop:
@@ -473,9 +480,6 @@ def analyze(
     system: Ptrs,
     scope: str = "all",
     assertions: Sequence[Prop] = (),
-    falsify_depth: int = 6,
-    falsify_arg_depth: int = 3,
-    falsify_start_cap: int = 500,
     join_depth: int = 10,
 ) -> AnalysisReport:
     """Evaluate the probabilistic strategy-equivalence criteria.
@@ -492,13 +496,13 @@ def analyze(
     if scope == "basic" and spare is SpareVerdict.UNKNOWN:
         cex = falsify_spare(
             system,
-            falsify_depth,
-            default_basic_starts(system, falsify_arg_depth, cap=falsify_start_cap),
+            FALSIFY_DEPTH,
+            default_basic_starts(system, FALSIFY_ARG_DEPTH, cap=FALSIFY_START_CAP),
         )
         if cex is None:
             spare_evidence = (
-                f"no non-spare step found up to depth {falsify_depth} from basic "
-                f"start terms of argument depth <= {falsify_arg_depth}"
+                f"no non-spare step found up to depth {FALSIFY_DEPTH} from basic "
+                f"start terms of argument depth <= {FALSIFY_ARG_DEPTH}"
             )
         else:
             spare_evidence = "reachable non-spare step:\n" + cex.describe()

@@ -23,6 +23,8 @@ from .fmt import ParseError, ParsedFile, parse_file, parse_script, parse_term, s
 from .props import PropertyReport, property_report
 from .rewriting import FirstMove, Policy, RandomSeeded, RightmostFirst, Scripted, Strategy
 from .semantics import (
+    DEFAULT_MEMO_CAP,
+    DEFAULT_SUPPORT_CAP,
     CapExceeded,
     adversarial_lower_bound,
     mc_estimate,
@@ -83,7 +85,7 @@ def _build_argparser() -> _Parser:
     p_sim.add_argument("--samples", type=int, default=1000)
     p_sim.add_argument("--step-cap", type=int, default=100_000)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--support-cap", type=int, default=200_000)
+    p_sim.add_argument("--support-cap", type=int, default=DEFAULT_SUPPORT_CAP)
     p_sim.add_argument("--coalesce", action="store_true")
     p_sim.add_argument("--json", action="store_true")
 
@@ -94,7 +96,7 @@ def _build_argparser() -> _Parser:
     p_adv.add_argument("--term", required=True)
     p_adv.add_argument("--strategy", choices=["i", "li"], default="i")
     p_adv.add_argument("--depth", type=int, default=20)
-    p_adv.add_argument("--memo-cap", type=int, default=1_000_000)
+    p_adv.add_argument("--memo-cap", type=int, default=DEFAULT_MEMO_CAP)
     p_adv.add_argument("--json", action="store_true")
 
     p_sp = sub.add_parser("spare", help="spareness verdict and falsifier")

@@ -107,12 +107,19 @@ def adversarial_lower_bound(
     """Greatest lower bound, over all policies of the given strategy, of the
     probability of reaching a normal form within ``depth`` steps.
 
-    Value iteration: V_0 = [term is normal form]; V_{n+1}(t) = min over
-    admissible moves of the branch-weighted V_n. Monotone in depth, and 0
-    exactly when an adversary can keep all mass away from normal forms.
-    Each term's moves and their branches are computed once per call, and the
-    (term, depth) pairs are evaluated on an explicit stack, so ``depth`` is
-    not limited by Python's recursion limit.
+    Backward induction (Puterman, *Markov Decision Processes*, 1994, ch. 4).
+    A forward pass lists, for each k < depth, the distinct non-normal terms
+    reachable in exactly k steps, building each term's moves once per call.
+    A backward pass then computes, layer by layer from the deepest,
+    V_n(t) = min over admissible moves of the branch-weighted V_{n-1}, where
+    a normal form is worth 1 and V_0 is 0 on every other term. A rewrite
+    step's weights are integers over L = ``system.branch_den``, so V_n is
+    kept as an integer numerator over L^n and only two layers of values are
+    live. The bound is monotone in depth, and 0 exactly when an adversary
+    can keep all mass away from normal forms.
+
+    ``memo_cap`` bounds the number of (term, steps left) pairs, the summed
+    size of the layers; ``CapExceeded`` is raised once it is exceeded.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -124,62 +131,48 @@ def adversarial_lower_bound(
         moves_of = leftmost_innermost_moves
     else:
         raise ValueError("adversarial bound supports innermost strategies only")
+    nf = system.is_normal_form
+    if nf(start):
+        return Fraction(1)
+    if depth == 0:
+        return Fraction(0)
 
-    zero, one = Fraction(0), Fraction(1)
-    memo: dict[tuple[Term, int], Fraction] = {}
-    # each term's moves as their branch lists, computed once per call
-    transitions: dict[Term, list[tuple[tuple[Fraction, Term], ...]]] = {}
-
-    def known(t: Term, n: int) -> Optional[Fraction]:
-        if system.is_normal_form(t):
-            return one
-        if n == 0:
-            return zero
-        return memo.get((t, n))
-
-    def value(t: Term, n: int):
-        """V_n(t) as a frame of an explicit stack: yields each successor
-        pair whose value is not yet known and is sent that value back."""
-        moves = transitions.get(t)
-        if moves is None:
-            moves = transitions[t] = [
-                step(system, t, redex).entries for redex in moves_of(system, t)
-            ]
-        best: Optional[Fraction] = None
-        for branches in moves:
-            total = zero
-            for p, successor in branches:
-                got = known(successor, n - 1)
-                if got is None:
-                    got = yield successor, n - 1
-                total += p * got
-            if best is None or total < best:
-                best = total
-        assert best is not None
-        memo[(t, n)] = best
-        return best
-
-    def enter(t: Term, n: int):
-        if len(memo) >= memo_cap:
+    # each term's moves as their successor distributions, built once per call
+    transitions: dict[Term, list[MultiDistribution]] = {}
+    layers: list[set[Term]] = []
+    layer = {start}
+    pairs = 0
+    for _ in range(depth):
+        pairs += len(layer)
+        if pairs > memo_cap:
             raise CapExceeded(f"memo table exceeded {memo_cap} entries")
-        return value(t, n)
+        layers.append(layer)
+        following: set[Term] = set()
+        for t in layer:
+            moves = transitions.get(t)
+            if moves is None:
+                moves = transitions[t] = [
+                    step(system, t, redex) for redex in moves_of(system, t)
+                ]
+            for mu in moves:
+                following.update(s for s in mu.terms if not nf(s))
+        layer = following
 
-    result = known(start, depth)
-    if result is not None:
-        return result
-    # depth-first in the order a recursive evaluation would visit the pairs,
-    # so the memo fills, and the cap fires, exactly as it would there
-    stack = [enter(start, depth)]
-    while stack:
-        try:
-            pair = stack[-1].send(result)
-        except StopIteration as done:
-            stack.pop()
-            result = done.value
-        else:
-            stack.append(enter(*pair))
-            result = None
-    return result
+    values = dict.fromkeys(layer, 0)  # V_0
+    scale = 1  # L^(n-1) while V_n is computed: the numerator of a normal form
+    for layer in reversed(layers):
+        values = {
+            t: min(
+                sum(
+                    w * (scale if nf(s) else values[s])
+                    for w, s in zip(mu.weights, mu.terms)
+                )
+                for mu in transitions[t]
+            )
+            for t in layer
+        }
+        scale *= system.branch_den
+    return Fraction(values[start], scale)
 
 
 @dataclass

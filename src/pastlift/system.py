@@ -218,9 +218,6 @@ class Ptrs:
         """True iff every rule has a singleton {1: r} right-hand side."""
         return all(rule.is_trivial for rule in self.rules)
 
-    def rules_for(self, name: str, arity: int) -> list[tuple[int, ProbRule]]:
-        return self._rules_by_root.get((name, arity), [])
-
     def rules_at_root(self, t: Term) -> list[tuple[int, ProbRule]]:
         if isinstance(t, Var):
             return []
@@ -272,9 +269,6 @@ class Ptrs:
                         f"but not in the left-hand side"
                     )
         return violations
-
-    def signature_split(self) -> tuple[frozenset[Symbol], frozenset[Symbol]]:
-        return self.defined_symbols, self.constructor_symbols
 
     def is_normal_form(self, t: Term) -> bool:
         """No subterm of t matches any left-hand side. Cached per system."""

@@ -11,7 +11,6 @@ scale.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
@@ -160,24 +159,6 @@ def replace_at(t: Term, pos: Position, s: Term) -> Term:
     return result
 
 
-class ParallelOrder(enum.Enum):
-    BEFORE = "before"
-    AFTER = "after"
-    NOT_PARALLEL = "not-parallel"
-
-
-def compare_parallel(tau: Position, pi: Position) -> ParallelOrder:
-    """Left-to-right order on parallel positions.
-
-    BEFORE iff, at the first index where the positions diverge, tau branches
-    into an earlier child. Prefix-related or equal positions are not parallel.
-    """
-    for a, b in zip(tau, pi):
-        if a != b:
-            return ParallelOrder.BEFORE if a < b else ParallelOrder.AFTER
-    return ParallelOrder.NOT_PARALLEL
-
-
 def pos_to_str(pos: Position) -> str:
     return ".".join(str(i) for i in pos) if pos else "e"
 
@@ -237,21 +218,6 @@ def apply_subst(t: Term, sigma: Mapping[str, Term]) -> Term:
             stack.pop()
             done[u] = app(u.symbol, args)
     return done[t]
-
-
-def is_linear_term(t: Term) -> bool:
-    """True iff no variable occurs twice (counting tree occurrences)."""
-    seen: set[str] = set()
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Var):
-            if u.name in seen:
-                return False
-            seen.add(u.name)
-        else:
-            stack.extend(u.args)
-    return True
 
 
 def _resolve(t: Term, binding: Substitution) -> Term:

@@ -372,21 +372,25 @@ POLICIES = st.one_of(
 
 
 def run_on_random_system(system_seed, term_seed, argv):
-    """``main`` on ``argv`` with the file of a serialised random system and a
-    start term appended after the subcommand: (exit code, stdout, stderr)."""
+    """``main`` on ``argv`` with the file of a serialised random system and,
+    unless ``term_seed`` is None, a start term appended after the subcommand:
+    (exit code, stdout, stderr)."""
     system = random_system(random.Random(system_seed))
-    # terms over the system's own signature; without a constant there, over
-    # symbols it may not know, which the parser rejects (exit 2)
-    symbols = tuple(system.signature.values())
-    if not any(sym.arity == 0 for sym in symbols):
-        symbols = DEFAULT_SYMBOLS
-    term = term_to_str(random_term(random.Random(term_seed), 4, vars_=(), symbols=symbols))
+    term = []
+    if term_seed is not None:
+        # terms over the system's own signature; without a constant there,
+        # over symbols it may not know, which the parser rejects (exit 2)
+        symbols = tuple(system.signature.values())
+        if not any(sym.arity == 0 for sym in symbols):
+            symbols = DEFAULT_SYMBOLS
+        start = random_term(random.Random(term_seed), 4, vars_=(), symbols=symbols)
+        term = ["--term", term_to_str(start)]
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         file = Path(tmp) / "random.ptrs"
         file.write_text(serialize(system))
         with redirect_stdout(out), redirect_stderr(err):
-            code = main([argv[0], str(file), "--term", term, *argv[1:]])
+            code = main([argv[0], str(file), *term, *argv[1:]])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -469,6 +473,39 @@ def test_adversary_exit_code_contract_on_random_systems(
     assert_contract(argv, code, out, err, "adversary")
     if strategy not in ("i", "li"):
         assert code == 1, argv
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    system_seed=st.integers(0, 2**32),
+    command=st.sampled_from([
+        ["check"],
+        ["analyze", "--scope", "all"],
+        ["analyze", "--scope", "basic"],
+        ["spare", "--falsify"],
+        ["transform", "--generators"],
+    ]),
+    join_depth=st.integers(0, 10),
+    depth=st.integers(0, 6),
+    arg_depth=st.integers(0, 3),
+    as_json=st.booleans(),
+)
+def test_static_exit_code_contract_on_random_systems(
+    system_seed, command, join_depth, depth, arg_depth, as_json
+):
+    """``check``, ``analyze``, ``spare --falsify`` and ``transform
+    --generators`` keep the contract too; ``transform`` prints a system, not
+    a document."""
+    kind = command[0]
+    argv = list(command)
+    if kind in ("check", "analyze"):
+        argv += ["--join-depth", str(join_depth)]
+    if kind == "spare":
+        argv += ["--depth", str(depth), "--arg-depth", str(arg_depth)]
+    if as_json and kind != "transform":
+        argv.append("--json")
+    code, out, err = run_on_random_system(system_seed, None, argv)
+    assert_contract(argv, code, out, err, kind)
 
 
 def test_ipar_random_runs_on_a_shared_term_finish(capsys):

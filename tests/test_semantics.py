@@ -258,9 +258,10 @@ def test_memoised_unfolding_matches_stepping_every_entry_on_random_systems():
     assert compared > 150
 
 
-def reference_adversary(system, start, strategy, depth, memo_cap):
+def reference_adversary(system, start, strategy, depth):
     """The adversary as a recursive value iteration, recomputing each term's
-    moves at every depth. Returns the bound and the final memo size."""
+    moves at every depth. Returns the bound and the number of (term, steps
+    left) pairs in its memo."""
     moves_of = (
         innermost_redexes if strategy is Strategy.INNERMOST else leftmost_innermost_moves
     )
@@ -273,8 +274,6 @@ def reference_adversary(system, start, strategy, depth, memo_cap):
             return Fraction(0)
         if (u, n) in memo:
             return memo[(u, n)]
-        if len(memo) >= memo_cap:
-            raise CapExceeded(f"memo table exceeded {memo_cap} entries")
         best = None
         for redex in moves_of(system, u):
             total = Fraction(0)
@@ -289,17 +288,16 @@ def reference_adversary(system, start, strategy, depth, memo_cap):
 
 
 def assert_adversary_matches_reference(system, start, strategy, depth):
-    bound, size = reference_adversary(system, start, strategy, depth, 10**9)
+    """Same bound as the reference, and the cap fires exactly when the pair
+    count exceeds it."""
+    bound, pairs = reference_adversary(system, start, strategy, depth)
     assert adversarial_lower_bound(system, start, strategy, depth) == bound
-    for cap in range(1, size + 1):
-        try:
-            want = reference_adversary(system, start, strategy, depth, cap)[0]
-        except CapExceeded:
-            want = CapExceeded
+    for cap in range(pairs + 2):
         try:
             got = adversarial_lower_bound(system, start, strategy, depth, memo_cap=cap)
         except CapExceeded:
             got = CapExceeded
+        want = CapExceeded if pairs > cap else bound
         assert got == want, (term_to_str(start), strategy, depth, cap)
 
 

@@ -96,12 +96,12 @@ def test_corpus_systems_validate_clean():
 
 def test_signature_split():
     s7 = load_system("s7")
-    defined, constructors = s7.signature_split()
+    defined, constructors = s7.defined_symbols, s7.constructor_symbols
     assert {s.name for s in defined} == {"g", "d"}
     assert {s.name for s in constructors} == {"bot", "c"}
 
     s8 = load_system("s8")
-    defined, constructors = s8.signature_split()
+    defined, constructors = s8.defined_symbols, s8.constructor_symbols
     assert {s.name for s in defined} == {"g", "f"}
     assert {s.name for s in constructors} == {"s", "bot", "c"}
 

@@ -5,12 +5,9 @@ from hypothesis import given, strategies as st
 
 from pastlift.terms import (
     InvalidPosition,
-    ParallelOrder,
     Symbol,
     app,
     apply_subst,
-    compare_parallel,
-    is_linear_term,
     match,
     pos_from_str,
     pos_to_str,
@@ -78,13 +75,6 @@ def test_replace_at():
         replace_at(a, (1,), b)
 
 
-def test_compare_parallel():
-    assert compare_parallel((1, 2), (2,)) is ParallelOrder.BEFORE
-    assert compare_parallel((2, 1), (1, 5, 3)) is ParallelOrder.AFTER
-    assert compare_parallel((1,), (1, 2)) is ParallelOrder.NOT_PARALLEL
-    assert compare_parallel((1,), (1,)) is ParallelOrder.NOT_PARALLEL
-
-
 def test_match_examples():
     # d(s(x)) against d(s(d(s(0))))
     zero = app(ZERO)
@@ -119,8 +109,6 @@ def test_apply_subst_and_vars():
     cxx = app(C2, [x, x])
     assert apply_subst(cxx, {"x": bot}) == app(C2, [bot, bot])
     assert app(F2, [x, x]).vars == {"x"}
-    assert not is_linear_term(app(F2, [x, x]))
-    assert is_linear_term(app(F2, [x, y]))
 
 
 def test_pos_str_round_trip():
@@ -188,35 +176,6 @@ def test_replace_subterm_round_trip_randomized():
         t = _random_term(rng, 4)
         for pos in positions(t):
             assert replace_at(t, pos, subterm_at(t, pos)) is t
-
-
-def test_compare_parallel_total_order_on_siblings():
-    t = app(F3, [a, b, g])
-    ps = [p for p in positions(t) if p]
-    for i, p in enumerate(ps):
-        for q in ps[i + 1 :]:
-            assert compare_parallel(p, q) is ParallelOrder.BEFORE
-            assert compare_parallel(q, p) is ParallelOrder.AFTER
-
-
-def test_compare_parallel_strict_total_order_randomized():
-    def is_prefix(p, q):
-        return len(p) <= len(q) and q[: len(p)] == p
-
-    rng = random.Random(13)
-    for _ in range(300):
-        t = _random_term(rng, 5)
-        ps = positions(t)
-        for p in ps:
-            for q in ps:
-                order = compare_parallel(p, q)
-                if is_prefix(p, q) or is_prefix(q, p):
-                    assert order is ParallelOrder.NOT_PARALLEL
-                elif order is ParallelOrder.BEFORE:
-                    assert compare_parallel(q, p) is ParallelOrder.AFTER
-                else:
-                    assert order is ParallelOrder.AFTER
-                    assert compare_parallel(q, p) is ParallelOrder.BEFORE
 
 
 @st.composite
