@@ -11,13 +11,13 @@ from typing import Optional
 
 from .system import Ptrs
 from .terms import (
-    App,
     Position,
     Substitution,
     Term,
     Var,
     apply_subst,
     pos_to_str,
+    positions,
     rename_vars,
     replace_at,
     subterm_at,
@@ -61,27 +61,15 @@ def critical_overlaps(system: Ptrs) -> list[Overlap]:
             if isinstance(inner.lhs, Var):
                 continue
             inner_lhs = rename_vars(inner.lhs, RENAME_SUFFIX)
-            for pos in _nonvar_positions(outer.lhs):
-                if i == j and pos == ():
+            for pos in positions(outer.lhs):
+                sub = subterm_at(outer.lhs, pos)
+                if isinstance(sub, Var) or (i == j and pos == ()):
                     continue
-                sigma = unify(subterm_at(outer.lhs, pos), inner_lhs)
+                sigma = unify(sub, inner_lhs)
                 if sigma is not None:
                     found.append(Overlap(i, j, pos, sigma))
     found.sort(key=lambda o: (o.outer_index, o.inner_index, len(o.position), o.position))
     return found
-
-
-def _nonvar_positions(t: Term) -> list[Position]:
-    acc: list[Position] = []
-    stack: list[tuple[Term, Position]] = [(t, ())]
-    while stack:
-        u, pos = stack.pop()
-        if isinstance(u, App):
-            acc.append(pos)
-            for k, a in enumerate(u.args):
-                stack.append((a, pos + (k + 1,)))
-    acc.sort(key=lambda p: (len(p), p))
-    return acc
 
 
 def _var_occurrences(t: Term) -> Counter[str]:

@@ -13,6 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 from .system import MultiDistribution, Ptrs
@@ -20,7 +21,6 @@ from .terms import (
     Position,
     Substitution,
     Term,
-    Var,
     app,
     apply_subst,
     match,
@@ -132,41 +132,41 @@ class SimGroup:
 
 
 def _walk_redexes(system: Ptrs, t: Term, innermost_only: bool):
-    """Yield (position, node, rule index, substitution) for every redex.
+    """Yield (position, node, rule index, substitution) for every redex, in
+    (position, rule index) order: a pre-order walk, children left to right,
+    meets positions in lexicographic order.
 
-    Normal-form subtrees are skipped wholesale (their status is cached on
-    the system), which keeps enumeration linear in the non-normal spine
-    even when the term is a huge shared DAG. The innermost filter inspects
-    the node's direct children, never re-walking from the root.
+    Normal-form subtrees (variables among them) are skipped wholesale (their
+    status is cached on the system), which keeps enumeration linear in the
+    non-normal spine even when the term is a huge shared DAG. The innermost
+    filter inspects the node's direct children, never re-walking from the
+    root.
     """
     stack: list[tuple[Term, Position]] = [(t, ())]
     while stack:
         u, pos = stack.pop()
         if system.is_normal_form(u):
             continue
-        if not innermost_only or all(system.is_normal_form(a) for a in u.args):
+        args = u.args
+        if not innermost_only or all(system.is_normal_form(a) for a in args):
             for idx, rule in system.rules_at_root(u):
                 sigma = match(rule.lhs, u)
                 if sigma is not None:
                     yield pos, u, idx, sigma
-        if not isinstance(u, Var):
-            for k, a in enumerate(u.args):
-                stack.append((a, pos + (k + 1,)))
+        for k in range(len(args), 0, -1):
+            stack.append((args[k - 1], pos + (k,)))
 
 
 def redexes(system: Ptrs, t: Term) -> list[Redex]:
     """All redexes of t, ordered by (position, rule index); positions compare
     as tuples, so the order is leftmost-outermost."""
-    found = [Redex(pos, idx, sigma) for pos, _, idx, sigma in _walk_redexes(system, t, False)]
-    found.sort(key=lambda r: (r.position, r.rule_index))
-    return found
+    return [Redex(pos, idx, sigma) for pos, _, idx, sigma in _walk_redexes(system, t, False)]
 
 
 def innermost_redexes(system: Ptrs, t: Term) -> list[Redex]:
-    """Redexes whose proper subterms are all in normal form."""
-    found = [Redex(pos, idx, sigma) for pos, _, idx, sigma in _walk_redexes(system, t, True)]
-    found.sort(key=lambda r: (r.position, r.rule_index))
-    return found
+    """Redexes whose proper subterms are all in normal form, ordered by
+    (position, rule index)."""
+    return [Redex(pos, idx, sigma) for pos, _, idx, sigma in _walk_redexes(system, t, True)]
 
 
 # A descent rule is a policy's choice at one non-normal node u, made from u
@@ -177,16 +177,8 @@ Pick = Union[int, tuple[int, Substitution]]
 Descent = Callable[[Ptrs, Term], Pick]
 
 
-def _root_match(system: Ptrs, u: Term) -> Optional[tuple[int, Substitution]]:
-    for idx, rule in system.rules_at_root(u):
-        sigma = match(rule.lhs, u)
-        if sigma is not None:
-            return idx, sigma
-    return None
-
-
 def _innermost_match(system: Ptrs, u: Term) -> tuple[int, Substitution]:
-    found = _root_match(system, u)
+    found = system.root_match(u)
     if found is None:
         raise InvalidRedex("term has no redex")
     return found
@@ -205,7 +197,7 @@ def _leftmost_outermost(system: Ptrs, u: Term) -> Pick:
     """A rule matching at u first: an ancestor position precedes everything
     inside it, so the first match on the leftmost non-normal path is the
     position-lexicographic minimum."""
-    found = _root_match(system, u)
+    found = system.root_match(u)
     if found is not None:
         return found
     return _leftmost_innermost(system, u)
@@ -272,33 +264,55 @@ def nth_redex(system: Ptrs, t: Term, k: int) -> Redex:
 
 
 def leftmost_innermost_moves(system: Ptrs, t: Term) -> list[Redex]:
-    """Innermost redexes at the leftmost innermost position only.
-
-    Innermost positions are pairwise parallel, so plain tuple order agrees
-    with the left-to-right order on parallel positions; several rules may
-    remain at the one minimal position.
-    """
-    inner = innermost_redexes(system, t)
-    if not inner:
+    """Innermost redexes at the leftmost innermost position only, in rule
+    order; several rules may match there. The position is found by descent,
+    not by listing every innermost redex."""
+    if system.is_normal_form(t):
         return []
-    best = min(r.position for r in inner)
-    return [r for r in inner if r.position == best]
+    pos = descend(system, t, _leftmost_innermost).position
+    u = subterm_at(t, pos)
+    found = []
+    for idx, rule in system.rules_at_root(u):
+        sigma = match(rule.lhs, u)
+        if sigma is not None:
+            found.append(Redex(pos, idx, sigma))
+    return found
 
 
 def step(system: Ptrs, t: Term, redex: Redex) -> MultiDistribution:
-    """Apply one probabilistic rewrite step at the given redex. The result
-    carries the rule's branch weights over ``system.branch_den``; they were
-    checked where they entered (see ``MultiDistribution``)."""
+    """Apply one probabilistic rewrite step at the given redex, re-matching
+    its rule there. The result carries the rule's branch weights over
+    ``system.branch_den``; they were checked where they entered (see
+    ``MultiDistribution``)."""
     rule = system.rules[redex.rule_index]
-    sub = subterm_at(t, redex.position)
-    sigma = match(rule.lhs, sub)
+    sigma = match(rule.lhs, subterm_at(t, redex.position))
     if sigma is None:
         raise InvalidRedex(
             f"rule {redex.rule_index} does not match at {redex.position}"
         )
+    return _contract(system, (redex.rule_index, sigma, partial(replace_at, t, redex.position)))
+
+
+# A move: the rule index, the substitution σ, and the placement, which puts
+# the instantiated right-hand side into the term (at one position, or at
+# every chosen occurrence of a simultaneous group's instance).
+Move = tuple[int, Substitution, Callable[[Term], Term]]
+
+
+def _contract(
+    system: Ptrs, move: Move, x: Optional[float] = None
+) -> Union[MultiDistribution, Term]:
+    """A move's successor distribution: each right-hand side term of its
+    rule, instantiated by σ and placed, with the rule's weights over
+    ``system.branch_den``. Given a uniform draw x in [0,1), only the
+    successor of the branch x selects, built alone."""
+    idx, sigma, place = move
+    rule = system.rules[idx]
+    if x is not None:
+        return place(apply_subst(rule.rhs.terms[rule.pick_branch(x)], sigma))
     return MultiDistribution.of_weights(
-        system.branch_weights[redex.rule_index],
-        tuple(replace_at(t, redex.position, apply_subst(r, sigma)) for r in rule.rhs.terms),
+        system.branch_weights[idx],
+        tuple([place(apply_subst(r, sigma)) for r in rule.rhs.terms]),
         system.branch_den,
     )
 
@@ -345,57 +359,27 @@ def sim_step(
     none are given): branch j replaces all of them by the j-th right-hand
     side instance (merged, not a product).
     """
-    chosen = _checked_positions(t, group, chosen_positions)
-    return _sim_dist(system, t, group.rule_index, group.subst, group.instance, chosen)
+    place = _group_placement(system, t, group, chosen_positions)
+    return _contract(system, (group.rule_index, group.subst, place))
 
 
-def _checked_positions(
-    t: Term, group: SimGroup, chosen_positions: Optional[Sequence[Position]]
-) -> Optional[tuple[Position, ...]]:
-    """The chosen positions, checked against t; None when they are every
-    occurrence of the instance in t, the group's own term."""
-    if chosen_positions is None and group.term is t:
-        return None
-    chosen = tuple(chosen_positions) if chosen_positions is not None else group.positions
-    if not chosen or not set(chosen) <= set(group.positions):
-        raise InvalidGroup(f"positions {chosen} are not a non-empty subset of the group")
-    for pos in chosen:
-        if subterm_at(t, pos) is not group.instance:
-            raise InvalidGroup(f"stale group: instance changed at {pos}")
-    if group.term is t and len(set(chosen)) == len(group.positions):
-        return None
-    return chosen
-
-
-def _sim_dist(
-    system: Ptrs,
-    t: Term,
-    rule_index: int,
-    sigma: Substitution,
-    instance: Term,
-    chosen: Optional[Sequence[Position]],
-) -> MultiDistribution:
-    rule = system.rules[rule_index]
-    return MultiDistribution.of_weights(
-        system.branch_weights[rule_index],
-        tuple(
-            _rewrite_group(system, t, instance, chosen, apply_subst(r, sigma))
-            for r in rule.rhs.terms
-        ),
-        system.branch_den,
-    )
-
-
-def _rewrite_group(
-    system: Ptrs,
-    t: Term,
-    instance: Term,
-    chosen: Optional[Sequence[Position]],
-    replacement: Term,
-) -> Term:
-    if chosen is None:
-        return _replace_instance(system, t, instance, replacement)
-    return _replace_all(t, chosen, replacement)
+def _group_placement(
+    system: Ptrs, t: Term, group: SimGroup, chosen_positions: Optional[Sequence[Position]]
+) -> Callable[[Term], Term]:
+    """The placement of a group's move on t: every occurrence of the
+    instance in one pass when no positions are chosen, or the chosen are
+    every occurrence in t, the group's own term; otherwise the chosen
+    positions, checked against t, one at a time."""
+    if chosen_positions is not None or group.term is not t:
+        chosen = tuple(chosen_positions) if chosen_positions is not None else group.positions
+        if not chosen or not set(chosen) <= set(group.positions):
+            raise InvalidGroup(f"positions {chosen} are not a non-empty subset of the group")
+        for pos in chosen:
+            if subterm_at(t, pos) is not group.instance:
+                raise InvalidGroup(f"stale group: instance changed at {pos}")
+        if group.term is not t or len(set(chosen)) < len(group.positions):
+            return partial(_replace_all, t, chosen)
+    return partial(_replace_instance, system, t, group.instance)
 
 
 def _replace_instance(system: Ptrs, t: Term, instance: Term, replacement: Term) -> Term:
@@ -445,17 +429,6 @@ class Policy:
         non-simultaneous strategy, or None when the pick is not made that
         way (it depends on state, or on the whole term)."""
         return None
-
-    def group_descent(self, strategy: Strategy) -> Optional[Descent]:
-        """Under a simultaneous strategy, the descent rule whose redex is
-        this policy's pick, its group being every occurrence of that
-        instance; None when the group is picked from the list of all
-        groups (``pick_group``). It is the policy's descent rule under the
-        plain strategy: ``first``'s least (first position, rule index) of
-        any group is the least redex, leftmost-outermost under par and
-        leftmost-innermost under ipar, and ``rightmost``'s greatest last
-        position is the greatest redex position, innermost under both."""
-        return self.descent(strategy.plain) if strategy.simultaneous else None
 
     def choose(self, system: Ptrs, t: Term, strategy: Strategy) -> Redex:
         """The move this policy takes on a non-normal-form term under a
@@ -595,9 +568,7 @@ def entry_step(
     system: Ptrs, t: Term, strategy: Strategy, policy: Policy
 ) -> MultiDistribution:
     """One policy-resolved step on a single non-normal-form term."""
-    if strategy.simultaneous:
-        return _sim_dist(system, t, *_sim_move(system, t, strategy, policy))
-    return step(system, t, policy.choose(system, t, strategy))
+    return _contract(system, _move(system, t, strategy, policy))
 
 
 def sample_step(
@@ -605,33 +576,35 @@ def sample_step(
 ) -> Term:
     """The successor ``entry_step`` would give for a uniform draw x in [0,1):
     the policy's move is chosen first and only the sampled branch is built."""
-    if strategy.simultaneous:
-        idx, sigma, instance, chosen = _sim_move(system, t, strategy, policy)
-        rule = system.rules[idx]
-        rhs = rule.rhs.terms[rule.pick_branch(x)]
-        return _rewrite_group(system, t, instance, chosen, apply_subst(rhs, sigma))
-    redex = policy.choose(system, t, strategy)
-    rule = system.rules[redex.rule_index]
-    rhs = rule.rhs.terms[rule.pick_branch(x)]
-    return replace_at(t, redex.position, apply_subst(rhs, redex.subst))
+    return _contract(system, _move(system, t, strategy, policy), x)
 
 
-def _sim_move(
-    system: Ptrs, t: Term, strategy: Strategy, policy: Policy
-) -> tuple[int, Substitution, Term, Optional[tuple[Position, ...]]]:
-    """The policy's simultaneous move on t: rule index, substitution,
-    instance, and the positions to rewrite, None for every occurrence. A
-    policy with a group descent finds the instance along one path; any
-    other picks from the list of all groups."""
-    rule = policy.group_descent(strategy)
-    if rule is not None:
-        redex = descend(system, t, rule)
-        return redex.rule_index, redex.subst, subterm_at(t, redex.position), None
-    groups = simultaneous_groups(
-        system, t, innermost_only=strategy is Strategy.INNERMOST_SIMULTANEOUS
-    )
-    group, chosen = policy.pick_group(t, groups)
-    return group.rule_index, group.subst, group.instance, _checked_positions(t, group, chosen)
+def _move(system: Ptrs, t: Term, strategy: Strategy, policy: Policy) -> Move:
+    """The policy's move on a non-normal-form term t.
+
+    Under ``full``/``i``/``li`` it is the redex ``policy.choose`` picks,
+    placed at its position. Under ``par``/``ipar`` it is a group: every
+    occurrence of one redex instance, or the occurrences a script row names.
+    A policy with a descent rule under the plain strategy finds the instance
+    along one path, because that rule's redex belongs to the group the
+    policy picks: ``first``'s least (first position, rule index) of any group
+    is the least redex, leftmost-outermost under par and leftmost-innermost
+    under ipar, and ``rightmost``'s greatest last position is the greatest
+    redex position, innermost under both. Any other policy picks from the
+    list of all groups."""
+    if not strategy.simultaneous:
+        redex = policy.choose(system, t, strategy)
+        return redex.rule_index, redex.subst, partial(replace_at, t, redex.position)
+    rule = policy.descent(strategy.plain)
+    if rule is None:
+        groups = simultaneous_groups(
+            system, t, innermost_only=strategy is Strategy.INNERMOST_SIMULTANEOUS
+        )
+        group, chosen = policy.pick_group(t, groups)
+        return group.rule_index, group.subst, _group_placement(system, t, group, chosen)
+    redex = descend(system, t, rule)
+    instance = subterm_at(t, redex.position)
+    return redex.rule_index, redex.subst, partial(_replace_instance, system, t, instance)
 
 
 def lift_step(
@@ -690,8 +663,9 @@ def memo_step(
     The rule's pick in a node that descends into child k is the pick in that
     child, so the node's step is the child's with every branch put back under
     the node's root symbol and the same weights. The walk goes down to the
-    first memoised subterm or to the redex, which ``step`` contracts as
-    usual, then builds back up one level at a time, memoising every level."""
+    first memoised subterm or to the redex, which is contracted in place
+    with the substitution the rule matched there, then builds back up one
+    level at a time, memoising every level."""
     path: list[tuple[Term, int]] = []
     u = t
     dist = memo.get(u)
@@ -702,7 +676,7 @@ def memo_step(
             u = u.args[found - 1]
             dist = memo.get(u)
         else:
-            dist = memo[u] = step(system, u, Redex((), *found))
+            dist = memo[u] = _contract(system, (*found, partial(replace_at, u, ())))
     weights, den = dist.weights, dist.den
     for parent, k in reversed(path):
         sym, head, tail = parent.symbol, parent.args[: k - 1], parent.args[k:]

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from .props import duplicated_vars
 from .rewriting import redexes, step
 from .system import Ptrs
-from .terms import App, Position, Symbol, Term, Var, app, pos_to_str, term_to_str
+from .terms import Position, Symbol, Term, Var, app, pos_to_str, term_to_str
 
 ArgSlot = tuple[Symbol, int]  # (defined symbol, 0-based argument index)
 
@@ -30,22 +30,7 @@ class SpareVerdict(enum.Enum):
 
 def is_constructor_system(system: Ptrs) -> bool:
     """Every lhs is a defined symbol applied to constructor terms."""
-    defined = {s.name for s in system.defined_symbols}
-
-    def constructor_only(t: Term) -> bool:
-        stack = [t]
-        while stack:
-            u = stack.pop()
-            if isinstance(u, App):
-                if u.symbol.name in defined:
-                    return False
-                stack.extend(u.args)
-        return True
-
-    return all(
-        isinstance(r.lhs, App) and all(constructor_only(a) for a in r.lhs.args)
-        for r in system.rules
-    )
+    return all(system.is_basic(rule.lhs) for rule in system.rules)
 
 
 def taint_analysis(system: Ptrs) -> Optional[dict[ArgSlot, bool]]:

@@ -14,7 +14,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .terms import App, Symbol, Term, Var, match, term_to_str
+from .terms import App, Substitution, Symbol, Term, Var, match, term_to_str
 
 WeightedTerm = tuple[Fraction, Term]
 
@@ -223,8 +223,14 @@ class Ptrs:
             return []
         return self._rules_by_root.get((t.symbol.name, t.symbol.arity), [])
 
-    def root_match(self, t: Term) -> bool:
-        return any(match(rule.lhs, t) is not None for _, rule in self.rules_at_root(t))
+    def root_match(self, t: Term) -> Optional[tuple[int, Substitution]]:
+        """The lowest-indexed rule matching at t's root and its substitution,
+        or None when no rule matches there."""
+        for idx, rule in self.rules_at_root(t):
+            sigma = match(rule.lhs, t)
+            if sigma is not None:
+                return idx, sigma
+        return None
 
     def validate(self) -> list[str]:
         """All rule-level violations; an empty list means the system is valid."""
@@ -294,7 +300,7 @@ class Ptrs:
             if not all(cache[a] for a in u.args):
                 cache[u] = False
             else:
-                cache[u] = not self.root_match(u)
+                cache[u] = self.root_match(u) is None
         return cache[t]
 
     def redex_count(self, t: Term) -> int:

@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CORPUS, load_system, random_system, random_term
+from conftest import (
+    CORPUS,
+    CORPUS_STARTS,
+    DEFAULT_SYMBOLS,
+    load_system,
+    random_system,
+    random_term,
+)
 from pastlift.fmt import parse_term
 from pastlift.rewriting import (
     FirstMove,
@@ -64,6 +71,59 @@ def test_leftmost_innermost_moves():
     s4 = load_system("s4")
     found = leftmost_innermost_moves(s4, t("s4", "f(a,b)"))
     assert [(r.position, r.rule_index) for r in found] == [((1,), 0), ((1,), 1)]
+
+
+def corpus_and_random_terms():
+    """Every corpus start and its one-step successors, then random terms
+    (some with variables) of conftest random systems, over each system's own
+    signature where it has a constant, so that every rule can fire."""
+    for name, text in CORPUS_STARTS.items():
+        system = load_system(name)
+        start = t(name, text)
+        yield system, start
+        for redex in redexes(system, start):
+            for u in step(system, start, redex).terms:
+                yield system, u
+    rng = random.Random(47)
+    for _ in range(1500):
+        system = random_system(rng)
+        symbols = tuple(system.signature.values())
+        if not any(sym.arity == 0 for sym in symbols):
+            symbols = DEFAULT_SYMBOLS
+        vars_ = ("x",) if rng.random() < 0.2 else ()
+        yield system, random_term(rng, 5, vars_=vars_, symbols=symbols)
+
+
+def test_redex_lists_come_out_in_position_then_rule_order():
+    checked = 0
+    for system, term in corpus_and_random_terms():
+        for found in (redexes(system, term), innermost_redexes(system, term)):
+            keys = [(r.position, r.rule_index) for r in found]
+            assert keys == sorted(keys), keys
+            checked += len(keys) > 1
+    assert checked > 100
+
+
+def reference_leftmost_innermost_moves(system, term):
+    """The innermost redexes at the least innermost position, found by
+    listing every innermost redex (the enumeration the descent replaced)."""
+    inner = innermost_redexes(system, term)
+    if not inner:
+        return []
+    best = min(r.position for r in inner)
+    return [r for r in inner if r.position == best]
+
+
+def test_leftmost_innermost_moves_match_the_innermost_listing():
+    checked = 0
+    for system, term in corpus_and_random_terms():
+        got = leftmost_innermost_moves(system, term)
+        want = reference_leftmost_innermost_moves(system, term)
+        assert [(r.position, r.rule_index, r.subst) for r in got] == [
+            (r.position, r.rule_index, r.subst) for r in want
+        ]
+        checked += len(want) > 1
+    assert checked > 50
 
 
 def test_step_examples():

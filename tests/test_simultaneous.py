@@ -299,19 +299,18 @@ def test_first_and_rightmost_pick_the_group_of_the_plain_descent_redex():
                 continue
             for policy in (FirstMove(), RightmostFirst()):
                 assert policy.descent(strategy) is None
-                rule = policy.group_descent(strategy)
-                assert rule is policy.descent(strategy.plain)
+                rule = policy.descent(strategy.plain)
                 group, chosen = policy.pick_group(term, groups)
                 redex = descend(system, term, rule)
                 assert chosen is None
                 assert group.instance is subterm_at(term, redex.position)
                 assert group.rule_index == redex.rule_index
                 checked += 1
-    assert FirstMove().group_descent(PAR) is rewriting._leftmost_outermost
-    assert FirstMove().group_descent(IPAR) is rewriting._leftmost_innermost
-    assert RightmostFirst().group_descent(PAR) is rewriting._rightmost_innermost
-    assert RightmostFirst().group_descent(IPAR) is rewriting._rightmost_innermost
-    assert RandomSeeded(0).group_descent(PAR) is None
+    assert FirstMove().descent(PAR.plain) is rewriting._leftmost_outermost
+    assert FirstMove().descent(IPAR.plain) is rewriting._leftmost_innermost
+    assert RightmostFirst().descent(PAR.plain) is rewriting._rightmost_innermost
+    assert RightmostFirst().descent(IPAR.plain) is rewriting._rightmost_innermost
+    assert RandomSeeded(0).descent(PAR.plain) is None
     assert checked > 5000
 
 

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from conftest import load_system
+from conftest import CORPUS, load_system, random_system
 from pastlift.fmt import parse_term
 from pastlift.rewriting import redexes, step
 from pastlift.spareness import (
@@ -13,7 +15,7 @@ from pastlift.spareness import (
     taint_analysis,
 )
 from pastlift.system import ProbRule, Ptrs, singleton
-from pastlift.terms import Symbol, app, term_to_str, var
+from pastlift.terms import App, Symbol, app, term_to_str, var
 from pastlift.transform import union_with_generators
 
 
@@ -55,6 +57,36 @@ def test_taint_not_applicable_for_non_constructor_systems():
     assert not is_constructor_system(system)
     assert taint_analysis(system) is None
     assert prove_spare(system) is SpareVerdict.UNKNOWN
+
+
+def reference_is_constructor_system(system):
+    """Every left-hand side is an application whose arguments contain no
+    defined symbol, by name: the walk ``is_basic`` replaced."""
+    defined = {s.name for s in system.defined_symbols}
+
+    def constructor_only(t):
+        stack = [t]
+        while stack:
+            u = stack.pop()
+            if isinstance(u, App):
+                if u.symbol.name in defined:
+                    return False
+                stack.extend(u.args)
+        return True
+
+    return all(
+        isinstance(r.lhs, App) and all(constructor_only(a) for a in r.lhs.args)
+        for r in system.rules
+    )
+
+
+def test_is_constructor_system_matches_the_lhs_walk():
+    systems = [load_system(name) for name in CORPUS]
+    rng = random.Random(5)
+    systems += [random_system(rng) for _ in range(500)]
+    verdicts = [is_constructor_system(system) for system in systems]
+    assert verdicts == [reference_is_constructor_system(system) for system in systems]
+    assert 50 < sum(verdicts) < len(systems) - 50
 
 
 def test_taint_monotone_under_rule_addition():
