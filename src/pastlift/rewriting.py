@@ -279,6 +279,80 @@ def leftmost_innermost_moves(system: Ptrs, t: Term) -> list[Redex]:
     return found
 
 
+# A move listed by a successor table: (position, rule index, σ, the step's
+# successor distribution, as ``step`` gives it).
+TableMove = tuple[Position, int, Substitution, MultiDistribution]
+
+
+class SuccessorTable:
+    """Every move of every term asked about, memoised by distinct subterm for
+    the table's lifetime (one call of the analysis that builds it).
+
+    A subterm's moves are its own root matches in rule order, followed by the
+    moves of each non-normal child, children left to right, lifted under the
+    subterm: full rewriting's, in the order of ``redexes``. With
+    ``innermost`` a subterm has its own matches only when all its children
+    are normal forms, which gives ``innermost_redexes``. Lifting a child's
+    move builds one parent node per branch, so a subterm's moves cost its
+    own matches plus one node per lifted branch, however deep it is."""
+
+    __slots__ = ("system", "innermost", "_moves")
+
+    def __init__(self, system: Ptrs, innermost: bool):
+        self.system = system
+        self.innermost = innermost
+        self._moves: dict[Term, list[TableMove]] = {}
+
+    def moves(self, t: Term) -> list[TableMove]:
+        table = self._moves
+        got = table.get(t)
+        if got is not None:
+            return got
+        nf = self.system.is_normal_form
+        if nf(t):
+            return []
+        # children before parents, without recursion: terms may be deep
+        stack = [t]
+        while stack:
+            u = stack[-1]
+            if u in table:
+                stack.pop()
+                continue
+            pending = [a for a in u.args if a not in table and not nf(a)]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            table[u] = self._build(u)
+        return table[t]
+
+    def _build(self, u: Term) -> list[TableMove]:
+        system, table = self.system, self._moves
+        nf = system.is_normal_form
+        found: list[TableMove] = []
+        args = u.args
+        if not self.innermost or all(nf(a) for a in args):
+            for idx, rule in system.rules_at_root(u):
+                sigma = match(rule.lhs, u)
+                if sigma is not None:
+                    dist = _contract(system, (idx, sigma, partial(replace_at, u, ())))
+                    found.append(((), idx, sigma, dist))
+        for k, a in enumerate(args, 1):
+            if not nf(a):
+                for pos, idx, sigma, dist in table[a]:
+                    found.append(((k,) + pos, idx, sigma, lift_under(u, k, dist)))
+        return found
+
+
+def lift_under(parent: Term, k: int, dist: MultiDistribution) -> MultiDistribution:
+    """A step of parent's k-th child as a step of parent: each branch put in
+    the child's place, with the same weights."""
+    sym, head, tail = parent.symbol, parent.args[: k - 1], parent.args[k:]
+    return MultiDistribution.of_weights(
+        dist.weights, tuple([app(sym, head + (s,) + tail) for s in dist.terms]), dist.den
+    )
+
+
 def step(system: Ptrs, t: Term, redex: Redex) -> MultiDistribution:
     """Apply one probabilistic rewrite step at the given redex, re-matching
     its rule there. The result carries the rule's branch weights over
@@ -661,11 +735,10 @@ def memo_step(
     only for the subterms on the pick's path that ``memo`` has not seen.
 
     The rule's pick in a node that descends into child k is the pick in that
-    child, so the node's step is the child's with every branch put back under
-    the node's root symbol and the same weights. The walk goes down to the
-    first memoised subterm or to the redex, which is contracted in place
-    with the substitution the rule matched there, then builds back up one
-    level at a time, memoising every level."""
+    child, so the node's step is the child's lifted under it (``lift_under``).
+    The walk goes down to the first memoised subterm or to the redex, which
+    is contracted in place with the substitution the rule matched there,
+    then builds back up one level at a time, memoising every level."""
     path: list[tuple[Term, int]] = []
     u = t
     dist = memo.get(u)
@@ -677,12 +750,8 @@ def memo_step(
             dist = memo.get(u)
         else:
             dist = memo[u] = _contract(system, (*found, partial(replace_at, u, ())))
-    weights, den = dist.weights, dist.den
     for parent, k in reversed(path):
-        sym, head, tail = parent.symbol, parent.args[: k - 1], parent.args[k:]
-        dist = memo[parent] = MultiDistribution.of_weights(
-            weights, tuple(app(sym, head + (s,) + tail) for s in dist.terms), den
-        )
+        dist = memo[parent] = lift_under(parent, k, dist)
     return dist
 
 

@@ -18,8 +18,8 @@ from .rewriting import (
     INNERMOST_DESCENTS,
     Policy,
     Strategy,
+    SuccessorTable,
     coalesce,
-    innermost_redexes,
     leftmost_innermost_moves,
     lift_step,
     sample_step,
@@ -110,6 +110,10 @@ def adversarial_lower_bound(
     Backward induction (Puterman, *Markov Decision Processes*, 1994, ch. 4).
     A forward pass lists, for each k < depth, the distinct non-normal terms
     reachable in exactly k steps, building each term's moves once per call.
+    Under ``i`` the moves come from one innermost ``SuccessorTable``, so a
+    term's moves are its child's lifted under its root, and a chain like
+    g^j(0) costs a few nodes per term instead of a walk down its spine;
+    under ``li`` they are the moves at the leftmost innermost position.
     A backward pass then computes, layer by layer from the deepest,
     V_n(t) = min over admissible moves of the branch-weighted V_{n-1}, where
     a normal form is worth 1 and V_0 is 0 on every other term. A rewrite
@@ -126,9 +130,14 @@ def adversarial_lower_bound(
     if memo_cap < 0:
         raise ValueError("memo cap must be non-negative")
     if strategy is Strategy.INNERMOST:
-        moves_of = innermost_redexes
+        table = SuccessorTable(system, innermost=True)
+
+        def moves_of(t: Term) -> list[MultiDistribution]:
+            return [dist for _, _, _, dist in table.moves(t)]
     elif strategy is Strategy.LEFTMOST_INNERMOST:
-        moves_of = leftmost_innermost_moves
+
+        def moves_of(t: Term) -> list[MultiDistribution]:
+            return [step(system, t, r) for r in leftmost_innermost_moves(system, t)]
     else:
         raise ValueError("adversarial bound supports innermost strategies only")
     nf = system.is_normal_form
@@ -151,9 +160,7 @@ def adversarial_lower_bound(
         for t in layer:
             moves = transitions.get(t)
             if moves is None:
-                moves = transitions[t] = [
-                    step(system, t, redex) for redex in moves_of(system, t)
-                ]
+                moves = transitions[t] = moves_of(t)
             for mu in moves:
                 following.update(s for s in mu.terms if not nf(s))
         layer = following

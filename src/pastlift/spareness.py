@@ -6,6 +6,12 @@ every step reachable from a basic start term is spare. Spareness is
 undecidable, so we implement our own sound taint fixpoint over defined-symbol
 argument positions and, in the other direction, a breadth-first search for a
 reachable non-spare step.
+
+The search lists each term's moves from one successor table per call, keyed
+by distinct subterm and shared by all start terms, and it searches only the
+starts that some rule matches at the root. Every other basic start is a
+normal form (its arguments are constructor terms), so it has no step to be,
+or lead to, a non-spare one.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .props import duplicated_vars
-from .rewriting import redexes, step
+from .rewriting import SuccessorTable
 from .system import Ptrs
 from .terms import Position, Symbol, Term, Var, app, pos_to_str, term_to_str
 
@@ -134,18 +140,6 @@ class SparenessCounterexample:
         return "\n".join(lines)
 
 
-def _violation(system: Ptrs, t: Term, redex) -> Optional[str]:
-    rule = system.rules[redex.rule_index]
-    dups: set[str] = set()
-    for branch in rule.rhs.support():
-        dups.update(duplicated_vars(branch))
-    for name in sorted(dups):
-        image = redex.subst.get(name)
-        if image is not None and not system.is_normal_form(image):
-            return name
-    return None
-
-
 def falsify_spare(
     system: Ptrs, depth: int, starts: Sequence[Term]
 ) -> Optional[SparenessCounterexample]:
@@ -154,48 +148,61 @@ def falsify_spare(
     Explores every redex and every probability branch (probabilities are
     irrelevant to spareness, branches are plain nondeterminism). Start terms
     are tried in order, so the first counterexample is deterministic.
+
+    Every start is checked to be basic. One full-rewriting
+    ``SuccessorTable`` serves all starts, so a term met from many starts has
+    its moves built once, and each rule's duplicated variables are found
+    once. A start that no rule matches at its root is skipped: its arguments
+    are constructor terms and so normal forms, which makes the start a
+    normal form with no step. Skipping it changes neither the first
+    counterexample, nor its start, nor its trace.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     for start in starts:
         if not system.is_basic(start):
             raise ValueError(f"start term {term_to_str(start)} is not basic")
+    table = SuccessorTable(system, innermost=False)
+    # per rule, the variables some right-hand side duplicates, in name order
+    dups = [
+        sorted(set().union(*(duplicated_vars(r) for r in rule.rhs.terms)))
+        for rule in system.rules
+    ]
     for start in starts:
-        found = _falsify_from(system, depth, start)
+        if system.root_match(start) is None:
+            continue
+        found = _falsify_from(system, table, dups, depth, start)
         if found is not None:
             return found
     return None
 
 
 def _falsify_from(
-    system: Ptrs, depth: int, start: Term
+    system: Ptrs, table: SuccessorTable, dups: list[list[str]], depth: int, start: Term
 ) -> Optional[SparenessCounterexample]:
+    nf = system.is_normal_form
     # queue entries carry the trace of steps that led to the term
     queue: list[tuple[Term, list[TraceStep]]] = [(start, [])]
     seen = {start}
     for _ in range(depth):
         next_queue: list[tuple[Term, list[TraceStep]]] = []
         for t, trace in queue:
-            for redex in redexes(system, t):
-                bad = _violation(system, t, redex)
-                if bad is not None:
-                    full = trace + [TraceStep(t, redex.position, redex.rule_index, 0)]
-                    return SparenessCounterexample(
-                        start_term=start,
-                        step_trace=full,
-                        violating_step=len(full) - 1,
-                        duplicated_variable=bad,
-                    )
-                branches = step(system, t, redex)
-                for branch_index, successor in enumerate(branches.terms):
+            for pos, idx, sigma, dist in table.moves(t):
+                for name in dups[idx]:
+                    image = sigma.get(name)
+                    if image is not None and not nf(image):
+                        full = trace + [TraceStep(t, pos, idx, 0)]
+                        return SparenessCounterexample(
+                            start_term=start,
+                            step_trace=full,
+                            violating_step=len(full) - 1,
+                            duplicated_variable=name,
+                        )
+                for branch_index, successor in enumerate(dist.terms):
                     if successor not in seen:
                         seen.add(successor)
                         next_queue.append(
-                            (
-                                successor,
-                                trace
-                                + [TraceStep(t, redex.position, redex.rule_index, branch_index)],
-                            )
+                            (successor, trace + [TraceStep(t, pos, idx, branch_index)])
                         )
         queue = next_queue
         if not queue:

@@ -212,6 +212,7 @@ class Ptrs:
         )
         self._nf_cache: dict[Term, bool] = {}
         self._count_cache: dict[Term, int] = {}
+        self._defined_cache: dict[Term, bool] = {}
 
     @property
     def is_trivial(self) -> bool:
@@ -332,18 +333,34 @@ class Ptrs:
         return cache[t]
 
     def is_basic(self, t: Term) -> bool:
-        """Defined root symbol applied to constructor-only arguments."""
-        if isinstance(t, Var) or t.symbol not in self.defined_symbols:
+        """Defined root symbol applied to constructor-only arguments. Whether
+        an argument holds a defined symbol is cached per system, so each
+        distinct argument is walked once however many starts share it."""
+        if isinstance(t, Var):
             return False
+        sym = t.symbol  # defined exactly when some left-hand side has it at the root
+        if (sym.name, sym.arity) not in self._rules_by_root:
+            return False
+        cache = self._defined_cache
+        for a in t.args:
+            got = cache.get(a)
+            if got is None:
+                got = cache[a] = self._holds_defined(a)
+            if got:
+                return False
+        return True
+
+    def _holds_defined(self, t: Term) -> bool:
+        """Some symbol of t is defined, by name."""
         defined_names = self._defined_names
-        stack = list(t.args)
+        stack = [t]
         while stack:
             u = stack.pop()
             if isinstance(u, App):
                 if u.symbol.name in defined_names:
-                    return False
+                    return True
                 stack.extend(u.args)
-        return True
+        return False
 
     def nf_mass(self, mu: MultiDistribution) -> Fraction:
         nf = self.is_normal_form

@@ -69,6 +69,8 @@ DEFAULT_SYMBOLS = (
     Symbol("b", 0),
 )
 DEFAULT_VARS = ("x", "y", "z")
+# the symbols a random system may use: the defaults and its constant g0
+SIGNATURE_SYMBOLS = DEFAULT_SYMBOLS + (Symbol("g0", 0),)
 
 
 def random_term(rng: random.Random, max_depth: int = 4, vars_=DEFAULT_VARS,
@@ -88,9 +90,10 @@ def random_probs(rng: random.Random, k: int) -> list[Fraction]:
     return [Fraction(w, total) for w in weights]
 
 
-def random_system(rng: random.Random, max_rules: int = 3) -> Ptrs:
+def random_system(rng: random.Random, max_rules: int = 3, symbols=DEFAULT_SYMBOLS) -> Ptrs:
     """A small valid PTRS: non-variable left-hand sides, right-hand side
-    variables contained in the left, probabilities summing to one."""
+    variables contained in the left, probabilities summing to one.
+    Right-hand sides are drawn over ``symbols``."""
     defined = [Symbol("f", 2), Symbol("h", 1), Symbol("g0", 0)]
     rules = []
     for _ in range(rng.randint(1, max_rules)):
@@ -102,7 +105,7 @@ def random_system(rng: random.Random, max_rules: int = 3) -> Ptrs:
         probs = random_probs(rng, k)
         branches = []
         for p in probs:
-            rhs = random_term(rng, max_depth=3, vars_=lhs_vars or ("unused",))
+            rhs = random_term(rng, max_depth=3, vars_=lhs_vars or ("unused",), symbols=symbols)
             if not rhs.vars <= lhs.vars:  # drop loose variables, keep it valid
                 rhs = app(Symbol("a", 0))
             branches.append((p, rhs))

@@ -1,7 +1,17 @@
 import pytest
 
 from conftest import load_system
-from pastlift.analyzer import Prop, analyze, analyze_nonprob, parse_prop_token
+from pastlift.analyzer import (
+    FALSIFY_ARG_DEPTH,
+    FALSIFY_DEPTH,
+    FALSIFY_START_CAP,
+    Prop,
+    analyze,
+    analyze_nonprob,
+    parse_prop_token,
+)
+from pastlift.fmt import parse
+from pastlift.spareness import default_basic_starts, falsify_spare
 from pastlift.system import MultiDistribution, ProbRule, Ptrs
 from pastlift.terms import Symbol, app, var
 
@@ -186,3 +196,31 @@ def test_spare_unknown_blocks_thm20_with_advisory_falsifier():
 def test_overlay_open_problem_note():
     report = analyze(load_system("s4"))
     assert any("open problem" in note for note in report.notes)
+
+
+def test_falsifier_start_cap_counts_skipped_starts():
+    """``analyze`` searches the first ``FALSIFY_START_CAP`` enumerated basic
+    starts, and the starts the falsifier skips (no rule matches at the root)
+    count toward them. Here all but 16 starts are skipped, and the only
+    counterexample starts from ``zz``, the 2,212th start, which a cap on
+    searched starts only would reach."""
+    system = parse(
+        """(VAR x)
+        (RULES
+          dup(x) -> {1: c(x,x)}
+          f(o,o,o) -> {1: o}
+          h -> {1: o}
+          zz -> {1: dup(h)}
+        )
+        (CONSTRUCTORS s/1)"""
+    )
+    starts = default_basic_starts(system, FALSIFY_ARG_DEPTH)
+    matched = [t for t in starts if system.root_match(t) is not None]
+    assert len(starts) == 2212 and len(matched) == 16
+    cex = falsify_spare(system, FALSIFY_DEPTH, starts)
+    assert cex.start_term is starts[-1] and starts.index(cex.start_term) > FALSIFY_START_CAP
+    report = analyze(system, scope="basic")
+    assert report.spare_evidence == (
+        f"no non-spare step found up to depth {FALSIFY_DEPTH} from basic "
+        f"start terms of argument depth <= {FALSIFY_ARG_DEPTH}"
+    )

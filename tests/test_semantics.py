@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import CORPUS_STARTS, load_system, random_system, random_term
-from pastlift import runsim, terms
+from pastlift import rewriting, runsim, terms
 from pastlift.fmt import parse_file, parse_term
 from pastlift.rewriting import (
     INNERMOST_DESCENTS,
@@ -314,6 +314,53 @@ def test_adversary_matches_the_recursive_reference_and_its_memo_cap():
             assert_adversary_matches_reference(system, start, strategy, rng.randint(0, 4))
         compared += not system.is_normal_form(start)
     assert compared > 500
+
+
+def test_adversary_matches_the_recursive_reference_on_the_corpus():
+    for name, text in CORPUS_STARTS.items():
+        for strategy in (Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST):
+            for depth in (1, 6):
+                start = t(name, text)
+                bound, _ = reference_adversary(load_system(name), start, strategy, depth)
+                got = adversarial_lower_bound(load_system(name), start, strategy, depth)
+                assert got == bound, (name, strategy, depth)
+
+
+def count_app_calls(monkeypatch):
+    """Count the terms built, interned or not, by the rewriting layer and by
+    the term operations it calls."""
+    counter = {"calls": 0}
+    real = terms.app
+
+    def counted(symbol, args=()):
+        counter["calls"] += 1
+        return real(symbol, args)
+
+    for module in (terms, rewriting):
+        monkeypatch.setattr(module, "app", counted)
+    return counter
+
+
+def test_innermost_adversary_builds_linearly_many_terms_along_a_chain(monkeypatch):
+    """From g(0), srw2's innermost adversary meets g^j(0) for every j up to
+    the depth. Each term's one move is its child's lifted under it, so the
+    moves of the whole chain cost a few terms per link; stepping each term
+    through its spine costs a term per level, quadratic in the depth. srw2
+    has one innermost move per term, so the bound is the mass the one
+    policy reaches."""
+    srw2 = load_system("srw2")
+    start = t("srw2", "g(0)")
+    counter = count_app_calls(monkeypatch)
+    built = {}
+    for depth in (100, 200, 400):
+        counter["calls"] = 0
+        bound = adversarial_lower_bound(srw2, start, Strategy.INNERMOST, depth)
+        built[depth] = counter["calls"]
+        if depth < 400:
+            unfolded = unfold_exact(srw2, start, Strategy.INNERMOST, first, depth, coalesce_states=True)
+            assert bound == unfolded.lower_bound
+    assert built[100] <= 5 * 100
+    assert built[200] <= 2.1 * built[100] and built[400] <= 2.1 * built[200]
 
 
 def naive_innermost_moves(system, term, leftmost):

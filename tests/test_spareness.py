@@ -1,12 +1,16 @@
 import random
+from collections import Counter
 
 import pytest
 
-from conftest import CORPUS, load_system, random_system
+from conftest import CORPUS, SIGNATURE_SYMBOLS, load_system, random_system, random_term
 from pastlift.fmt import parse_term
+from pastlift.props import duplicated_vars
 from pastlift.rewriting import redexes, step
 from pastlift.spareness import (
+    SparenessCounterexample,
     SpareVerdict,
+    TraceStep,
     default_basic_starts,
     falsify_spare,
     ground_constructor_terms,
@@ -193,5 +197,104 @@ def test_spare_soundness_against_falsifier_on_corpus():
     for name in ("srw", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s2bar", "s2prime"):
         system = load_system(name)
         if prove_spare(system) is SpareVerdict.SPARE:
-            starts = default_basic_starts(system, 3, cap=200)
+            starts = default_basic_starts(system, 3)
             assert falsify_spare(system, 6, starts) is None, name
+
+
+def reference_falsify(system, depth, starts, fired=None):
+    """The exhaustive search: every start, in order, breadth first, every
+    redex of every term by ``redexes`` and each stepped by ``step``; a
+    redex is checked before it is stepped. ``fired`` counts the rule
+    indices stepped."""
+    for start in starts:
+        queue = [(start, [])]
+        seen = {start}
+        for _ in range(depth):
+            next_queue = []
+            for t, trace in queue:
+                for redex in redexes(system, t):
+                    rule = system.rules[redex.rule_index]
+                    dups = set()
+                    for branch in rule.rhs.support():
+                        dups.update(duplicated_vars(branch))
+                    for name in sorted(dups):
+                        image = redex.subst.get(name)
+                        if image is not None and not system.is_normal_form(image):
+                            full = trace + [TraceStep(t, redex.position, redex.rule_index, 0)]
+                            return SparenessCounterexample(start, full, len(full) - 1, name)
+                    if fired is not None:
+                        fired[redex.rule_index] += 1
+                    for k, successor in enumerate(step(system, t, redex).terms):
+                        if successor not in seen:
+                            seen.add(successor)
+                            trace_step = TraceStep(t, redex.position, redex.rule_index, k)
+                            next_queue.append((successor, trace + [trace_step]))
+            queue = next_queue
+            if not queue:
+                break
+    return None
+
+
+def test_falsifier_matches_the_exhaustive_search_on_the_corpus():
+    """Same verdict, start, trace and duplicated variable as searching every
+    start and every redex, at depths 1-8 and argument depths 0-3 (s5 up to
+    2: at 3 it has 2,008,009 starts). An argument depth that adds no start
+    (srw's and s6's only starts are constants) is searched once."""
+    found = 0
+    for name in CORPUS + ["srw2"]:
+        system = load_system(name)
+        searched = []
+        for arg_depth in range(3 if name == "s5" else 4):
+            starts = default_basic_starts(system, arg_depth)
+            if starts in searched:
+                continue
+            searched.append(starts)
+            for depth in range(1, 9):
+                want = reference_falsify(system, depth, starts)
+                assert falsify_spare(system, depth, starts) == want, (name, arg_depth, depth)
+                found += want is not None
+    assert found > 40
+
+
+def with_non_spare_bait(rng, system):
+    """The system and two more rules: one duplicating the argument of a
+    defined symbol (both arguments of ``f(x,x)`` or ``f(x,y)``, or ``h``'s),
+    and one rewriting ``g0`` to the left-hand side instantiated by ground
+    terms over the system's signature, which may hold redexes for the
+    duplication to copy."""
+    head = rng.choice([Symbol("f", 2), Symbol("h", 1)])
+    names = rng.choice([("x", "x"), ("x", "y")])[: head.arity]
+    lhs = app(head, [var(n) for n in names])
+    v = var(rng.choice(sorted(lhs.vars)))
+    ground = {n: random_term(rng, 3, vars_=(), symbols=SIGNATURE_SYMBOLS) for n in sorted(set(names))}
+    feed = app(head, [ground[n] for n in names])
+    return Ptrs(system.rules + (
+        ProbRule(lhs, singleton(app(Symbol("c", 2), [v, v]))),
+        ProbRule(app(Symbol("g0", 0)), singleton(feed)),
+    ))
+
+
+def test_falsifier_matches_the_exhaustive_search_on_random_systems():
+    """Random systems, non-left-linear ones among them, whose right-hand
+    sides are drawn over their own signature, so ``g0`` rules fire too; half
+    of them carry rules that make a non-spare step likely."""
+    rng = random.Random(83)
+    found = non_left_linear_found = 0
+    fired = Counter()
+    for _ in range(600):
+        system = random_system(rng, symbols=SIGNATURE_SYMBOLS)
+        if rng.random() < 0.5:
+            system = with_non_spare_bait(rng, system)
+        starts = default_basic_starts(system, rng.randint(0, 2))
+        depth = rng.randint(1, 5)
+        counts = Counter()
+        want = reference_falsify(system, depth, starts, counts)
+        assert falsify_spare(system, depth, starts) == want
+        found += want is not None
+        if want is not None and any(duplicated_vars(rule.lhs) for rule in system.rules):
+            non_left_linear_found += 1
+        for idx, n in counts.items():
+            fired[system.rules[idx].lhs.symbol.name] += n
+    assert 100 < found < 500
+    assert non_left_linear_found > 20
+    assert min(fired["g0"], fired["f"], fired["h"]) > 500
