@@ -217,6 +217,15 @@ def _rightmost_innermost(system: Ptrs, u: Term) -> Pick:
 # descent rules whose pick at a node changes only when a child becomes normal
 INNERMOST_DESCENTS = (_leftmost_innermost, _rightmost_innermost)
 
+# An index rule is a policy's choice under full rewriting made from the
+# number n of the term's redexes alone: the index, in [0, n), of the redex
+# it takes in ``redexes`` order.
+IndexPick = Callable[[int], int]
+
+
+def _first_index(n: int) -> int:
+    return 0
+
 
 def descend(system: Ptrs, t: Term, rule: Descent) -> Redex:
     """The redex a descent rule picks in a non-normal-form term, in time
@@ -423,20 +432,6 @@ def simultaneous_groups(
     return groups
 
 
-def sim_step(
-    system: Ptrs,
-    t: Term,
-    group: SimGroup,
-    chosen_positions: Optional[Sequence[Position]] = None,
-) -> MultiDistribution:
-    """Rewrite every chosen position of the group at once (all of them when
-    none are given): branch j replaces all of them by the j-th right-hand
-    side instance (merged, not a product).
-    """
-    place = _group_placement(system, t, group, chosen_positions)
-    return _contract(system, (group.rule_index, group.subst, place))
-
-
 def _group_placement(
     system: Ptrs, t: Term, group: SimGroup, chosen_positions: Optional[Sequence[Position]]
 ) -> Callable[[Term], Term]:
@@ -504,14 +499,24 @@ class Policy:
         way (it depends on state, or on the whole term)."""
         return None
 
+    def redex_index(self, strategy: Strategy) -> Optional[IndexPick]:
+        """The rule that makes this policy's pick by index among all of a
+        term's redexes, or None when the pick is not made that way. Only
+        full rewriting has such rules: its admissible moves are ``redexes``."""
+        return None
+
     def choose(self, system: Ptrs, t: Term, strategy: Strategy) -> Redex:
         """The move this policy takes on a non-normal-form term under a
         non-simultaneous strategy: by descent where the policy has a descent
-        rule, otherwise by enumerating every admissible move and deferring
-        to ``pick_redex``. Either way it must agree with ``pick_redex``."""
+        rule, else by index where it has an index rule, otherwise by
+        enumerating every admissible move and deferring to ``pick_redex``.
+        Each way must agree with ``pick_redex``."""
         rule = self.descent(strategy)
         if rule is not None:
             return descend(system, t, rule)
+        index = self.redex_index(strategy)
+        if index is not None:
+            return nth_redex(system, t, index(system.redex_count(t)))
         return self.pick_redex(t, admissible_moves(system, t, strategy))
 
     def pick_redex(self, t: Term, moves: Sequence[Redex]) -> Redex:
@@ -538,6 +543,10 @@ class FirstMove(Policy):
         if strategy is Strategy.FULL:
             return _leftmost_outermost
         return None if strategy.simultaneous else _leftmost_innermost
+
+    def redex_index(self, strategy: Strategy) -> Optional[IndexPick]:
+        # leftmost-outermost, lowest rule: the first of redexes()
+        return _first_index if strategy is Strategy.FULL else None
 
     def pick_redex(self, t: Term, moves: Sequence[Redex]) -> Redex:
         return moves[0]
@@ -572,11 +581,9 @@ class RandomSeeded(Policy):
         self.rng = random.Random(seed)
         self.name = f"random:{seed}"
 
-    def choose(self, system: Ptrs, t: Term, strategy: Strategy) -> Redex:
-        if strategy is Strategy.FULL:
-            # the same draw as pick_redex over all len(redexes) moves
-            return nth_redex(system, t, self.rng.randrange(system.redex_count(t)))
-        return super().choose(system, t, strategy)
+    def redex_index(self, strategy: Strategy) -> Optional[IndexPick]:
+        # the same draw as pick_redex over all len(redexes) moves
+        return self.rng.randrange if strategy is Strategy.FULL else None
 
     def pick_redex(self, t: Term, moves: Sequence[Redex]) -> Redex:
         return moves[self.rng.randrange(len(moves))]

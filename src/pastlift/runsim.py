@@ -1,14 +1,18 @@
-"""Sampled runs under an innermost descent rule, as a zipper.
+"""Sampled runs as zippers: under an innermost descent rule, and under full
+rewriting for a policy that picks a redex by its index.
 
 A run keeps the hash-consed term open at its current redex (Huet, "The
 Zipper", JFP 1997): a frame ``(parent, k, ...)`` per ancestor, the open
-subterm being the parent's k-th argument. Going down follows the descent
-rule. While the open subterm is a normal form, its frame is popped and the
-parent rebuilt around it with ``app``, and the same rule is asked from there,
-never from the root. For a rule in ``rewriting.INNERMOST_DESCENTS`` every
-frame left on the stack still picks its child, so a step costs its contractum
-plus one interned parent per argument that becomes normal, not the term's
-depth.
+subterm being the parent's k-th argument. Closing a frame rebuilds the
+parent around the open subterm with ``app``. Neither loop re-descends from
+the root or rebuilds the path to it on every step.
+
+**Innermost descent rules** (``run_innermost_first``). Going down follows the
+descent rule. While the open subterm is a normal form, its frame is popped
+and the same rule is asked from the parent, never from the root. For a rule
+in ``rewriting.INNERMOST_DESCENTS`` every frame left on the stack still picks
+its child, so a step costs its contractum plus one interned parent per
+argument that becomes normal, not the term's depth.
 
 The same property makes the normalisation of a slot (the start term, or an
 argument the run descends into) one contiguous segment of the run, fixed by
@@ -27,6 +31,26 @@ step by a single-branch rule, and a skipped segment, draw nothing but owe
 their draws; the owed draws are paid, in bounded chunks, just before the next
 draw whose value picks a branch, so every such draw reads the generator in the
 same state as before. A run that ends while owing pays nothing.
+
+**Full rewriting by redex index** (``run_full_by_index``). A policy whose
+pick is an index into the term's redexes in ``rewriting.redexes`` order
+(``first`` takes 0, ``random`` a uniform draw) needs only the redex counts
+of the subterms: a node's own root matches come first, then each child's
+redexes, children left to right, so the frames carry the order statistic
+(CLRS, ch. 14, OS-SELECT). A frame also holds the index of its parent's
+first redex in the whole term and the parent's count minus its open child's,
+and the run keeps the whole term's count. A step closes frames until the
+open subterm holds the picked index, goes down by the cached child counts,
+contracts, and adds the change of the open subterm's count to the total.
+An ancestor's own matches can change only when the contraction is at a
+non-variable position of one of its symbol's left-hand sides, or when one
+of those is not left-linear (it compares whole arguments); exactly those
+ancestors are closed and recounted at once. So a step costs its contractum
+plus the cursor's move from the last redex to the next one, up to their
+common ancestor and down again, with one interned parent per level climbed
+out of a changed subterm. The move is measured, not constant: ``first``'s
+next redex is mostly near the last one, but a ``random`` pick lands anywhere,
+so on a chain such as ``g(g(...))`` its move grows with the depth.
 """
 
 from __future__ import annotations
@@ -34,9 +58,9 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .rewriting import Descent
+from .rewriting import Descent, IndexPick
 from .system import Ptrs
-from .terms import Term, app, apply_subst
+from .terms import Position, Term, Var, app, apply_subst, match
 
 Memo = dict[Term, tuple[Term, int]]
 
@@ -51,6 +75,15 @@ def _pay(rng: random.Random, owed: int) -> None:
         rng.getrandbits(64 * _CHUNK)
         owed -= _CHUNK
     rng.getrandbits(64 * owed)
+
+
+def _plug(parent: Term, k: int, u: Term) -> Term:
+    """Close the frame (parent, k) around u: parent with u as its k-th
+    argument, interned, or parent itself when u already is."""
+    args = parent.args
+    if args[k - 1] is u:
+        return parent
+    return app(parent.symbol, args[: k - 1] + (u,) + args[k:])
 
 
 def run_innermost_first(
@@ -87,7 +120,7 @@ def run_innermost_first(
             args = parent.args
             if draws == pushed_draws:
                 memo[args[k - 1]] = (u, steps - pushed_steps)
-            u = app(parent.symbol, args[: k - 1] + (u,) + args[k:])
+            u = _plug(parent, k, u)
         if steps == step_cap:
             return False, step_cap
         found = rule(system, u)
@@ -121,3 +154,111 @@ def run_innermost_first(
             draws += 1
             u = apply_subst(branches[contracted.pick_branch(rng.random())], sigma)
         steps += 1
+
+
+SymbolKey = tuple[str, int]
+
+
+def _rematch_sites(system: Ptrs) -> tuple[dict[SymbolKey, set[Position]], int, set[SymbolKey]]:
+    """Where a change below a node can change the node's own matches: for
+    each root symbol, as (name, arity), the non-variable positions below the
+    root of its left-hand sides, and the greatest length among them; and the
+    symbols with a left-hand side that is not left-linear."""
+    sites: dict[SymbolKey, set[Position]] = {}
+    longest = 0
+    nonlinear: set[SymbolKey] = set()
+    for rule in system.rules:
+        lhs = rule.lhs
+        if isinstance(lhs, Var):
+            continue
+        key = (lhs.symbol.name, lhs.symbol.arity)
+        found = sites.setdefault(key, set())
+        seen: set[str] = set()
+        stack: list[tuple[Term, Position]] = [(lhs, ())]
+        while stack:
+            u, pos = stack.pop()
+            if isinstance(u, Var):
+                if u.name in seen:
+                    nonlinear.add(key)
+                seen.add(u.name)
+                continue
+            if pos:
+                found.add(pos)
+                longest = max(longest, len(pos))
+            stack.extend((a, pos + (k,)) for k, a in enumerate(u.args, 1))
+    return sites, longest, nonlinear
+
+
+def run_full_by_index(
+    system: Ptrs, start: Term, pick: IndexPick, rng: random.Random, step_cap: int
+) -> tuple[bool, int]:
+    """Simulate one run under full rewriting; returns (reached normal form,
+    steps taken). Each step takes the redex ``pick(n)`` among the term's n
+    redexes, in ``rewriting.redexes`` order, and draws its branch with one
+    ``rng.random()``."""
+    count = system.redex_count
+    note = system.note_count
+    sites, longest, nonlinear = _rematch_sites(system)
+    # (parent, k, the index of parent's first redex in the whole term,
+    # parent's count minus its k-th argument's)
+    frames: list[tuple[Term, int, int, int]] = []
+    u, lo = start, 0  # the open subterm, and the index of its first redex
+    n = total = count(start)  # the open subterm's redexes, and the term's
+    for steps in range(step_cap):
+        if not total:
+            return True, steps
+        x = rng.random()
+        r = pick(total)
+        while not lo <= r < lo + n:
+            parent, k, lo, rest = frames.pop()
+            n += rest
+            u = _plug(parent, k, u)
+            note(u, n)
+        # down to the subterm whose own matches hold r, by the children's
+        # counts, right to left: each child's redexes end where the next
+        # one's begin. Every frame of a symbol in nonlinear is closed after
+        # each contraction, so the outermost one left is pushed here.
+        pinned = -1
+        while True:
+            args = u.args
+            end = lo + n
+            for k in range(len(args), 0, -1):
+                c = count(args[k - 1])
+                end -= c
+                if c and r >= end:
+                    break
+            else:
+                break
+            if pinned < 0 and nonlinear and (u.symbol.name, u.symbol.arity) in nonlinear:
+                pinned = len(frames)
+            frames.append((u, k, lo, n - c))
+            u, lo, n = args[k - 1], end, c
+        j = r - lo
+        for _, rule in system.rules_at_root(u):
+            sigma = match(rule.lhs, u)
+            if sigma is not None:
+                if not j:
+                    break
+                j -= 1
+        u = apply_subst(rule.rhs.terms[rule.pick_branch(x)], sigma)
+        c = count(u)
+        total += c - n
+        n = c
+        # close and recount every ancestor whose own matches may have changed
+        close = len(frames) - pinned if pinned >= 0 else 0
+        path: Position = ()
+        for d in range(1, min(longest, len(frames)) + 1):
+            parent, k, _, _ = frames[-d]
+            path = (k,) + path
+            if path in sites.get((parent.symbol.name, parent.symbol.arity), ()):
+                close = max(close, d)
+        for _ in range(close):
+            parent, k, lo, rest = frames.pop()
+            u = _plug(parent, k, u)
+            c = sum(map(count, u.args))
+            for _, rule in system.rules_at_root(u):
+                c += match(rule.lhs, u) is not None
+            note(u, c)
+            total += c - (n + rest)
+            n = c
+    return not total, step_cap

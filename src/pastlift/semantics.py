@@ -238,9 +238,11 @@ def mc_estimate(
         rng = random.Random(f"{seed}:{i}")
         if rule in INNERMOST_DESCENTS:
             return runsim.run_innermost_first(system, start, rule, rng, step_cap, memo)
-        return _run_generic(
-            system, start, strategy, policy.clone_for_run(f"{seed}:{i}:policy"), rng, step_cap
-        )
+        own = policy.clone_for_run(f"{seed}:{i}:policy")
+        index = own.redex_index(strategy)
+        if index is not None:
+            return runsim.run_full_by_index(system, start, index, rng, step_cap)
+        return _run_generic(system, start, strategy, own, rng, step_cap)
 
     outcomes = [one_run(i) for i in range(samples)]
 

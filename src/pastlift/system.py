@@ -307,13 +307,13 @@ class Ptrs:
     def redex_count(self, t: Term) -> int:
         """Number of redexes of t, one per (position, matching rule). Cached
         per system for terms that are not normal forms (those count 0)."""
-        if self.is_normal_form(t):
-            return 0
-        nf = self._nf_cache  # now holds every subterm of t
         cache = self._count_cache
         got = cache.get(t)
         if got is not None:
             return got
+        if self.is_normal_form(t):
+            return 0
+        nf = self._nf_cache  # now holds every subterm of t
         stack = [t]
         while stack:
             u = stack[-1]
@@ -331,6 +331,14 @@ class Ptrs:
                     n += 1
             cache[u] = n
         return cache[t]
+
+    def note_count(self, t: Term, n: int) -> None:
+        """Cache n as t's redex count, for a caller that counted t from its
+        own root matches and its arguments' counts, all of which must be
+        cached already; t is a normal form exactly when n is 0."""
+        self._nf_cache[t] = not n
+        if n:
+            self._count_cache[t] = n
 
     def is_basic(self, t: Term) -> bool:
         """Defined root symbol applied to constructor-only arguments. Whether

@@ -1,17 +1,20 @@
-"""Shared fixtures: the bundled example systems, random-instance generators,
-and the acceptance-criteria summary printed at the end of a run."""
+"""Shared fixtures: the bundled example systems, a reference simultaneous
+step, random-instance generators, and the acceptance-criteria summary printed
+at the end of a run."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional, Sequence
 
 import pytest
 
 from pastlift.fmt import parse_file
+from pastlift.rewriting import SimGroup, _contract, _group_placement
 from pastlift.system import MultiDistribution, ProbRule, Ptrs
-from pastlift.terms import Symbol, Term, app, var
+from pastlift.terms import Position, Symbol, Term, app, var
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -56,6 +59,17 @@ CORPUS_STARTS = {
 @pytest.fixture
 def corpus():
     return {name: load_system(name) for name in CORPUS}
+
+
+def sim_step(
+    system: Ptrs, t: Term, group: SimGroup, chosen_positions: Optional[Sequence[Position]] = None
+) -> MultiDistribution:
+    """A simultaneous step's whole distribution, the reference the tests
+    compare against: every chosen position of the group (all of them when
+    none are given) rewritten at once, branch j replacing all of them by the
+    j-th right-hand side instance (merged, not a product)."""
+    place = _group_placement(system, t, group, chosen_positions)
+    return _contract(system, (group.rule_index, group.subst, place))
 
 
 # --- random instance generation (used by the bulk randomized suites) ---

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import load_system, random_system, random_term, record_acceptance
+from conftest import load_system, random_system, random_term, record_acceptance, sim_step
 from pastlift.analyzer import analyze, analyze_nonprob
 from pastlift.cli import main as cli_main
 from pastlift.fmt import parse, parse_term
@@ -38,7 +38,6 @@ from pastlift.rewriting import (
     leftmost_innermost_moves,
     lift_step,
     redexes,
-    sim_step,
     simultaneous_groups,
     step,
 )

@@ -11,6 +11,7 @@ from conftest import (
     load_system,
     random_system,
     random_term,
+    sim_step,
 )
 from pastlift.fmt import parse_term
 from pastlift.rewriting import (
@@ -30,7 +31,6 @@ from pastlift.rewriting import (
     leftmost_innermost_moves,
     lift_step,
     redexes,
-    sim_step,
     simultaneous_groups,
     step,
 )

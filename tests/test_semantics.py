@@ -3,8 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CORPUS_STARTS, load_system, random_system, random_term
-from pastlift import rewriting, runsim, terms
+from conftest import (
+    CORPUS_STARTS,
+    SIGNATURE_SYMBOLS,
+    SYSTEMS_DIR,
+    load_system,
+    random_probs,
+    random_system,
+    random_term,
+    sim_step,
+)
+from pastlift import rewriting, runsim, semantics, terms
 from pastlift.fmt import parse_file, parse_term
 from pastlift.rewriting import (
     INNERMOST_DESCENTS,
@@ -20,7 +29,6 @@ from pastlift.rewriting import (
     innermost_redexes,
     leftmost_innermost_moves,
     lift_step,
-    sim_step,
     step,
 )
 from pastlift.semantics import (
@@ -31,14 +39,18 @@ from pastlift.semantics import (
     mc_estimate,
     unfold_exact,
 )
-from pastlift.system import MultiDistribution, singleton
+from pastlift.props import duplicated_vars
+from pastlift.system import MultiDistribution, ProbRule, Ptrs, singleton
 from pastlift.terms import (
+    Symbol,
+    app,
     apply_subst,
     match,
     positions,
     replace_at,
     subterm_at,
     term_to_str,
+    var,
 )
 
 half = Fraction(1, 2)
@@ -603,6 +615,18 @@ RECORDED_MC = [
     (('s1', 'g', 'i', 'rightmost', 40, 250, 2), (40, 1.0, 0.0, 6.7)),
     (('s1', 'g', 'li', 'random:2', 40, 250, 2), (40, 1.0, 0.0, 6.7)),
     (('s1', 'g', 'li', 'rightmost', 40, 250, 2), (40, 1.0, 0.0, 6.7)),
+    # full-rewriting runs picked by redex index, recorded with the generic
+    # sampler: caps that open deep frames, and a non-left-linear start on s3
+    (('srw', 'g', 'full', 'first', 50, 2000, 5), (48, 0.96, 0.04, 30.916666666666668)),
+    (('srw', 'g', 'full', 'random:3', 50, 2000, 5), (48, 0.96, 0.04, 30.916666666666668)),
+    (('srw2', 'g(0)', 'full', 'first', 50, 2000, 5), (48, 0.96, 0.04, 30.916666666666668)),
+    (('srw2', 'g(0)', 'full', 'random:3', 50, 2000, 5), (48, 0.96, 0.04, 30.916666666666668)),
+    (('s1', 'g', 'full', 'first', 30, 400, 5), (11, 0.36666666666666664, 0.6333333333333333, 2.909090909090909)),
+    (('s1', 'g', 'full', 'random:3', 30, 400, 5), (12, 0.4, 0.6, 2.25)),
+    (('s6', 'g', 'full', 'first', 30, 250, 5), (30, 1.0, 0.0, 9.2)),
+    (('s6', 'g', 'full', 'random:3', 30, 250, 5), (16, 0.5333333333333333, 0.4666666666666667, 11.3125)),
+    (('s3', 'f(a,a)', 'full', 'first', 30, 400, 5), (0, 0.0, 1.0, None)),
+    (('s3', 'f(a,a)', 'full', 'random:3', 30, 400, 5), (30, 1.0, 0.0, 6.366666666666666)),
 ]
 
 
@@ -654,7 +678,7 @@ def reference_run(system, start, strategy, policy, rng, step_cap):
 
 def test_sampled_runs_match_the_reference_sampler_on_random_systems():
     rng = random.Random(53)
-    compared = zipped = 0
+    compared = zipped = indexed = 0
     for case in range(3000):
         system = random_system(rng)
         start = random_term(rng, 4, vars_=())
@@ -683,10 +707,19 @@ def test_sampled_runs_match_the_reference_sampler_on_random_systems():
                         )
                         assert fast == expected, (case, strategy, spec, i)
                         zipped += 1
+                    index = policy.clone_for_run(run_seed + ":policy").redex_index(strategy)
+                    if index is not None and rule not in INNERMOST_DESCENTS:
+                        fast = runsim.run_full_by_index(
+                            system, start, index, random.Random(run_seed), 25
+                        )
+                        assert fast == expected, (case, strategy, spec, i)
+                        indexed += 1
                     compared += 1
     assert compared > 6000
     # first under i/li and rightmost under full/i/li
     assert zipped > 2000
+    # first and random under full
+    assert indexed > 800
 
 
 # corpus runs long enough to open deep frames in runsim's zipper, which the
@@ -721,6 +754,167 @@ def test_innermost_runs_match_the_generic_sampler_on_the_corpus():
     # first under i/li and rightmost under full/i/li, on every corpus start
     assert pairs == 5 * len(CORPUS_RUNS)
     assert deepest == 300
+
+
+def full_index_runs(system, start, spec, run_seed, step_cap):
+    """One full-rewriting run under a policy with an index rule, from the
+    same seeds by ``_run_generic`` and by ``runsim.run_full_by_index``."""
+    policy = make_policy(spec)
+    expected = _run_generic(
+        system, start, Strategy.FULL, policy.clone_for_run(run_seed + ":policy"),
+        random.Random(run_seed), step_cap,
+    )
+    index = policy.clone_for_run(run_seed + ":policy").redex_index(Strategy.FULL)
+    got = runsim.run_full_by_index(system, start, index, random.Random(run_seed), step_cap)
+    return expected, got
+
+
+# starts under a non-left-linear root f(x,x): a step below it can change
+# whether it matches, so the index sampler re-matches it after every step
+NONLINEAR_RUNS = [("s2", "f(a,a)"), ("s3", "f(a,a)"), ("s5", "f(a,a)")]
+
+# left-hand sides with non-variable positions two deep, at 1.2 and at 2.2
+# but not at 2.1: a step at 1.2 can make an f above it match, or stop it
+# matching, and one at 2.1 cannot
+DEEP_LHS = """
+(VAR x y)
+(RULES
+  f(c(x,a),y) -> {1/2: f(c(y,b),x), 1/2: x}
+  f(y,c(x,a)) -> {1: f(x,c(b,y))}
+  b -> {1/3: a, 2/3: c(b,a)}
+)
+"""
+
+
+def test_full_index_runs_match_the_generic_sampler_on_the_corpus():
+    deepest = {}
+    for name, text in CORPUS_RUNS + NONLINEAR_RUNS:
+        system = load_system(name)
+        start = t(name, text)
+        for spec in ("first", "random:4"):
+            for i in range(6):
+                expected, got = full_index_runs(system, start, spec, f"{name}:{i}", 250)
+                assert got == expected, (name, spec, i)
+                deepest[name] = max(deepest.get(name, 0), expected[1])
+    assert max(deepest.values()) == 250
+    assert all(deepest[name] == 250 for name, _ in NONLINEAR_RUNS)
+    deep = parse_file(DEEP_LHS).system
+    start = parse_term("c(f(c(b,b),c(b,b)),f(c(b,b),c(b,b)))", deep)
+    for spec in ("first", "random:4"):
+        for i in range(30):
+            expected, got = full_index_runs(deep, start, spec, f"deep:{i}", 60)
+            assert got == expected, ("deep", spec, i)
+
+
+def with_nonlinear_rule(rng, system):
+    """The system and one more rule, ``f(x,x)`` to random right-hand sides
+    over the signature, and a start ``f(s,s)`` for it with a random ground s:
+    random left-hand sides are almost never non-left-linear, and random
+    starts almost never repeat an argument."""
+    x = var("x")
+    probs = random_probs(rng, rng.randint(1, 3))
+    rhs = MultiDistribution(
+        [(p, random_term(rng, 3, vars_=("x",), symbols=SIGNATURE_SYMBOLS)) for p in probs]
+    )
+    f = Symbol("f", 2)
+    s = random_term(rng, 3, vars_=(), symbols=SIGNATURE_SYMBOLS)
+    return Ptrs(system.rules + (ProbRule(app(f, [x, x]), rhs),)), app(f, [s, s])
+
+
+def test_full_index_runs_match_the_generic_sampler_on_random_systems(monkeypatch):
+    """Starts over the default symbols, as the suites above draw them, and
+    over each system's own signature, whose constant g0 heads rules that
+    default-symbol starts never fire; every other system also gets a
+    non-left-linear rule and a start it matches."""
+    fired = []
+    real = ProbRule.pick_branch
+
+    def spy(rule, x):
+        fired.append(rule)
+        return real(rule, x)
+
+    monkeypatch.setattr(ProbRule, "pick_branch", spy)
+    rng = random.Random(61)
+    compared = g0_runs = nonlinear_runs = 0
+    for case in range(1000):
+        system = random_system(rng)
+        starts = [
+            random_term(rng, 4, vars_=()),
+            random_term(rng, 4, vars_=(), symbols=SIGNATURE_SYMBOLS),
+        ]
+        if case % 2:
+            system, start = with_nonlinear_rule(rng, system)
+            starts.append(start)
+        for start in starts:
+            if system.is_normal_form(start):
+                continue
+            for spec in ("first", f"random:{case}"):
+                for i in range(3):
+                    fired.clear()
+                    expected, got = full_index_runs(system, start, spec, f"{case}:{i}", 25)
+                    assert got == expected, (case, term_to_str(start), spec, i)
+                    compared += 1
+                    g0_runs += any(rule.lhs.symbol.name == "g0" for rule in fired)
+                    nonlinear_runs += any(duplicated_vars(rule.lhs) for rule in fired)
+    assert compared > 4000
+    assert g0_runs > 1500
+    assert nonlinear_runs > 2000
+
+
+def test_full_index_runs_cache_what_a_fresh_system_computes(monkeypatch):
+    """Every redex count and normal-form verdict the index sampler leaves in
+    the system's caches, and every count it notes there, is the one a
+    system with empty caches computes for the same term."""
+    noted = []
+    real = Ptrs.note_count
+
+    def spy(system, u, n):
+        noted.append((u, n))
+        real(system, u, n)
+
+    monkeypatch.setattr(Ptrs, "note_count", spy)
+    checked = 0
+    for name, text in CORPUS_RUNS + NONLINEAR_RUNS:
+        system = parse_file((SYSTEMS_DIR / f"{name}.ptrs").read_text()).system
+        start = parse_term(text, system)
+        noted.clear()
+        for spec in ("first", "random:5"):
+            mc_estimate(system, start, Strategy.FULL, make_policy(spec), 6, 250, seed=6)
+        fresh = Ptrs(system.rules, system.extra_constructors)
+        for u, n in noted:
+            assert fresh.redex_count(u) == n, (name, term_to_str(u))
+        for u, verdict in system._nf_cache.items():
+            assert fresh.is_normal_form(u) == verdict, (name, term_to_str(u))
+        for u, n in system._count_cache.items():
+            assert fresh.redex_count(u) == n, (name, term_to_str(u))
+        checked += len(noted)
+    # parents closed by count; those re-matched are counted afresh instead
+    assert checked > 1000
+
+
+class GenericReached(Exception):
+    pass
+
+
+def test_only_policies_without_a_fast_path_reach_the_generic_sampler(monkeypatch):
+    def refuse(*args):
+        raise GenericReached
+
+    monkeypatch.setattr(semantics, "_run_generic", refuse)
+    srw = load_system("srw")
+    g = t("srw", "g")
+    for policy in (FirstMove(), RandomSeeded(1)):
+        mc_estimate(srw, g, Strategy.FULL, policy, 20, 300, seed=1)
+    script = Scripted([ScriptEntry(g, 0, ((),))])
+    generic = [(strategy, script) for strategy in Strategy]
+    generic += [(strategy, policy) for strategy in (Strategy.SIMULTANEOUS,
+                                                    Strategy.INNERMOST_SIMULTANEOUS)
+                for policy in (FirstMove(), RightmostFirst(), RandomSeeded(1))]
+    generic += [(strategy, RandomSeeded(1)) for strategy in (Strategy.INNERMOST,
+                                                              Strategy.LEFTMOST_INNERMOST)]
+    for strategy, policy in generic:
+        with pytest.raises(GenericReached):
+            mc_estimate(srw, g, strategy, policy, 1, 300, seed=1)
 
 
 def memo_free_zipper_run(system, start, rule, rng, step_cap):

@@ -5,7 +5,7 @@ exact unfoldings must be pointer-identical to it."""
 import random
 from dataclasses import dataclass
 
-from conftest import CORPUS_STARTS, load_system, random_system, random_term
+from conftest import CORPUS_STARTS, load_system, random_system, random_term, sim_step
 from pastlift import rewriting, terms
 from pastlift.fmt import parse_term
 from pastlift.rewriting import (
@@ -19,7 +19,6 @@ from pastlift.rewriting import (
     entry_step,
     lift_step,
     sample_step,
-    sim_step,
     simultaneous_groups,
 )
 from pastlift.semantics import unfold_exact
