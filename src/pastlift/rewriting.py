@@ -22,7 +22,6 @@ from .terms import (
     Substitution,
     Term,
     app,
-    apply_subst,
     match,
     replace_at,
     subterm_at,
@@ -149,10 +148,8 @@ def _walk_redexes(system: Ptrs, t: Term, innermost_only: bool):
             continue
         args = u.args
         if not innermost_only or all(system.is_normal_form(a) for a in args):
-            for idx, rule in system.rules_at_root(u):
-                sigma = match(rule.lhs, u)
-                if sigma is not None:
-                    yield pos, u, idx, sigma
+            for idx, sigma in system.root_matches(u):
+                yield pos, u, idx, sigma
         for k in range(len(args), 0, -1):
             stack.append((args[k - 1], pos + (k,)))
 
@@ -178,10 +175,10 @@ Descent = Callable[[Ptrs, Term], Pick]
 
 
 def _innermost_match(system: Ptrs, u: Term) -> tuple[int, Substitution]:
-    found = system.root_match(u)
-    if found is None:
+    found = system.root_matches(u)
+    if not found:
         raise InvalidRedex("term has no redex")
-    return found
+    return found[0]
 
 
 def _leftmost_innermost(system: Ptrs, u: Term) -> Pick:
@@ -197,10 +194,7 @@ def _leftmost_outermost(system: Ptrs, u: Term) -> Pick:
     """A rule matching at u first: an ancestor position precedes everything
     inside it, so the first match on the leftmost non-normal path is the
     position-lexicographic minimum."""
-    found = system.root_match(u)
-    if found is not None:
-        return found
-    return _leftmost_innermost(system, u)
+    return system.root_match(u) or _leftmost_innermost(system, u)
 
 
 def _rightmost_innermost(system: Ptrs, u: Term) -> Pick:
@@ -255,12 +249,10 @@ def nth_redex(system: Ptrs, t: Term, k: int) -> Redex:
     pos: list[int] = []
     u = t
     while True:
-        for idx, rule in system.rules_at_root(u):
-            sigma = match(rule.lhs, u)
-            if sigma is not None:
-                if k == 0:
-                    return Redex(tuple(pos), idx, sigma)
-                k -= 1
+        found = system.root_matches(u)
+        if k < len(found):
+            return Redex(tuple(pos), *found[k])
+        k -= len(found)
         for i, a in enumerate(u.args):
             n = system.redex_count(a)
             if k < n:
@@ -279,13 +271,7 @@ def leftmost_innermost_moves(system: Ptrs, t: Term) -> list[Redex]:
     if system.is_normal_form(t):
         return []
     pos = descend(system, t, _leftmost_innermost).position
-    u = subterm_at(t, pos)
-    found = []
-    for idx, rule in system.rules_at_root(u):
-        sigma = match(rule.lhs, u)
-        if sigma is not None:
-            found.append(Redex(pos, idx, sigma))
-    return found
+    return [Redex(pos, idx, sigma) for idx, sigma in system.root_matches(subterm_at(t, pos))]
 
 
 # A move listed by a successor table: (position, rule index, σ, the step's
@@ -341,11 +327,9 @@ class SuccessorTable:
         found: list[TableMove] = []
         args = u.args
         if not self.innermost or all(nf(a) for a in args):
-            for idx, rule in system.rules_at_root(u):
-                sigma = match(rule.lhs, u)
-                if sigma is not None:
-                    dist = _contract(system, (idx, sigma, partial(replace_at, u, ())))
-                    found.append(((), idx, sigma, dist))
+            for idx, sigma in system.root_matches(u):
+                dist = _contract(system, (idx, sigma, partial(replace_at, u, ())))
+                found.append(((), idx, sigma, dist))
         for k, a in enumerate(args, 1):
             if not nf(a):
                 for pos, idx, sigma, dist in table[a]:
@@ -367,8 +351,7 @@ def step(system: Ptrs, t: Term, redex: Redex) -> MultiDistribution:
     its rule there. The result carries the rule's branch weights over
     ``system.branch_den``; they were checked where they entered (see
     ``MultiDistribution``)."""
-    rule = system.rules[redex.rule_index]
-    sigma = match(rule.lhs, subterm_at(t, redex.position))
+    sigma = dict(system.root_matches(subterm_at(t, redex.position))).get(redex.rule_index)
     if sigma is None:
         raise InvalidRedex(
             f"rule {redex.rule_index} does not match at {redex.position}"
@@ -386,16 +369,16 @@ def _contract(
     system: Ptrs, move: Move, x: Optional[float] = None
 ) -> Union[MultiDistribution, Term]:
     """A move's successor distribution: each right-hand side term of its
-    rule, instantiated by σ and placed, with the rule's weights over
-    ``system.branch_den``. Given a uniform draw x in [0,1), only the
-    successor of the branch x selects, built alone."""
+    rule, instantiated by σ (``Ptrs.contract``) and placed, with the rule's
+    weights over ``system.branch_den``. Given a uniform draw x in [0,1),
+    only the successor of the branch x selects, built alone."""
     idx, sigma, place = move
-    rule = system.rules[idx]
     if x is not None:
-        return place(apply_subst(rule.rhs.terms[rule.pick_branch(x)], sigma))
+        return place(system.contract(idx, system.rules[idx].pick_branch(x), sigma))
+    weights = system.branch_weights[idx]
     return MultiDistribution.of_weights(
-        system.branch_weights[idx],
-        tuple([place(apply_subst(r, sigma)) for r in rule.rhs.terms]),
+        weights,
+        tuple([place(system.contract(idx, b, sigma)) for b in range(len(weights))]),
         system.branch_den,
     )
 
@@ -422,10 +405,7 @@ def simultaneous_groups(
         seen.add(u)
         args = u.args
         if not innermost_only or all(nf(a) for a in args):
-            for idx, rule in system.rules_at_root(u):
-                sigma = match(rule.lhs, u)
-                if sigma is not None:
-                    groups.append(SimGroup(idx, sigma, u, t, pos))
+            groups.extend(SimGroup(idx, sigma, u, t, pos) for idx, sigma in system.root_matches(u))
         for k in range(len(args), 0, -1):
             if args[k - 1] not in seen:
                 stack.append((args[k - 1], pos + (k,)))

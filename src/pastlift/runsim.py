@@ -7,6 +7,9 @@ subterm being the parent's k-th argument. Closing a frame rebuilds the
 parent around the open subterm with ``app``. Neither loop re-descends from
 the root or rebuilds the path to it on every step.
 
+A contraction is two table lookups on the system, ``Ptrs.root_matches`` and
+``Ptrs.contract``, so a redex met again in any run is matched and built once.
+
 **Innermost descent rules** (``run_innermost_first``). Going down follows the
 descent rule. While the open subterm is a normal form, its frame is popped
 and the same rule is asked from the parent, never from the root. For a rule
@@ -60,7 +63,7 @@ from typing import Optional
 
 from .rewriting import Descent, IndexPick
 from .system import Ptrs
-from .terms import Position, Term, Var, app, apply_subst, match
+from .terms import Position, Term, Var, app
 
 Memo = dict[Term, tuple[Term, int]]
 
@@ -104,7 +107,7 @@ def run_innermost_first(
     if hit is not None:
         return (True, hit[1]) if hit[1] <= step_cap else (False, step_cap)
     nf = system.is_normal_form
-    rules = system.rules
+    rules, contract = system.rules, system.contract
     # (parent, k, steps, draws) when the frame was pushed; draws counts the
     # steps whose draw picked a branch
     frames: list[tuple[Term, int, int, int]] = []
@@ -143,16 +146,15 @@ def run_innermost_first(
             continue
         idx, sigma = found
         contracted = rules[idx]
-        branches = contracted.rhs.terms
-        if len(branches) == 1:
+        if len(contracted.rhs.terms) == 1:
             owed += 1
-            u = apply_subst(branches[0], sigma)
+            u = contract(idx, 0, sigma)
         else:
             if owed:
                 _pay(rng, owed)
                 owed = 0
             draws += 1
-            u = apply_subst(branches[contracted.pick_branch(rng.random())], sigma)
+            u = contract(idx, contracted.pick_branch(rng.random()), sigma)
         steps += 1
 
 
@@ -196,8 +198,8 @@ def run_full_by_index(
     steps taken). Each step takes the redex ``pick(n)`` among the term's n
     redexes, in ``rewriting.redexes`` order, and draws its branch with one
     ``rng.random()``."""
-    count = system.redex_count
-    note = system.note_count
+    count, note, root_matches = system.redex_count, system.note_count, system.root_matches
+    contract, rules = system.contract, system.rules
     sites, longest, nonlinear = _rematch_sites(system)
     # (parent, k, the index of parent's first redex in the whole term,
     # parent's count minus its k-th argument's)
@@ -233,14 +235,8 @@ def run_full_by_index(
                 pinned = len(frames)
             frames.append((u, k, lo, n - c))
             u, lo, n = args[k - 1], end, c
-        j = r - lo
-        for _, rule in system.rules_at_root(u):
-            sigma = match(rule.lhs, u)
-            if sigma is not None:
-                if not j:
-                    break
-                j -= 1
-        u = apply_subst(rule.rhs.terms[rule.pick_branch(x)], sigma)
+        idx, sigma = root_matches(u)[r - lo]
+        u = contract(idx, rules[idx].pick_branch(x), sigma)
         c = count(u)
         total += c - n
         n = c
@@ -255,9 +251,7 @@ def run_full_by_index(
         for _ in range(close):
             parent, k, lo, rest = frames.pop()
             u = _plug(parent, k, u)
-            c = sum(map(count, u.args))
-            for _, rule in system.rules_at_root(u):
-                c += match(rule.lhs, u) is not None
+            c = len(root_matches(u)) + sum(map(count, u.args))
             note(u, c)
             total += c - (n + rest)
             n = c

@@ -14,7 +14,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .terms import App, Substitution, Symbol, Term, Var, match, term_to_str
+from .terms import App, Substitution, Symbol, Term, Var, apply_subst, match, term_to_str
 
 WeightedTerm = tuple[Fraction, Term]
 
@@ -213,6 +213,9 @@ class Ptrs:
         self._nf_cache: dict[Term, bool] = {}
         self._count_cache: dict[Term, int] = {}
         self._defined_cache: dict[Term, bool] = {}
+        self._match_cache: dict[Term, tuple[tuple[int, Substitution], ...]] = {}
+        self._contracta: dict[tuple, Term] = {}
+        self._lhs_vars = tuple(tuple(sorted(rule.lhs.vars)) for rule in self.rules)
 
     @property
     def is_trivial(self) -> bool:
@@ -224,14 +227,39 @@ class Ptrs:
             return []
         return self._rules_by_root.get((t.symbol.name, t.symbol.arity), [])
 
+    def root_matches(self, t: Term) -> tuple[tuple[int, Substitution], ...]:
+        """Every rule matching at t's root, as (rule index, substitution) in
+        rule order. Cached per system for terms whose root symbol some
+        left-hand side has. The substitutions are shared by every caller, so
+        none may mutate one."""
+        got = self._match_cache.get(t)
+        if got is not None:
+            return got
+        rules = self.rules_at_root(t)
+        if not rules:
+            return ()
+        found = []
+        for idx, rule in rules:
+            sigma = match(rule.lhs, t)
+            if sigma is not None:
+                found.append((idx, sigma))
+        got = self._match_cache[t] = tuple(found)
+        return got
+
     def root_match(self, t: Term) -> Optional[tuple[int, Substitution]]:
         """The lowest-indexed rule matching at t's root and its substitution,
         or None when no rule matches there."""
-        for idx, rule in self.rules_at_root(t):
-            sigma = match(rule.lhs, t)
-            if sigma is not None:
-                return idx, sigma
-        return None
+        return next(iter(self.root_matches(t)), None)
+
+    def contract(self, idx: int, b: int, sigma: Substitution) -> Term:
+        """Branch b of rule idx instantiated by sigma, a match of its left-hand
+        side, built once per system: the key is (idx, b) and sigma's images of
+        the left-hand side's variables in one fixed order, not sigma's own."""
+        key = (idx, b, *map(sigma.__getitem__, self._lhs_vars[idx]))
+        got = self._contracta.get(key)
+        if got is None:
+            got = self._contracta[key] = apply_subst(self.rules[idx].rhs.terms[b], sigma)
+        return got
 
     def validate(self) -> list[str]:
         """All rule-level violations; an empty list means the system is valid."""
@@ -301,7 +329,7 @@ class Ptrs:
             if not all(cache[a] for a in u.args):
                 cache[u] = False
             else:
-                cache[u] = self.root_match(u) is None
+                cache[u] = not self.root_matches(u)
         return cache[t]
 
     def redex_count(self, t: Term) -> int:
@@ -325,11 +353,9 @@ class Ptrs:
                 stack.extend(pending)
                 continue
             stack.pop()
-            n = sum(cache[a] for a in u.args if not nf[a])
-            for _, rule in self.rules_at_root(u):
-                if match(rule.lhs, u) is not None:
-                    n += 1
-            cache[u] = n
+            cache[u] = len(self.root_matches(u)) + sum(
+                cache[a] for a in u.args if not nf[a]
+            )
         return cache[t]
 
     def note_count(self, t: Term, n: int) -> None:

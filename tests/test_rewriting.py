@@ -73,6 +73,27 @@ def test_leftmost_innermost_moves():
     assert [(r.position, r.rule_index) for r in found] == [((1,), 0), ((1,), 1)]
 
 
+def own_symbols(system):
+    """A random system's own signature when it has a constant, so that terms
+    drawn over it can fire every rule (g0's among them), else the defaults."""
+    symbols = tuple(system.signature.values())
+    return symbols if any(sym.arity == 0 for sym in symbols) else DEFAULT_SYMBOLS
+
+
+def fires_g0(system, term):
+    return any(system.rules[r.rule_index].lhs.symbol.name == "g0" for r in redexes(system, term))
+
+
+def random_ground_terms(rng, own, system, max_depth=4):
+    """A ground term over the default symbols from ``rng``, as the suites
+    always drew one, then one over the system's own signature from ``own``, a
+    separate stream, so that the default draws stay the same."""
+    return (
+        random_term(rng, max_depth, vars_=()),
+        random_term(own, max_depth, vars_=(), symbols=own_symbols(system)),
+    )
+
+
 def corpus_and_random_terms():
     """Every corpus start and its one-step successors, then random terms
     (some with variables) of conftest random systems, over each system's own
@@ -87,11 +108,8 @@ def corpus_and_random_terms():
     rng = random.Random(47)
     for _ in range(1500):
         system = random_system(rng)
-        symbols = tuple(system.signature.values())
-        if not any(sym.arity == 0 for sym in symbols):
-            symbols = DEFAULT_SYMBOLS
         vars_ = ("x",) if rng.random() < 0.2 else ()
-        yield system, random_term(rng, 5, vars_=vars_, symbols=symbols)
+        yield system, random_term(rng, 5, vars_=vars_, symbols=own_symbols(system))
 
 
 def test_redex_lists_come_out_in_position_then_rule_order():
@@ -167,6 +185,25 @@ def test_simultaneous_groups():
     groups = simultaneous_groups(s5, big, innermost_only=True)
     assert [g.positions for g in groups] == [((1,), (2,), (3,))]
     assert subterm_at(big, groups[0].positions[0]) is t("s5", "f(b,b)")
+
+    # on random systems: the redex listing grouped by (rule, instance)
+    rng, own = random.Random(53), random.Random(54)
+    grouped = g0 = 0
+    for _ in range(1500):
+        system = random_system(rng)
+        for term in random_ground_terms(rng, own, system):
+            g0 += fires_g0(system, term)
+            for innermost in (False, True):
+                want = {}
+                for r in (innermost_redexes if innermost else redexes)(system, term):
+                    key = (r.rule_index, subterm_at(term, r.position))
+                    want.setdefault(key, (r.subst, []))[1].append(r.position)
+                groups = simultaneous_groups(system, term, innermost_only=innermost)
+                assert [(g.rule_index, g.instance, g.subst, g.positions) for g in groups] == [
+                    (idx, u, sigma, tuple(found)) for (idx, u), (sigma, found) in want.items()
+                ]
+                grouped += len(groups) > 1
+    assert grouped > 80 and g0 > 150
 
 
 def test_sim_step_examples():
@@ -264,14 +301,17 @@ def test_lift_step_conserves_mass_and_monotone_nf():
 
 
 def test_strategy_inclusion_chain():
-    rng = random.Random(23)
+    rng, own = random.Random(23), random.Random(24)
+    g0 = 0
     for _ in range(200):
         system = random_system(rng)
-        term = random_term(rng, 4, vars_=())
-        full = {(r.position, r.rule_index) for r in redexes(system, term)}
-        inner = {(r.position, r.rule_index) for r in innermost_redexes(system, term)}
-        left = {(r.position, r.rule_index) for r in leftmost_innermost_moves(system, term)}
-        assert left <= inner <= full
+        for term in random_ground_terms(rng, own, system):
+            full = {(r.position, r.rule_index) for r in redexes(system, term)}
+            inner = {(r.position, r.rule_index) for r in innermost_redexes(system, term)}
+            left = {(r.position, r.rule_index) for r in leftmost_innermost_moves(system, term)}
+            assert left <= inner <= full
+            g0 += fires_g0(system, term)
+    assert g0 > 20
 
 
 def test_singleton_group_equals_plain_step_bruteforce():
@@ -304,30 +344,45 @@ def test_singleton_group_equals_plain_step_bruteforce():
                     count += 1
     assert count > 50
 
-
-def test_first_move_descent_agrees_with_full_enumeration():
-    rng = random.Random(31)
-    strategies = [Strategy.FULL, Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST]
-    checked = 0
+    # random systems, on terms over the default symbols and their own
+    rng, own = random.Random(29), random.Random(30)
+    count = g0 = 0
     for _ in range(1500):
         system = random_system(rng)
-        term = random_term(rng, 4, vars_=())
-        if system.is_normal_form(term):
-            continue
-        for strategy in strategies:
-            if strategy is Strategy.FULL:
-                moves = redexes(system, term)
-            elif strategy is Strategy.INNERMOST:
-                moves = innermost_redexes(system, term)
-            else:
-                moves = leftmost_innermost_moves(system, term)
-            fast = first_move_redex(system, term, strategy)
-            assert (fast.position, fast.rule_index) == (
-                moves[0].position,
-                moves[0].rule_index,
-            )
-            checked += 1
-    assert checked > 100
+        for term in random_ground_terms(rng, own, system):
+            for group in simultaneous_groups(system, term, innermost_only=False):
+                for pos in group.positions:
+                    lone = sim_step(system, term, group, [pos])
+                    assert lone == step(system, term, Redex(pos, group.rule_index, group.subst))
+                    count += 1
+                    g0 += system.rules[group.rule_index].lhs.symbol.name == "g0"
+    assert count > 300 and g0 > 200
+
+
+def test_first_move_descent_agrees_with_full_enumeration():
+    rng, own = random.Random(31), random.Random(32)
+    strategies = [Strategy.FULL, Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST]
+    checked = g0 = 0
+    for _ in range(1500):
+        system = random_system(rng)
+        for term in random_ground_terms(rng, own, system):
+            if system.is_normal_form(term):
+                continue
+            g0 += fires_g0(system, term)
+            for strategy in strategies:
+                if strategy is Strategy.FULL:
+                    moves = redexes(system, term)
+                elif strategy is Strategy.INNERMOST:
+                    moves = innermost_redexes(system, term)
+                else:
+                    moves = leftmost_innermost_moves(system, term)
+                fast = first_move_redex(system, term, strategy)
+                assert (fast.position, fast.rule_index) == (
+                    moves[0].position,
+                    moves[0].rule_index,
+                )
+                checked += 1
+    assert checked > 100 and g0 > 100
 
 
 def test_policies_are_deterministic():
@@ -387,11 +442,14 @@ def test_lift_determinism_including_order():
 
 
 def test_normal_form_has_no_redexes():
-    rng = random.Random(41)
+    rng, own = random.Random(41), random.Random(42)
+    g0 = 0
     for _ in range(300):
         system = random_system(rng)
-        term = random_term(rng, 4, vars_=())
-        assert system.is_normal_form(term) == (not redexes(system, term))
+        for term in random_ground_terms(rng, own, system):
+            assert system.is_normal_form(term) == (not redexes(system, term))
+            g0 += fires_g0(system, term)
+    assert g0 > 20
 
 
 def test_coalesce_preserves_mass():
@@ -404,45 +462,47 @@ def test_coalesce_preserves_mass():
 
 
 def test_choose_agrees_with_picking_from_all_moves():
-    rng = random.Random(37)
+    rng, own = random.Random(37), random.Random(38)
     strategies = [Strategy.FULL, Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST]
-    checked = 0
+    checked = g0 = 0
     for case in range(1500):
         system = random_system(rng)
-        term = random_term(rng, 4, vars_=())
-        if system.is_normal_form(term):
-            continue
-        for strategy in strategies:
-            moves = admissible_moves(system, term, strategy)
-            pairs = [
-                (FirstMove(), FirstMove()),
-                (RightmostFirst(), RightmostFirst()),
-                (RandomSeeded(case), RandomSeeded(case)),
-            ]
-            for chooser, picker in pairs:
-                for _ in range(3):  # random copies must stay in lockstep
-                    fast = chooser.choose(system, term, strategy)
-                    slow = picker.pick_redex(term, moves)
-                    assert (fast.position, fast.rule_index, fast.subst) == (
-                        slow.position,
-                        slow.rule_index,
-                        slow.subst,
-                    ), (case, strategy, chooser.name)
-            checked += 1
-    assert checked > 100
+        for term in random_ground_terms(rng, own, system):
+            if system.is_normal_form(term):
+                continue
+            g0 += fires_g0(system, term)
+            for strategy in strategies:
+                moves = admissible_moves(system, term, strategy)
+                pairs = [
+                    (FirstMove(), FirstMove()),
+                    (RightmostFirst(), RightmostFirst()),
+                    (RandomSeeded(case), RandomSeeded(case)),
+                ]
+                for chooser, picker in pairs:
+                    for _ in range(3):  # random copies must stay in lockstep
+                        fast = chooser.choose(system, term, strategy)
+                        slow = picker.pick_redex(term, moves)
+                        assert (fast.position, fast.rule_index, fast.subst) == (
+                            slow.position,
+                            slow.rule_index,
+                            slow.subst,
+                        ), (case, strategy, chooser.name)
+                checked += 1
+    assert checked > 100 and g0 > 100
 
 
 def test_redex_count_memo_matches_enumeration_on_every_subterm():
-    rng = random.Random(43)
-    counted = 0
+    rng, own = random.Random(43), random.Random(44)
+    counted = g0 = 0
     for _ in range(1500):
         system = random_system(rng)
-        term = random_term(rng, 5, vars_=())
-        for pos in positions(term):
-            u = subterm_at(term, pos)
-            assert system.redex_count(u) == len(redexes(system, u))
-            counted += system.redex_count(u) > 0
-    assert counted > 150
+        for term in random_ground_terms(rng, own, system, 5):
+            for pos in positions(term):
+                u = subterm_at(term, pos)
+                assert system.redex_count(u) == len(redexes(system, u))
+                counted += system.redex_count(u) > 0
+            g0 += fires_g0(system, term)
+    assert counted > 150 and g0 > 100
 
 
 def test_cut_points_pick_the_same_branch_as_fraction_sums():

@@ -40,6 +40,7 @@ from pastlift.semantics import (
     unfold_exact,
 )
 from pastlift.props import duplicated_vars
+from pastlift.spareness import falsify_spare
 from pastlift.system import MultiDistribution, ProbRule, Ptrs, singleton
 from pastlift.terms import (
     Symbol,
@@ -861,10 +862,38 @@ def test_full_index_runs_match_the_generic_sampler_on_random_systems(monkeypatch
     assert nonlinear_runs > 2000
 
 
+def fresh_system(name):
+    """A newly parsed corpus system, with empty caches."""
+    return parse_file((SYSTEMS_DIR / f"{name}.ptrs").read_text()).system
+
+
+def check_caches_against_a_fresh_system(system, label):
+    """Every normal-form verdict, redex count, root match and contractum in
+    the system's caches is what a system with empty caches computes for the
+    same term, the matches and contracta by plain ``terms.match`` and
+    ``terms.apply_subst``. Returns how many matches and contracta it checked."""
+    fresh = Ptrs(system.rules, system.extra_constructors)
+    for u, verdict in system._nf_cache.items():
+        assert fresh.is_normal_form(u) == verdict, (label, term_to_str(u))
+    for u, n in system._count_cache.items():
+        assert fresh.redex_count(u) == n, (label, term_to_str(u))
+    for u, found in system._match_cache.items():
+        pairs = [(idx, match(rule.lhs, u)) for idx, rule in fresh.rules_at_root(u)]
+        want = [(idx, sigma) for idx, sigma in pairs if sigma is not None]
+        assert list(found) == want, (label, term_to_str(u))
+    for (idx, b, *images), got in system._contracta.items():
+        rule = fresh.rules[idx]
+        sigma = dict(zip(sorted(rule.lhs.vars), images))
+        assert got is apply_subst(rule.rhs.terms[b], sigma), (label, idx, b)
+    return len(system._match_cache), len(system._contracta)
+
+
 def test_full_index_runs_cache_what_a_fresh_system_computes(monkeypatch):
     """Every redex count and normal-form verdict the index sampler leaves in
     the system's caches, and every count it notes there, is the one a
-    system with empty caches computes for the same term."""
+    system with empty caches computes for the same term. So is every root
+    match and contractum cached by the MC runs under ``i``, ``li`` and
+    ``full``, by an exact unfolding and by the spareness falsifier."""
     noted = []
     real = Ptrs.note_count
 
@@ -873,9 +902,9 @@ def test_full_index_runs_cache_what_a_fresh_system_computes(monkeypatch):
         real(system, u, n)
 
     monkeypatch.setattr(Ptrs, "note_count", spy)
-    checked = 0
+    checked = matches = contracta = 0
     for name, text in CORPUS_RUNS + NONLINEAR_RUNS:
-        system = parse_file((SYSTEMS_DIR / f"{name}.ptrs").read_text()).system
+        system = fresh_system(name)
         start = parse_term(text, system)
         noted.clear()
         for spec in ("first", "random:5"):
@@ -883,13 +912,39 @@ def test_full_index_runs_cache_what_a_fresh_system_computes(monkeypatch):
         fresh = Ptrs(system.rules, system.extra_constructors)
         for u, n in noted:
             assert fresh.redex_count(u) == n, (name, term_to_str(u))
-        for u, verdict in system._nf_cache.items():
-            assert fresh.is_normal_form(u) == verdict, (name, term_to_str(u))
-        for u, n in system._count_cache.items():
-            assert fresh.redex_count(u) == n, (name, term_to_str(u))
         checked += len(noted)
+        for strategy in (Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST):
+            for spec in ("first", "rightmost", "random:5"):
+                mc_estimate(system, start, strategy, make_policy(spec), 6, 250, seed=6)
+        got = check_caches_against_a_fresh_system(system, name)
+        matches, contracta = matches + got[0], contracta + got[1]
     # parents closed by count; those re-matched are counted afresh instead
     assert checked > 1000
+    assert matches > 5000 and contracta > 60
+
+    # random systems, whose left-hand sides may have several variables
+    rng = random.Random(67)
+    matches = contracta = several = 0
+    for case in range(1000):
+        system = random_system(rng)
+        starts = (random_start(rng, system, 4),
+                  random_term(rng, 4, vars_=(), symbols=SIGNATURE_SYMBOLS))
+        for start in starts:
+            for strategy in (Strategy.FULL, Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST):
+                for policy in (FirstMove(), RandomSeeded(case)):
+                    mc_estimate(system, start, strategy, policy, 3, 25, seed=case)
+        got = check_caches_against_a_fresh_system(system, f"random {case}")
+        matches, contracta = matches + got[0], contracta + got[1]
+        several += sum(len(key) > 3 for key in system._contracta)
+    assert matches > 1500 and contracta > 1500 and several > 100
+
+    for name, text in (("s4", "f(a,b)"), ("s6", "g")):
+        system = fresh_system(name)
+        unfold_exact(system, parse_term(text, system), Strategy.FULL, RandomSeeded(2), 8)
+        assert min(check_caches_against_a_fresh_system(system, f"unfold {name}")) > 3
+    s1 = fresh_system("s1")
+    assert falsify_spare(s1, 3, [parse_term("g", s1)]) is not None
+    assert min(check_caches_against_a_fresh_system(s1, "falsify s1")) > 0
 
 
 class GenericReached(Exception):
@@ -1042,15 +1097,16 @@ def s8_tower(k):
 
 
 def count_contractions(monkeypatch):
-    """Count the zipper's contractions: each builds one contractum."""
+    """Count the zipper's contractions: calls of ``Ptrs.contract``, which
+    looks up or builds one contractum, so a cache hit counts as a miss does."""
     counter = {"calls": 0}
-    real = runsim.apply_subst
+    real = Ptrs.contract
 
-    def counted(term, sigma):
+    def counted(system, idx, b, sigma):
         counter["calls"] += 1
-        return real(term, sigma)
+        return real(system, idx, b, sigma)
 
-    monkeypatch.setattr(runsim, "apply_subst", counted)
+    monkeypatch.setattr(Ptrs, "contract", counted)
     return counter
 
 

@@ -1,12 +1,15 @@
+import ast
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import pastlift
 from conftest import load_system
 from pastlift.fmt import parse_term
 from pastlift.system import MultiDistribution, ProbRule, Ptrs, singleton
-from pastlift.terms import Symbol, app, var
+from pastlift.terms import Symbol, app, apply_subst, var
 
 half = Fraction(1, 2)
 
@@ -155,3 +158,71 @@ def test_nf_mass_is_linear_over_parts():
         Fraction(0),
     )
     assert total == by_parts == Fraction(3, 4)
+
+
+def test_root_matches_are_every_matching_rule_in_rule_order():
+    s4 = load_system("s4")
+    a = parse_term("a", s4)
+    found = s4.root_matches(a)
+    assert [idx for idx, _ in found] == [0, 1]
+    assert s4.root_match(a) == found[0]
+    assert s4.root_matches(a) is found  # cached
+    fab = parse_term("f(a,b)", s4)
+    assert s4.root_matches(fab) == () and fab in s4._match_cache
+    # a constructor root has no left-hand side to match, and no entry
+    s1 = load_system("s1")
+    c = parse_term("c(bot,bot)", s1)
+    assert s1.root_matches(c) == () and c not in s1._match_cache
+
+
+def test_a_contractum_is_built_once_whatever_the_order_of_its_substitution():
+    x, y = var("x"), var("y")
+    f, c = Symbol("f", 2), Symbol("c", 2)
+    a, b = app(Symbol("a", 0)), app(Symbol("b", 0))
+    rhs = MultiDistribution([(half, app(c, [y, x])), (half, x)])
+    system = Ptrs([ProbRule(app(f, [x, y]), rhs)])
+    forward = system.contract(0, 0, {"x": a, "y": b})
+    assert forward is app(c, [b, a])
+    assert system.contract(0, 0, {"y": b, "x": a}) is forward
+    assert system.contract(0, 1, {"y": b, "x": a}) is a
+    assert system.contract(0, 0, {"x": b, "y": a}) is app(c, [a, b])
+    assert system.contract(0, 0, {"x": a, "y": a}) is app(c, [a, a])
+    assert len(system._contracta) == 4
+
+
+SOURCES = Path(pastlift.__file__).resolve().parent
+
+
+def lhs_matches(source):
+    """The lines of calls ``match(...)`` or ``<module>.match(...)`` whose
+    first argument is a left-hand side."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and node.args:
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name == "match" and "lhs" in ast.unparse(node.args[0]):
+                found.append(node.lineno)
+    return found
+
+
+def test_left_hand_sides_are_matched_only_by_the_system():
+    """One matcher: every site that needs a term's root matches asks
+    ``Ptrs.root_matches``, which matches once per term and system. And the
+    samplers instantiate right-hand sides only through ``Ptrs.contract``."""
+    assert lhs_matches("sigma = match(rule.lhs, u)\nterms.match(system.rules[i].lhs, u)") == [1, 2]
+    assert lhs_matches("match(entry.pattern, t)") == []
+    offenders = {}
+    for path in sorted(SOURCES.glob("*.py")):
+        lines = lhs_matches(path.read_text())
+        if path.name == "system.py":
+            assert lines, "the guard no longer sees Ptrs.root_matches"
+        elif lines:
+            offenders[path.name] = lines
+    assert offenders == {}
+    for name in ("rewriting", "runsim", "semantics", "spareness"):
+        tree = ast.parse((SOURCES / f"{name}.py").read_text())
+        names = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(tree)}
+        names |= {alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                  for alias in n.names}
+        assert apply_subst.__name__ not in names, name
