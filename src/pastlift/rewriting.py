@@ -413,7 +413,7 @@ def simultaneous_groups(
 
 
 def _group_placement(
-    system: Ptrs, t: Term, group: SimGroup, chosen_positions: Optional[Sequence[Position]]
+    t: Term, group: SimGroup, chosen_positions: Optional[Sequence[Position]], table: "SimTable"
 ) -> Callable[[Term], Term]:
     """The placement of a group's move on t: every occurrence of the
     instance in one pass when no positions are chosen, or the chosen are
@@ -428,38 +428,96 @@ def _group_placement(
                 raise InvalidGroup(f"stale group: instance changed at {pos}")
         if group.term is not t or len(set(chosen)) < len(group.positions):
             return partial(_replace_all, t, chosen)
-    return partial(_replace_instance, system, t, group.instance)
+    return partial(table.rebuild, t, group.instance)
 
 
-def _replace_instance(system: Ptrs, t: Term, instance: Term, replacement: Term) -> Term:
-    """t with every occurrence of ``instance`` replaced, in one bottom-up
-    pass over distinct subterms, each rebuilt once. Normal forms and other
-    subterms no deeper than the instance cannot hold it and are kept as they
-    are. The occurrences are parallel, so this is the term that replacing
-    them one position at a time gives."""
-    if t is instance:
-        return replacement
-    nf = system.is_normal_form
-    depth = instance.depth
-    done: dict[Term, Term] = {instance: replacement}
-    stack = [t]
-    while stack:
-        u = stack[-1]
-        args: list[Term] = []
-        changed = False
-        for a in u.args:
-            r = done.get(a)
-            if r is None:
-                if a.depth > depth and not nf(a):
-                    stack.append(a)  # built first, then u is scanned again
-                    break
-                r = a
-            args.append(r)
-            changed = changed or r is not a
-        else:
-            stack.pop()
-            done[u] = app(u.symbol, args) if changed else u
-    return done[t]
+class SimTable:
+    """The work of simultaneous steps, memoised by distinct subterm for one
+    call (one exact unfolding, or all the runs of one Monte-Carlo estimate)
+    on one system under ``par`` or ``ipar`` and one policy:
+
+    - descent picks: a node whose descent enters child k has that child's
+      pick, so only the part of a pick's path the table has not met is
+      walked;
+    - group lists by term, for policies without a descent rule;
+    - one rebuild table per (instance, contractum), mapping each subterm
+      rebuilt to its result, shared by every rebuild with that pair.
+
+    Every entry is a function of hash-consed terms, whose pointer equality
+    is structural equality, so a hit gives what recomputing would. The table
+    must not outlive its call: it holds terms an intern pool trimmed after
+    the call would drop, and an equal term built later would not be them."""
+
+    __slots__ = ("system", "innermost", "_picks", "_groups", "_rebuilt")
+
+    def __init__(self, system: Ptrs, strategy: Strategy):
+        self.system = system
+        self.innermost = strategy is Strategy.INNERMOST_SIMULTANEOUS
+        self._picks: dict[Term, tuple[int, Substitution, Term]] = {}
+        self._groups: dict[Term, list[SimGroup]] = {}
+        self._rebuilt: dict[tuple[Term, Term], dict[Term, Term]] = {}
+
+    def pick(self, t: Term, rule: Descent) -> tuple[int, Substitution, Term]:
+        """The redex ``descend`` finds in t, as (rule index, σ, the subterm
+        it contracts)."""
+        picks = self._picks
+        path: list[Term] = []
+        u = t
+        got = picks.get(u)
+        while got is None:
+            found = rule(self.system, u)
+            if isinstance(found, int):
+                path.append(u)
+                u = u.args[found - 1]
+                got = picks.get(u)
+            else:
+                got = picks[u] = (*found, u)
+        for v in path:
+            picks[v] = got
+        return got
+
+    def groups(self, t: Term) -> list[SimGroup]:
+        """``simultaneous_groups`` of t under the table's strategy."""
+        got = self._groups.get(t)
+        if got is None:
+            got = self._groups[t] = simultaneous_groups(self.system, t, self.innermost)
+        return got
+
+    def rebuild(self, t: Term, instance: Term, replacement: Term) -> Term:
+        """t with every occurrence of ``instance`` replaced, in one
+        bottom-up pass over distinct subterms, each rebuilt once. Normal
+        forms and other subterms no deeper than the instance cannot hold it
+        and are kept as they are. The occurrences are parallel, so this is
+        the term that replacing them one position at a time gives. What is
+        rebuilt for one (instance, replacement) is kept for every later
+        rebuild with the pair, which stops at a subterm already done."""
+        key = (instance, replacement)
+        done = self._rebuilt.get(key)
+        if done is None:
+            done = self._rebuilt[key] = {instance: replacement}
+        got = done.get(t)
+        if got is not None:
+            return got
+        nf = self.system.is_normal_form
+        depth = instance.depth
+        stack = [t]
+        while stack:
+            u = stack[-1]
+            args: list[Term] = []
+            changed = False
+            for a in u.args:
+                r = done.get(a)
+                if r is None:
+                    if a.depth > depth and not nf(a):
+                        stack.append(a)  # built first, then u is scanned again
+                        break
+                    r = a
+                args.append(r)
+                changed = changed or r is not a
+            else:
+                stack.pop()
+                done[u] = app(u.symbol, args) if changed else u
+        return done[t]
 
 
 def _replace_all(t: Term, chosen: Sequence[Position], replacement: Term) -> Term:
@@ -490,7 +548,8 @@ class Policy:
         non-simultaneous strategy: by descent where the policy has a descent
         rule, else by index where it has an index rule, otherwise by
         enumerating every admissible move and deferring to ``pick_redex``.
-        Each way must agree with ``pick_redex``."""
+        Each way must pick what choosing from the list of every admissible
+        move would."""
         rule = self.descent(strategy)
         if rule is not None:
             return descend(system, t, rule)
@@ -536,6 +595,10 @@ class FirstMove(Policy):
 
 
 class RightmostFirst(Policy):
+    """Rightmost innermost position, lowest rule index; under ``par``/``ipar``
+    the group of that redex. Every pick is made by descent: the plain
+    strategy's rule always exists, so no list of moves is ever asked."""
+
     name = "rightmost"
 
     def descent(self, strategy: Strategy) -> Optional[Descent]:
@@ -543,16 +606,6 @@ class RightmostFirst(Policy):
             # a single admissible position: lowest rule there
             return _leftmost_innermost
         return None if strategy.simultaneous else _rightmost_innermost
-
-    def pick_redex(self, t: Term, moves: Sequence[Redex]) -> Redex:
-        rightmost = max(m.position for m in moves)
-        return min(
-            (m for m in moves if m.position == rightmost),
-            key=lambda m: m.rule_index,
-        )
-
-    def pick_group(self, t, groups):
-        return max(groups, key=lambda g: (g.positions[-1], -g.rule_index)), None
 
 
 class RandomSeeded(Policy):
@@ -626,21 +679,33 @@ def admissible_moves(system: Ptrs, t: Term, strategy: Strategy):
 
 
 def entry_step(
-    system: Ptrs, t: Term, strategy: Strategy, policy: Policy
+    system: Ptrs,
+    t: Term,
+    strategy: Strategy,
+    policy: Policy,
+    table: Optional[SimTable] = None,
 ) -> MultiDistribution:
-    """One policy-resolved step on a single non-normal-form term."""
-    return _contract(system, _move(system, t, strategy, policy))
+    """One policy-resolved step on a single non-normal-form term. A
+    simultaneous step goes through ``table`` when one is given."""
+    return _contract(system, _move(system, t, strategy, policy, table))
 
 
 def sample_step(
-    system: Ptrs, t: Term, strategy: Strategy, policy: Policy, x: float
+    system: Ptrs,
+    t: Term,
+    strategy: Strategy,
+    policy: Policy,
+    x: float,
+    table: Optional[SimTable] = None,
 ) -> Term:
     """The successor ``entry_step`` would give for a uniform draw x in [0,1):
     the policy's move is chosen first and only the sampled branch is built."""
-    return _contract(system, _move(system, t, strategy, policy), x)
+    return _contract(system, _move(system, t, strategy, policy, table), x)
 
 
-def _move(system: Ptrs, t: Term, strategy: Strategy, policy: Policy) -> Move:
+def _move(
+    system: Ptrs, t: Term, strategy: Strategy, policy: Policy, table: Optional[SimTable] = None
+) -> Move:
     """The policy's move on a non-normal-form term t.
 
     Under ``full``/``i``/``li`` it is the redex ``policy.choose`` picks,
@@ -652,20 +717,19 @@ def _move(system: Ptrs, t: Term, strategy: Strategy, policy: Policy) -> Move:
     is the least redex, leftmost-outermost under par and leftmost-innermost
     under ipar, and ``rightmost``'s greatest last position is the greatest
     redex position, innermost under both. Any other policy picks from the
-    list of all groups."""
+    list of all groups. Picks, group lists and rebuilds go through ``table``,
+    or through a table of this call alone."""
     if not strategy.simultaneous:
         redex = policy.choose(system, t, strategy)
         return redex.rule_index, redex.subst, partial(replace_at, t, redex.position)
+    if table is None:
+        table = SimTable(system, strategy)
     rule = policy.descent(strategy.plain)
     if rule is None:
-        groups = simultaneous_groups(
-            system, t, innermost_only=strategy is Strategy.INNERMOST_SIMULTANEOUS
-        )
-        group, chosen = policy.pick_group(t, groups)
-        return group.rule_index, group.subst, _group_placement(system, t, group, chosen)
-    redex = descend(system, t, rule)
-    instance = subterm_at(t, redex.position)
-    return redex.rule_index, redex.subst, partial(_replace_instance, system, t, instance)
+        group, chosen = policy.pick_group(t, table.groups(t))
+        return group.rule_index, group.subst, _group_placement(t, group, chosen, table)
+    idx, sigma, instance = table.pick(t, rule)
+    return idx, sigma, partial(table.rebuild, t, instance)
 
 
 def lift_step(
@@ -674,6 +738,7 @@ def lift_step(
     strategy: Strategy,
     policy: Policy,
     memo: Optional[dict[Term, MultiDistribution]] = None,
+    table: Optional[SimTable] = None,
 ) -> MultiDistribution:
     """One lifting step: normal forms are kept, every other entry takes the
     policy-chosen move and its branch distribution is spliced in place.
@@ -686,10 +751,14 @@ def lift_step(
 
     Where the policy has a descent rule, entries are stepped through
     ``memo`` (a fresh one when none is given; see ``memo_step``), so a
-    caller that lifts repeatedly can pass one dict to every step."""
+    caller that lifts repeatedly can pass one dict to every step. Under
+    ``par``/``ipar`` entries are stepped through ``table`` in the same way
+    (see ``SimTable``)."""
     rule = policy.descent(strategy)
     if rule is not None and memo is None:
         memo = {}
+    if strategy.simultaneous and table is None:
+        table = SimTable(system, strategy)
     branch_den = system.branch_den
     weights: list[int] = []
     terms: list[Term] = []
@@ -699,7 +768,7 @@ def lift_step(
             terms.append(t)
             continue
         if rule is None:
-            dist = entry_step(system, t, strategy, policy)
+            dist = entry_step(system, t, strategy, policy, table)
         else:
             dist = memo_step(system, t, rule, memo)
         weights.extend([n * w for w in dist.weights])

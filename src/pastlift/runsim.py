@@ -1,5 +1,8 @@
 """Sampled runs as zippers: under an innermost descent rule, and under full
-rewriting for a policy that picks a redex by its index.
+rewriting for a policy that picks a redex by its index. Which (strategy,
+policy) pairs run here is ``semantics.mc_runs``'s choice: ``first`` under
+``i``/``li`` and ``rightmost`` under ``full``/``i``/``li`` on the innermost
+zipper, ``first`` and ``random`` under ``full`` on the index zipper.
 
 A run keeps the hash-consed term open at its current redex (Huet, "The
 Zipper", JFP 1997): a frame ``(parent, k, ...)`` per ancestor, the open
@@ -16,6 +19,12 @@ and the same rule is asked from the parent, never from the root. For a rule
 in ``rewriting.INNERMOST_DESCENTS`` every frame left on the stack still picks
 its child, so a step costs its contractum plus one interned parent per
 argument that becomes normal, not the term's depth.
+
+What the rule says about a term is kept in a move table, one entry per
+distinct term the cursor reaches: a normal form, the child to enter, or a
+redex with its rule, σ and its contracta by branch, each contractum built the
+first time a draw picks it. The runs of one estimate share the table, so a
+step on a term met before, in any run, is one lookup plus the draw.
 
 The same property makes the normalisation of a slot (the start term, or an
 argument the run descends into) one contiguous segment of the run, fixed by
@@ -59,13 +68,18 @@ so on a chain such as ``g(g(...))`` its move grows with the depth.
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Optional, Union
 
 from .rewriting import Descent, IndexPick
 from .system import Ptrs
-from .terms import Position, Term, Var, app
+from .terms import Position, Substitution, Term, Var, app
 
 Memo = dict[Term, tuple[Term, int]]
+# A term's move under one descent rule: 0 for a normal form, k > 0 for the
+# child the rule enters, or the redex's (rule index, σ, contracta by branch),
+# each contractum built the first time a draw picks it
+Entry = Union[int, tuple[int, Substitution, list[Optional[Term]]]]
+Moves = dict[Term, Entry]
 
 # owed draws paid per getrandbits call: 64 bits are the two 32-bit words one
 # random() call consumes
@@ -89,6 +103,17 @@ def _plug(parent: Term, k: int, u: Term) -> Term:
     return app(parent.symbol, args[: k - 1] + (u,) + args[k:])
 
 
+def _entry(system: Ptrs, rule: Descent, u: Term) -> Entry:
+    """u's move-table entry under the descent rule."""
+    if system.is_normal_form(u):
+        return 0
+    found = rule(system, u)
+    if isinstance(found, int):
+        return found
+    idx, sigma = found
+    return idx, sigma, [None] * len(system.rules[idx].rhs.terms)
+
+
 def run_innermost_first(
     system: Ptrs,
     start: Term,
@@ -96,66 +121,71 @@ def run_innermost_first(
     rng: random.Random,
     step_cap: int,
     memo: Optional[Memo] = None,
+    moves: Optional[Moves] = None,
 ) -> tuple[bool, int]:
     """Simulate one run; returns (reached normal form, steps taken).
 
-    ``memo`` carries deterministic segments from run to run; it must come
-    from runs on the same system under the same rule."""
+    ``memo`` carries deterministic segments and ``moves`` the move table
+    from run to run; each must come from runs on the same system under the
+    same rule."""
     if memo is None:
         memo = {}
     hit = memo.get(start)
     if hit is not None:
         return (True, hit[1]) if hit[1] <= step_cap else (False, step_cap)
-    nf = system.is_normal_form
-    rules, contract = system.rules, system.contract
+    if moves is None:
+        moves = {}
+    get = moves.get
+    rules = system.rules
     # (parent, k, steps, draws) when the frame was pushed; draws counts the
     # steps whose draw picked a branch
     frames: list[tuple[Term, int, int, int]] = []
     u = start
     steps = draws = owed = 0
     while True:
-        while nf(u):
+        e = get(u)
+        if e is None:
+            e = moves[u] = _entry(system, rule, u)
+        if not e:  # a normal form: close its frame
             if not frames:
                 if not draws:
                     memo[start] = (u, steps)
                 return True, steps
             parent, k, pushed_steps, pushed_draws = frames.pop()
-            args = parent.args
             if draws == pushed_draws:
-                memo[args[k - 1]] = (u, steps - pushed_steps)
+                memo[parent.args[k - 1]] = (u, steps - pushed_steps)
             u = _plug(parent, k, u)
-        if steps == step_cap:
-            return False, step_cap
-        found = rule(system, u)
-        hit = None
-        while isinstance(found, int):
-            hit = memo.get(u.args[found - 1])
-            if hit is not None:
-                break
-            frames.append((u, found, steps, draws))
-            u = u.args[found - 1]
-            found = rule(system, u)
-        if hit is not None:
+        elif isinstance(e, int):  # into child e, or over its memoised segment
+            child = u.args[e - 1]
+            hit = memo.get(child)
+            if hit is None:
+                frames.append((u, e, steps, draws))
+                u = child
+                continue
+            # a segment takes at least one step, so at the cap this returns
             normal, n = hit
             steps += n
             if steps > step_cap:
                 return False, step_cap
             owed += n
-            args = u.args
-            u = app(u.symbol, args[: found - 1] + (normal,) + args[found:])
-            continue
-        idx, sigma = found
-        contracted = rules[idx]
-        if len(contracted.rhs.terms) == 1:
-            owed += 1
-            u = contract(idx, 0, sigma)
+            u = _plug(u, e, normal)
         else:
-            if owed:
-                _pay(rng, owed)
-                owed = 0
-            draws += 1
-            u = contract(idx, contracted.pick_branch(rng.random()), sigma)
-        steps += 1
+            if steps == step_cap:
+                return False, step_cap
+            idx, sigma, built = e
+            if len(built) == 1:
+                owed += 1
+                b = 0
+            else:
+                if owed:
+                    _pay(rng, owed)
+                    owed = 0
+                draws += 1
+                b = rules[idx].pick_branch(rng.random())
+            u = built[b]
+            if u is None:
+                u = built[b] = system.contract(idx, b, sigma)
+            steps += 1
 
 
 SymbolKey = tuple[str, int]
@@ -198,7 +228,8 @@ def run_full_by_index(
     steps taken). Each step takes the redex ``pick(n)`` among the term's n
     redexes, in ``rewriting.redexes`` order, and draws its branch with one
     ``rng.random()``."""
-    count, note, root_matches = system.redex_count, system.note_count, system.root_matches
+    count, known, note = system.redex_count, system.known_count, system.note_count
+    root_matches = system.root_matches
     contract, rules = system.contract, system.rules
     sites, longest, nonlinear = _rematch_sites(system)
     # (parent, k, the index of parent's first redex in the whole term,
@@ -251,8 +282,11 @@ def run_full_by_index(
         for _ in range(close):
             parent, k, lo, rest = frames.pop()
             u = _plug(parent, k, u)
-            c = len(root_matches(u)) + sum(map(count, u.args))
-            note(u, c)
+            c = known(u)
+            if c is None:
+                # noted, so an empty match list need not be kept as well
+                c = len(root_matches(u, False)) + sum(map(count, u.args))
+                note(u, c)
             total += c - (n + rest)
             n = c
     return not total, step_cap

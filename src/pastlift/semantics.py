@@ -1,6 +1,12 @@
 """Quantitative semantics: exact depth-bounded unfolding, adversarial lower
 bounds on bounded termination probability, and Monte-Carlo estimation.
 
+Every table a call keeps (the successor memo and ``SimTable`` of an
+unfolding, the transitions of the adversary, the tables ``mc_runs`` shares
+among the runs of an estimate) lives for that call only: it holds terms by
+identity, and a term dropped from the intern pool after the call must not be
+found in one.
+
 All probability arithmetic is exact. Convergence probability is reported as
 the interval [nf_mass(final state), 1]: a finite unfolding yields evidence,
 never a limit claim.
@@ -11,12 +17,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import runsim
 from .rewriting import (
     INNERMOST_DESCENTS,
     Policy,
+    SimTable,
     Strategy,
     SuccessorTable,
     coalesce,
@@ -83,9 +90,11 @@ def unfold_exact(
     states = [mu]
     masses = [system.nf_mass(mu)]
     trace = SemanticsTrace(start, strategy, policy.name, states, masses)
-    memo: dict[Term, MultiDistribution] = {}  # successors, for this call only
+    # successors, or simultaneous steps' work, for this call only
+    memo: dict[Term, MultiDistribution] = {}
+    table = SimTable(system, strategy) if strategy.simultaneous else None
     for _ in range(depth):
-        mu = lift_step(system, mu, strategy, policy, memo)
+        mu = lift_step(system, mu, strategy, policy, memo, table)
         if coalesce_states:
             mu = coalesce(mu)
         if len(mu) > support_cap:
@@ -200,13 +209,59 @@ def _run_generic(
     policy: Policy,
     rng: random.Random,
     step_cap: int,
+    table: Optional[SimTable] = None,
 ) -> tuple[bool, int]:
     t = start
     for steps in range(step_cap):
         if system.is_normal_form(t):
             return True, steps
-        t = sample_step(system, t, strategy, policy, rng.random())
+        t = sample_step(system, t, strategy, policy, rng.random(), table)
     return system.is_normal_form(t), step_cap
+
+
+def mc_runs(
+    system: Ptrs, start: Term, strategy: Strategy, policy: Policy, step_cap: int, seed: int
+) -> Callable[[int], tuple[bool, int]]:
+    """Run i of ``mc_estimate``, as (reached normal form, steps taken).
+
+    Run i uses its own RNG derived from (seed, i), and a random policy its
+    own stream derived from the same pair, so runs are independent of one
+    another and of the order they are made in. The path a run takes is fixed
+    by the strategy and the policy:
+
+    - a descent rule in ``INNERMOST_DESCENTS`` (``first`` under ``i``/``li``,
+      ``rightmost`` under ``full``/``i``/``li``): the innermost zipper,
+      ``runsim.run_innermost_first``;
+    - otherwise, an index rule (``first`` and ``random`` under ``full``):
+      the index zipper, ``runsim.run_full_by_index``;
+    - otherwise (``random`` under ``i``/``li``, every policy under
+      ``par``/``ipar``, and ``script``): ``sample_step`` from the root.
+
+    Every run of one returned function shares its tables: the innermost
+    zipper's deterministic segments and move table, and under
+    ``par``/``ipar`` one ``SimTable``. They hold only terms the runs met, and
+    live as long as the function."""
+    rule = policy.descent(strategy)
+    if rule in INNERMOST_DESCENTS:
+        memo: runsim.Memo = {}
+        moves: runsim.Moves = {}
+
+        def one_run(i: int) -> tuple[bool, int]:
+            rng = random.Random(f"{seed}:{i}")
+            return runsim.run_innermost_first(system, start, rule, rng, step_cap, memo, moves)
+
+        return one_run
+    table = SimTable(system, strategy) if strategy.simultaneous else None
+
+    def one_run(i: int) -> tuple[bool, int]:
+        rng = random.Random(f"{seed}:{i}")
+        own = policy.clone_for_run(f"{seed}:{i}:policy")
+        index = own.redex_index(strategy)
+        if index is not None:
+            return runsim.run_full_by_index(system, start, index, rng, step_cap)
+        return _run_generic(system, start, strategy, own, rng, step_cap, table)
+
+    return one_run
 
 
 def mc_estimate(
@@ -221,9 +276,8 @@ def mc_estimate(
     """Estimate termination probability from independent seeded runs.
 
     Each run samples rule branches with their exact probabilities and stops
-    on a normal form, or is censored at ``step_cap``. Run i uses its own RNG
-    derived from (seed, i), and a random policy its own stream derived from
-    the same pair, so runs are independent of one another.
+    on a normal form, or is censored at ``step_cap``. The runs are
+    ``mc_runs``'s, and share one set of its tables.
     Censoring biases the estimate downward, never upward.
     """
     if samples < 1:
@@ -231,19 +285,7 @@ def mc_estimate(
     if step_cap < 0:
         raise ValueError("step cap must be non-negative")
 
-    rule = policy.descent(strategy)
-    memo: runsim.Memo = {}  # deterministic segments, shared by this call's runs
-
-    def one_run(i: int) -> tuple[bool, int]:
-        rng = random.Random(f"{seed}:{i}")
-        if rule in INNERMOST_DESCENTS:
-            return runsim.run_innermost_first(system, start, rule, rng, step_cap, memo)
-        own = policy.clone_for_run(f"{seed}:{i}:policy")
-        index = own.redex_index(strategy)
-        if index is not None:
-            return runsim.run_full_by_index(system, start, index, rng, step_cap)
-        return _run_generic(system, start, strategy, own, rng, step_cap)
-
+    one_run = mc_runs(system, start, strategy, policy, step_cap, seed)
     outcomes = [one_run(i) for i in range(samples)]
 
     terminated = sum(1 for ok, _ in outcomes if ok)

@@ -227,11 +227,14 @@ class Ptrs:
             return []
         return self._rules_by_root.get((t.symbol.name, t.symbol.arity), [])
 
-    def root_matches(self, t: Term) -> tuple[tuple[int, Substitution], ...]:
+    def root_matches(
+        self, t: Term, keep_empty: bool = True
+    ) -> tuple[tuple[int, Substitution], ...]:
         """Every rule matching at t's root, as (rule index, substitution) in
         rule order. Cached per system for terms whose root symbol some
-        left-hand side has. The substitutions are shared by every caller, so
-        none may mutate one."""
+        left-hand side has; with ``keep_empty`` false, only when some rule
+        matches, for a caller that asks once about many fresh terms. The
+        substitutions are shared by every caller, so none may mutate one."""
         got = self._match_cache.get(t)
         if got is not None:
             return got
@@ -243,7 +246,9 @@ class Ptrs:
             sigma = match(rule.lhs, t)
             if sigma is not None:
                 found.append((idx, sigma))
-        got = self._match_cache[t] = tuple(found)
+        got = tuple(found)
+        if got or keep_empty:
+            self._match_cache[t] = got
         return got
 
     def root_match(self, t: Term) -> Optional[tuple[int, Substitution]]:
@@ -357,6 +362,13 @@ class Ptrs:
                 cache[a] for a in u.args if not nf[a]
             )
         return cache[t]
+
+    def known_count(self, t: Term) -> Optional[int]:
+        """t's redex count if it is cached, else None."""
+        got = self._count_cache.get(t)
+        if got is None and self._nf_cache.get(t):
+            return 0
+        return got
 
     def note_count(self, t: Term, n: int) -> None:
         """Cache n as t's redex count, for a caller that counted t from its

@@ -12,7 +12,17 @@ from typing import Optional, Sequence
 import pytest
 
 from pastlift.fmt import parse_file
-from pastlift.rewriting import SimGroup, _contract, _group_placement
+from pastlift.rewriting import (
+    Policy,
+    Redex,
+    RightmostFirst,
+    SimGroup,
+    SimTable,
+    Strategy,
+    _contract,
+    _group_placement,
+    redexes,
+)
 from pastlift.system import MultiDistribution, ProbRule, Ptrs
 from pastlift.terms import Position, Symbol, Term, app, var
 
@@ -68,8 +78,52 @@ def sim_step(
     compare against: every chosen position of the group (all of them when
     none are given) rewritten at once, branch j replacing all of them by the
     j-th right-hand side instance (merged, not a product)."""
-    place = _group_placement(system, t, group, chosen_positions)
+    place = _group_placement(t, group, chosen_positions, SimTable(system, Strategy.SIMULTANEOUS))
     return _contract(system, (group.rule_index, group.subst, place))
+
+
+def pick_redex(policy: Policy, t: Term, moves: Sequence[Redex]) -> Redex:
+    """The move a policy takes from the list of every admissible move, the
+    reference for its descent and index rules: ``rightmost`` takes the
+    greatest position, lowest rule there (it has no list pick of its own);
+    any other policy its ``pick_redex``."""
+    if isinstance(policy, RightmostFirst):
+        rightmost = max(m.position for m in moves)
+        return min((m for m in moves if m.position == rightmost), key=lambda m: m.rule_index)
+    return policy.pick_redex(t, moves)
+
+
+def last_position(t: Term, instance: Term) -> Optional[Position]:
+    """The greatest position of instance in t, found by trying children
+    right to left, or None when it does not occur. Subterms found not to
+    hold it are not entered again, so a term whose tree is exponentially
+    larger than its DAG (``par`` duplicates) is searched in DAG time."""
+    absent: set[Term] = set()
+
+    def find(u: Term) -> Optional[Position]:
+        if u is instance:
+            return ()
+        if u in absent or u.depth <= instance.depth:
+            return None
+        for k in range(len(u.args), 0, -1):
+            got = find(u.args[k - 1])
+            if got is not None:
+                return (k,) + got
+        absent.add(u)
+        return None
+
+    return find(t)
+
+
+def pick_group(
+    policy: Policy, t: Term, groups: Sequence[SimGroup]
+) -> tuple[SimGroup, Optional[tuple[Position, ...]]]:
+    """The group, and the positions of it, a policy takes from the list of
+    every group: ``rightmost`` the one with the greatest last position,
+    lowest rule there, whole; any other policy by its ``pick_group``."""
+    if isinstance(policy, RightmostFirst):
+        return max(groups, key=lambda g: (last_position(t, g.instance), -g.rule_index)), None
+    return policy.pick_group(t, groups)
 
 
 # --- random instance generation (used by the bulk randomized suites) ---
@@ -85,6 +139,11 @@ DEFAULT_SYMBOLS = (
 DEFAULT_VARS = ("x", "y", "z")
 # the symbols a random system may use: the defaults and its constant g0
 SIGNATURE_SYMBOLS = DEFAULT_SYMBOLS + (Symbol("g0", 0),)
+
+
+def fires_g0(system: Ptrs, term: Term) -> bool:
+    """Some redex of term is an instance of a rule headed by g0."""
+    return any(system.rules[r.rule_index].lhs.symbol.name == "g0" for r in redexes(system, term))
 
 
 def random_term(rng: random.Random, max_depth: int = 4, vars_=DEFAULT_VARS,

@@ -8,7 +8,9 @@ from conftest import (
     CORPUS,
     CORPUS_STARTS,
     DEFAULT_SYMBOLS,
+    fires_g0,
     load_system,
+    pick_redex,
     random_system,
     random_term,
     sim_step,
@@ -78,10 +80,6 @@ def own_symbols(system):
     drawn over it can fire every rule (g0's among them), else the defaults."""
     symbols = tuple(system.signature.values())
     return symbols if any(sym.arity == 0 for sym in symbols) else DEFAULT_SYMBOLS
-
-
-def fires_g0(system, term):
-    return any(system.rules[r.rule_index].lhs.symbol.name == "g0" for r in redexes(system, term))
 
 
 def random_ground_terms(rng, own, system, max_depth=4):
@@ -390,7 +388,7 @@ def test_policies_are_deterministic():
     fab = t("s4", "f(a,b)")
     moves = innermost_redexes(s4, fab)
     assert FirstMove().pick_redex(fab, moves).position == (1,)
-    assert RightmostFirst().pick_redex(fab, moves).position == (2,)
+    assert pick_redex(RightmostFirst(), fab, moves).position == (2,)
     p1 = RandomSeeded(42)
     p2 = RandomSeeded(42)
     picks1 = [p1.pick_redex(fab, moves).rule_index for _ in range(10)]
@@ -481,7 +479,7 @@ def test_choose_agrees_with_picking_from_all_moves():
                 for chooser, picker in pairs:
                     for _ in range(3):  # random copies must stay in lockstep
                         fast = chooser.choose(system, term, strategy)
-                        slow = picker.pick_redex(term, moves)
+                        slow = pick_redex(picker, term, moves)
                         assert (fast.position, fast.rule_index, fast.subst) == (
                             slow.position,
                             slow.rule_index,

@@ -7,7 +7,10 @@ from conftest import (
     CORPUS_STARTS,
     SIGNATURE_SYMBOLS,
     SYSTEMS_DIR,
+    fires_g0,
     load_system,
+    pick_group,
+    pick_redex,
     random_probs,
     random_system,
     random_term,
@@ -37,6 +40,7 @@ from pastlift.semantics import (
     _run_generic,
     adversarial_lower_bound,
     mc_estimate,
+    mc_runs,
     unfold_exact,
 )
 from pastlift.props import duplicated_vars
@@ -662,10 +666,10 @@ def reference_run(system, start, strategy, policy, rng, step_cap):
             return True, steps
         moves = admissible_moves(system, term, strategy)
         if strategy.simultaneous:
-            group, chosen = policy.pick_group(term, moves)
+            group, chosen = pick_group(policy, term, moves)
             branches = sim_step(system, term, group, chosen)
         else:
-            branches = step(system, term, policy.pick_redex(term, moves))
+            branches = step(system, term, pick_redex(policy, term, moves))
         pick = rng.random()
         acc = Fraction(0)
         term = branches.entries[-1][1]
@@ -677,17 +681,35 @@ def reference_run(system, start, strategy, policy, rng, step_cap):
     return system.is_normal_form(term), step_cap
 
 
-def test_sampled_runs_match_the_reference_sampler_on_random_systems():
+def random_systems_and_starts():
+    """Random systems with a start that is not a normal form: 3,000 draws
+    over the default symbols, then 1,000 from a second stream with starts and
+    right-hand sides over the whole signature, g0 included, which the
+    default symbols lack. Yields (case, system, start)."""
     rng = random.Random(53)
-    compared = zipped = indexed = 0
     for case in range(3000):
         system = random_system(rng)
         start = random_term(rng, 4, vars_=())
-        if system.is_normal_form(start):
-            continue
+        if not system.is_normal_form(start):
+            yield case, system, start
+    own = random.Random(54)
+    for case in range(3000, 4000):
+        system = random_system(own, symbols=SIGNATURE_SYMBOLS)
+        start = random_term(own, 4, vars_=(), symbols=SIGNATURE_SYMBOLS)
+        if not system.is_normal_form(start):
+            yield case, system, start
+
+
+def test_sampled_runs_match_the_reference_sampler_on_random_systems():
+    compared = zipped = indexed = g0 = 0
+    for case, system, start in random_systems_and_starts():
+        g0 += fires_g0(system, start)
         for strategy in Strategy:
             for spec in ("first", "rightmost", f"random:{case}"):
                 policy = make_policy(spec)
+                # run i of mc_estimate(seed=case), every run through one
+                # call's shared tables
+                shared = mc_runs(system, start, strategy, policy, 25, case)
                 for i in range(3):
                     run_seed = f"{case}:{i}"
                     expected = reference_run(
@@ -701,6 +723,7 @@ def test_sampled_runs_match_the_reference_sampler_on_random_systems():
                         random.Random(run_seed), 25,
                     )
                     assert got == expected, (case, strategy, spec, i)
+                    assert shared(i) == expected, (case, strategy, spec, i)
                     rule = policy.descent(strategy)
                     if rule in INNERMOST_DESCENTS:
                         fast = runsim.run_innermost_first(
@@ -721,6 +744,7 @@ def test_sampled_runs_match_the_reference_sampler_on_random_systems():
     assert zipped > 2000
     # first and random under full
     assert indexed > 800
+    assert g0 > 150
 
 
 # corpus runs long enough to open deep frames in runsim's zipper, which the
@@ -755,6 +779,39 @@ def test_innermost_runs_match_the_generic_sampler_on_the_corpus():
     # first under i/li and rightmost under full/i/li, on every corpus start
     assert pairs == 5 * len(CORPUS_RUNS)
     assert deepest == 300
+
+
+# (system, start, strategy, policy) whose runs share tables: the SimTable
+# under par/ipar, and the innermost zipper's move table and segments
+SHARED_TABLE_RUNS = (
+    [("s6", "g", strategy, spec) for strategy in ("par", "ipar")
+     for spec in ("first", "rightmost", "random:3")]
+    + [("srw2", "g(0)", "ipar", spec) for spec in ("first", "rightmost", "random:3")]
+    + [(name, text, strategy, "first") for name, text in (("srw", "g"), ("srw2", "g(0)"),
+                                                          ("s8", "f(g)"))
+       for strategy in ("i", "li")]
+    + [(name, text, "full", "rightmost") for name, text in (("srw", "g"), ("srw2", "g(0)"),
+                                                            ("s8", "f(g)"))]
+)
+
+
+def test_runs_sharing_one_calls_tables_match_independent_reference_runs():
+    """Run i of one ``mc_runs`` call, made after runs 0..i-1 filled its
+    tables, is the reference sampler's run from the same seeds."""
+    deepest = 0
+    for name, text, strategy, spec in SHARED_TABLE_RUNS:
+        system = load_system(name)
+        start = t(name, text)
+        strategy = Strategy(strategy)
+        shared = mc_runs(system, start, strategy, make_policy(spec), 200, 9)
+        for i in range(25):
+            expected = reference_run(
+                system, start, strategy, make_policy(spec).clone_for_run(f"9:{i}:policy"),
+                random.Random(f"9:{i}"), 200,
+            )
+            assert shared(i) == expected, (name, strategy, spec, i)
+            deepest = max(deepest, expected[1])
+    assert deepest == 200
 
 
 def full_index_runs(system, start, spec, run_seed, step_cap):
@@ -902,7 +959,7 @@ def test_full_index_runs_cache_what_a_fresh_system_computes(monkeypatch):
         real(system, u, n)
 
     monkeypatch.setattr(Ptrs, "note_count", spy)
-    checked = matches = contracta = 0
+    checked = matches = contracta = empty = 0
     for name, text in CORPUS_RUNS + NONLINEAR_RUNS:
         system = fresh_system(name)
         start = parse_term(text, system)
@@ -912,6 +969,7 @@ def test_full_index_runs_cache_what_a_fresh_system_computes(monkeypatch):
         fresh = Ptrs(system.rules, system.extra_constructors)
         for u, n in noted:
             assert fresh.redex_count(u) == n, (name, term_to_str(u))
+            empty += system._match_cache.get(u) == ()
         checked += len(noted)
         for strategy in (Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST):
             for spec in ("first", "rightmost", "random:5"):
@@ -920,7 +978,9 @@ def test_full_index_runs_cache_what_a_fresh_system_computes(monkeypatch):
         matches, contracta = matches + got[0], contracta + got[1]
     # parents closed by count; those re-matched are counted afresh instead
     assert checked > 1000
-    assert matches > 5000 and contracta > 60
+    assert matches > 100 and contracta > 60
+    # the sampler counts a parent's own matches without keeping an empty list
+    assert empty * 100 < checked
 
     # random systems, whose left-hand sides may have several variables
     rng = random.Random(67)
@@ -1151,3 +1211,34 @@ def test_skipped_segments_pay_their_draws_before_the_next_draw(monkeypatch):
     for _ in range(n + 1):
         fresh.random()
     assert rng.getstate() == fresh.getstate()
+
+
+def test_zipper_runs_sharing_a_move_table_ask_each_term_once(monkeypatch):
+    """Runs that share a move table ask the descent rule about each
+    distinct term once and build each contractum once, in any run; each run
+    is still the memo-free zipper's."""
+    counter = count_contractions(monkeypatch)
+    for name, text in (("srw", "g"), ("srw2", "g(0)"), ("s6", "g"), ("s8", "f(g)")):
+        system = load_system(name)
+        start = t(name, text)
+        for strategy, policy, rule in innermost_rules():
+            asked = []
+
+            def counted(system, u, rule=rule):
+                asked.append(u)
+                return rule(system, u)
+
+            memo, moves = {}, {}
+            counter["calls"] = steps = 0
+            for i in range(40):
+                run_seed = f"{name}:{i}"
+                expected = memo_free_zipper_run(system, start, rule, random.Random(run_seed), 300)
+                got = runsim.run_innermost_first(
+                    system, start, counted, random.Random(run_seed), 300, memo, moves
+                )
+                assert got == expected, (name, strategy, policy, i)
+                steps += got[1]
+            assert len(asked) == len(set(asked)), (name, strategy, policy)
+            branches = sum(len(e[2]) for e in moves.values() if isinstance(e, tuple))
+            assert counter["calls"] <= branches, (name, strategy, policy)
+            assert steps > 2 * counter["calls"], (name, strategy, policy)

@@ -5,7 +5,17 @@ exact unfoldings must be pointer-identical to it."""
 import random
 from dataclasses import dataclass
 
-from conftest import CORPUS_STARTS, load_system, random_system, random_term, sim_step
+from conftest import (
+    CORPUS_STARTS,
+    DEFAULT_SYMBOLS,
+    SIGNATURE_SYMBOLS,
+    fires_g0,
+    load_system,
+    pick_group,
+    random_system,
+    random_term,
+    sim_step,
+)
 from pastlift import rewriting, terms
 from pastlift.fmt import parse_term
 from pastlift.rewriting import (
@@ -14,6 +24,7 @@ from pastlift.rewriting import (
     RightmostFirst,
     Scripted,
     ScriptEntry,
+    SimTable,
     Strategy,
     descend,
     entry_step,
@@ -21,7 +32,7 @@ from pastlift.rewriting import (
     sample_step,
     simultaneous_groups,
 )
-from pastlift.semantics import unfold_exact
+from pastlift.semantics import mc_runs, unfold_exact
 from pastlift.system import MultiDistribution, singleton
 from pastlift.terms import (
     Position,
@@ -181,18 +192,19 @@ def corpus_cases():
     yield s3, t("s3", "d(f(a,a), d(f(a,a), f(b,a)))")
 
 
-def random_cases(seed, count):
+def random_cases(seed, count, symbols=DEFAULT_SYMBOLS):
     """Terms of random systems holding a redex instance, often twice, and
-    the terms one or two tree-walk steps from them."""
+    the terms one or two tree-walk steps from them; terms and right-hand
+    sides are drawn over ``symbols``."""
     rng = random.Random(seed)
     pair = Symbol("c", 2)
     for _ in range(count):
-        system = random_system(rng)
-        start = random_term(rng, 4, vars_=())
+        system = random_system(rng, symbols=symbols)
+        start = random_term(rng, 4, vars_=(), symbols=symbols)
         for _ in range(rng.choice((0, 1, 1, 2))):
             lhs = rng.choice(system.rules).lhs
             redex = apply_subst(
-                lhs, {x: random_term(rng, 2, vars_=()) for x in sorted(lhs.vars)}
+                lhs, {x: random_term(rng, 2, vars_=(), symbols=symbols) for x in sorted(lhs.vars)}
             )
             start = replace_at(start, rng.choice(positions(start)), redex)
         if rng.random() < 0.5:
@@ -206,6 +218,9 @@ def random_cases(seed, count):
 def cases():
     yield from corpus_cases()
     yield from random_cases(67, 1500)
+    # a second stream over the random systems' whole signature: the default
+    # symbols lack g0, so no term drawn over them has a g0 redex
+    yield from random_cases(68, 500, SIGNATURE_SYMBOLS)
 
 
 # --- groups and steps ------------------------------------------------------
@@ -220,7 +235,7 @@ def assert_same_dist(got, want, where):
 
 
 def test_groups_and_sim_steps_match_the_tree_walk():
-    compared = shared = 0
+    compared = shared = g0 = 0
     for system, term in cases():
         for innermost_only in (False, True):
             got = simultaneous_groups(system, term, innermost_only)
@@ -228,6 +243,7 @@ def test_groups_and_sim_steps_match_the_tree_walk():
             where = (term_to_str(term), innermost_only)
             assert len(got) == len(want), where
             for g, w in zip(got, want):
+                g0 += system.rules[g.rule_index].lhs.symbol.name == "g0"
                 assert (g.rule_index, g.subst) == (w.rule_index, w.subst), where
                 assert g.instance is w.instance and g.term is term, where
                 assert g.first == w.positions[0], where
@@ -246,6 +262,7 @@ def test_groups_and_sim_steps_match_the_tree_walk():
                 compared += 1
     assert compared > 3000
     assert shared > 300
+    assert g0 > 1000
 
 
 def test_sampled_and_entry_steps_match_the_tree_walk():
@@ -299,7 +316,7 @@ def test_first_and_rightmost_pick_the_group_of_the_plain_descent_redex():
             for policy in (FirstMove(), RightmostFirst()):
                 assert policy.descent(strategy) is None
                 rule = policy.descent(strategy.plain)
-                group, chosen = policy.pick_group(term, groups)
+                group, chosen = pick_group(policy, term, groups)
                 redex = descend(system, term, rule)
                 assert chosen is None
                 assert group.instance is subterm_at(term, redex.position)
@@ -313,8 +330,9 @@ def test_first_and_rightmost_pick_the_group_of_the_plain_descent_redex():
     assert checked > 5000
 
 
-def tree_walk_unfold(system, start, strategy, spec, depth):
-    """Exact unfolding with every entry stepped by the tree walk."""
+def tree_walk_unfold(system, start, strategy, spec, depth, rng=None):
+    """Exact unfolding with every entry stepped by the tree walk; a random
+    policy draws from ``rng``, entry by entry."""
     mu = singleton(start)
     states = [mu]
     for _ in range(depth):
@@ -323,7 +341,7 @@ def tree_walk_unfold(system, start, strategy, spec, depth):
             if system.is_normal_form(u):
                 entries.append((p, u))
                 continue
-            group = tree_walk_pick(spec, tree_walk_groups(system, u, strategy is IPAR), None)
+            group = tree_walk_pick(spec, tree_walk_groups(system, u, strategy is IPAR), rng)
             rule = system.rules[group.rule_index]
             for q, r in rule.rhs.entries:
                 v = tree_walk_replace_all(u, group.positions, apply_subst(r, group.subst))
@@ -341,17 +359,29 @@ def test_simultaneous_unfolding_matches_the_tree_walk():
         start = random_term(rng, 4, vars_=())
         if not system.is_normal_form(start):
             starts.append((system, start))
-    for system, start in starts:
+    # starts and right-hand sides over the whole signature, from a second
+    # stream, so that g0 rules fire too
+    own = random.Random(72)
+    while len(starts) < len(CORPUS_STARTS) + 200:
+        system = random_system(own, symbols=SIGNATURE_SYMBOLS)
+        start = random_term(own, 4, vars_=(), symbols=SIGNATURE_SYMBOLS)
+        if not system.is_normal_form(start):
+            starts.append((system, start))
+    g0 = 0
+    for case, (system, start) in enumerate(starts):
+        g0 += fires_g0(system, start)
         for strategy in (PAR, IPAR):
-            for spec in ("first", "rightmost"):
+            for spec in ("first", "rightmost", "random"):
                 where = (term_to_str(start), strategy, spec)
-                trace = unfold_exact(system, start, strategy, make_policy(spec, 0), 6)
-                want = tree_walk_unfold(system, start, strategy, spec, 6)
+                # unfold_exact steps every entry through one SimTable
+                trace = unfold_exact(system, start, strategy, make_policy(spec, case), 6)
+                want = tree_walk_unfold(system, start, strategy, spec, 6, random.Random(case))
                 for got_mu, want_mu in zip(trace.states, want, strict=True):
                     assert got_mu.entries == want_mu.entries, where
                     assert all(u is v for u, v in zip(got_mu.terms, want_mu.terms)), where
-                one = lift_step(system, singleton(start), strategy, make_policy(spec, 0))
+                one = lift_step(system, singleton(start), strategy, make_policy(spec, case))
                 assert one.entries == want[1].entries, where
+    assert g0 > 30
 
 
 # --- cost ------------------------------------------------------------------
@@ -385,3 +415,83 @@ def test_a_simultaneous_step_on_a_shared_term_costs_its_dag_not_its_tree(monkeyp
     calls["app"] = 0
     assert entry_step(s6, start, PAR, FirstMove()).terms == (start.args[0],)
     assert calls["app"] == 0
+
+
+def count_picks_and_lists(monkeypatch):
+    """Record the term of every group list, and the node of every descent
+    rule's call, by rule."""
+    listed, asked = [], {}
+    real_groups = rewriting.simultaneous_groups
+
+    def counted_groups(system, u, innermost_only):
+        listed.append(u)
+        return real_groups(system, u, innermost_only)
+
+    monkeypatch.setattr(rewriting, "simultaneous_groups", counted_groups)
+    for name in ("_leftmost_outermost", "_leftmost_innermost", "_rightmost_innermost"):
+        real = getattr(rewriting, name)
+        calls = asked[name] = []
+
+        def counted(system, u, real=real, calls=calls):
+            calls.append(u)
+            return real(system, u)
+
+        monkeypatch.setattr(rewriting, name, counted)
+    return listed, asked
+
+
+def test_a_step_on_a_term_met_before_neither_lists_groups_nor_descends(monkeypatch):
+    """Through one ``SimTable``, a simultaneous step on a term the table has
+    met is lookups: no group list, no descent rule asked, and the same
+    successor as a step with no table."""
+    listed, asked = count_picks_and_lists(monkeypatch)
+    stepped = 0
+    for system, term in corpus_cases():
+        for strategy in (PAR, IPAR):
+            if not tree_walk_groups(system, term, strategy is IPAR):
+                continue
+            for spec in ("first", "rightmost", "random"):
+                table = SimTable(system, strategy)
+                sample_step(system, term, strategy, make_policy(spec, 1), 0.5, table)
+                for x in (0.5, 0.0, 0.999):
+                    want = sample_step(system, term, strategy, make_policy(spec, 1), x)
+                    listed.clear()
+                    for calls in asked.values():
+                        calls.clear()
+                    got = sample_step(system, term, strategy, make_policy(spec, 1), x, table)
+                    assert got is want, (term_to_str(term), strategy, spec, x)
+                    assert not listed and not any(asked.values())
+                    stepped += 1
+    assert stepped > 500
+
+
+def test_runs_sharing_a_table_list_and_pick_once_per_term(monkeypatch):
+    """srw2 under ipar walks a chain g^k(0), and a step used to list the
+    groups of the whole chain and rebuild it; the runs of one estimate list
+    each distinct term's groups once, and descend through each node once."""
+    listed, asked = count_picks_and_lists(monkeypatch)
+    built = {"app": 0}
+
+    def counted_app(symbol, args=()):
+        built["app"] += 1
+        return app(symbol, args)
+
+    monkeypatch.setattr(rewriting, "app", counted_app)
+    srw2 = load_system("srw2")
+    one_run = mc_runs(srw2, t("srw2", "g(0)"), IPAR, RandomSeeded(1), 4000, 1)
+    steps = sum(one_run(i)[1] for i in range(50))
+    assert len(listed) == len(set(listed))
+    assert steps > 20 * len(listed)
+    # each distinct term is rebuilt once per branch, on top of its child's
+    # rebuild, not down the whole chain
+    assert built["app"] < 3 * len(listed)
+    s6 = load_system("s6")
+    for strategy in (PAR, IPAR):
+        for policy in (FirstMove(), RightmostFirst()):
+            for calls in asked.values():
+                calls.clear()
+            one_run = mc_runs(s6, t("s6", "g"), strategy, policy, 250, 2)
+            steps = sum(one_run(i)[1] for i in range(100))
+            for calls in asked.values():
+                assert len(calls) == len(set(calls)), (strategy, policy.name)
+            assert steps > sum(map(len, asked.values())), (strategy, policy.name)
