@@ -10,9 +10,11 @@ by an Applies verdict; Unknown preconditions block, they never upgrade.
 
 from __future__ import annotations
 
-import heapq
+import functools
 import re
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
 from .props import (
@@ -67,6 +69,10 @@ class Prop:
         return name
 
     def token(self) -> str:
+        return self._token
+
+    @functools.cached_property
+    def _token(self) -> str:
         if self.notion == "SN":
             base = {"f": "SN", "i": "iSN", "li": "liSN", "w": "WN"}[self.strategy]
         else:
@@ -276,11 +282,15 @@ NONPROB_THEOREMS: tuple[TheoremSpec, ...] = (
 )
 
 
-def _structural_arrows(notions: Sequence[str], scopes: Sequence[str]):
+@functools.cache
+def _structural_arrows(
+    notions: tuple[str, ...], scopes: tuple[str, ...]
+) -> tuple[tuple[Prop, Prop, str], ...]:
     """Implications that hold by definition: restricting the set of rewrite
     sequences (full > innermost > leftmost-innermost), existential weakening
     (any strategy implies weak), notion weakening (SAST > PAST > AST), and
-    scope restriction (all terms > basic terms)."""
+    scope restriction (all terms > basic terms). Built once per (notions,
+    scopes)."""
     arrows: list[tuple[Prop, Prop, str]] = []
 
     def add(a: Prop, b: Prop) -> None:
@@ -318,7 +328,11 @@ def _structural_arrows(notions: Sequence[str], scopes: Sequence[str]):
                     arrows.append(
                         (_p(notion, s, par, "all"), _p(notion, s, par, "basic"), "restriction")
                     )
-    return arrows
+    return tuple(arrows)
+
+
+# the labels of arrows that hold by definition, which a chain avoids
+_DEFINITIONAL = ("definition", "restriction")
 
 
 @dataclass
@@ -400,39 +414,68 @@ def _evidence(system: Ptrs, report: PropertyReport, spare: Optional[SpareVerdict
 
 
 def _closure(
-    arrows: list[tuple[Prop, Prop, str]], sources: Iterable[Prop]
+    arrows: Sequence[tuple[Prop, Prop, str]], sources: Iterable[Prop]
 ) -> list[ClosureArrow]:
     """Reachability with the cheapest labelled chain per pair, preferring
-    chains that lean on theorems over ones padded with definitional hops."""
-    graph: dict[Prop, list[tuple[Prop, str]]] = {}
-    for a, b, label in arrows:
-        graph.setdefault(a, []).append((b, label))
+    chains that lean on theorems over ones padded with definitional hops.
 
-    def edge_cost(label: str) -> tuple[int, int]:
-        return (1 if label in ("definition", "restriction") else 0, 1)
+    A chain's cost is (definitional hops, hops), compared in that order. The
+    search runs over integer atom indices with the pair packed into one int;
+    ties between equal costs go to the earliest push, so each chain is the
+    one a search over the arrows in the given order finds first. The arrows
+    come out sorted by (source token, target token), those of a repeated
+    source once per repetition."""
+    index: dict[str, int] = {}
+    atoms: list[Prop] = []
+    adjacency: list[list[tuple[int, int, str]]] = []
+
+    def at(p: Prop) -> int:
+        token = p.token()
+        i = index.get(token)
+        if i is None:
+            i = index[token] = len(atoms)
+            atoms.append(p)
+            adjacency.append([])
+        return i
+
+    edges = [(at(a), at(b), label) for a, b, label in arrows]
+    n = len(atoms)
+    # a cheapest chain repeats no atom, so it has fewer than n hops and a
+    # cost compared has at most n: definitional * (n + 1) + hops keeps the
+    # order of (definitional, hops)
+    width = n + 1
+    for a, b, label in edges:
+        adjacency[a].append((b, width + 1 if label in _DEFINITIONAL else 1, label))
+    by_token = sorted(range(n), key=lambda i: atoms[i].token())
 
     out: list[ClosureArrow] = []
-    for src in sources:
-        best: dict[Prop, tuple[tuple[int, int], tuple[str, ...]]] = {
-            src: ((0, 0), ())
-        }
+    for token, copies in groupby(sorted(sources, key=Prop.token), key=Prop.token):
+        s = index.get(token)
+        if s is None:
+            continue
+        best: list[Optional[int]] = [None] * n
+        chains: list[tuple[str, ...]] = [()] * n
+        best[s] = 0
         counter = 0
-        heap = [((0, 0), counter, src)]
+        heap = [(0, 0, s)]
         while heap:
-            cost, _, node = heapq.heappop(heap)
-            if best[node][0] < cost:
+            cost, _, node = heappop(heap)
+            if best[node] < cost:
                 continue
-            for succ, label in graph.get(node, []):
-                step = edge_cost(label)
-                new_cost = (cost[0] + step[0], cost[1] + step[1])
-                if succ not in best or new_cost < best[succ][0]:
-                    best[succ] = (new_cost, best[node][1] + (label,))
+            chain = chains[node]
+            for succ, step, label in adjacency[node]:
+                new_cost = cost + step
+                old = best[succ]
+                if old is None or new_cost < old:
+                    best[succ] = new_cost
+                    chains[succ] = chain + (label,)
                     counter += 1
-                    heapq.heappush(heap, (new_cost, counter, succ))
-        for target, (_, chain) in best.items():
-            if target != src:
-                out.append(ClosureArrow(src, target, chain))
-    out.sort(key=lambda c: (c.source.token(), c.target.token()))
+                    heappush(heap, (new_cost, counter, succ))
+        copies = list(copies)
+        for t in by_token:
+            if t != s and best[t] is not None:
+                target, chain = atoms[t], chains[t]
+                out.extend(ClosureArrow(src, target, chain) for src in copies)
     return out
 
 
@@ -466,11 +509,8 @@ def _run_engine(
             licensed.append((a, b, spec.theorem_id))
 
     scopes = ("all", "basic") if scope == "basic" else ("all",)
-    arrows = _structural_arrows(notions, scopes) + licensed
-    atoms = sorted(
-        {a for a, _, _ in arrows} | {b for _, b, _ in arrows},
-        key=lambda p: p.token(),
-    )
+    arrows = [*_structural_arrows(tuple(notions), scopes), *licensed]
+    atoms = {p.token(): p for a, b, _ in arrows for p in (a, b)}.values()
     closure = _closure(arrows, atoms)
     conclusions = _closure(arrows, list(assertions))
     return verdicts, closure, conclusions

@@ -7,7 +7,7 @@ diagnostics, 3 when a size cap is exceeded.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -50,7 +50,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_argparser() -> _Parser:
+    """The parser, built on first use and kept for the process: parsing
+    leaves it unchanged (an ``append`` copies its default before appending),
+    so repeated ``main()`` calls share it."""
     top = _Parser(prog="pastlift", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -136,7 +140,7 @@ def _make_policy(spec: str, system: Ptrs) -> Policy:
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    print(reportmod.to_json(doc))
 
 
 def _print_properties(report: PropertyReport, system: Ptrs) -> None:

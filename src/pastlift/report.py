@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional
 
 from .analyzer import AnalysisReport, ClosureArrow, Verdict
@@ -26,6 +27,8 @@ FORMAT = "past-lift/1"
 STATE_ENTRY_LIMIT = 50
 STATE_TERM_SIZE_LIMIT = 200
 
+_INF = float("inf")
+
 
 def _rat(x: Fraction) -> str:
     return str(x)
@@ -34,6 +37,71 @@ def _rat(x: Fraction) -> str:
 def load_schema() -> dict:
     with resources.files("pastlift").joinpath("report_schema.json").open("rb") as fh:
         return json.load(fh)
+
+
+def to_json(doc) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, in one pass.
+
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder; this
+    writer appends the same pieces to one list and joins them once, and
+    escapes strings with the C ASCII encoder, which raises TypeError on a
+    dict key that is not a string. Tuples are written as lists, as ``json``
+    does."""
+    out: list[str] = []
+    _write(doc, out, "\n")
+    return "".join(out)
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _write(o, out: list[str], nl: str) -> None:
+    """Append o's encoding to out; nl is a newline and o's indentation."""
+    if isinstance(o, str):
+        out.append(_encode_str(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float(o))
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        comma, sep = "," + inner, "{" + inner
+        for key, value in o.items():
+            out.append(sep)
+            out.append(_encode_str(key))
+            out.append(": ")
+            _write(value, out, inner)
+            sep = comma
+        out.append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        comma, sep = "," + inner, "[" + inner
+        for value in o:
+            out.append(sep)
+            _write(value, out, inner)
+            sep = comma
+        out.append(nl + "]")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def properties_doc(system: Ptrs, report: PropertyReport) -> dict:

@@ -18,6 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .system import MultiDistribution, Ptrs
 from .terms import (
+    InvalidPosition,
     Position,
     Substitution,
     Term,
@@ -72,7 +73,9 @@ class SimGroup:
 
     ``first`` is the leftmost position, found when the group is.
     ``positions`` (all of them, left to right) are listed on first use,
-    entering only the subterms that hold the instance.
+    entering only the subterms that hold the instance. On a term that
+    ``par`` duplicates there are exponentially many of them; ``holds_at``
+    and ``count`` answer in DAG time without listing them.
     """
 
     __slots__ = ("rule_index", "subst", "instance", "term", "first", "_holds", "_positions")
@@ -111,6 +114,31 @@ class SimGroup:
                         stack.pop()
                         holds[u] = any(holds[a] for a in u.args)
         return self._holds
+
+    def holds_at(self, pos: Position) -> bool:
+        """Whether pos is one of the positions."""
+        try:
+            return subterm_at(self.term, pos) is self.instance
+        except InvalidPosition:
+            return False
+
+    def count(self) -> int:
+        """The number of positions, counted over the distinct subterms."""
+        holds = self._holders()
+        counts: dict[Term, int] = {self.instance: 1}
+        stack = [self.term]
+        while stack:
+            u = stack[-1]
+            if u in counts:
+                stack.pop()
+                continue
+            pending = [a for a in u.args if holds[a] and a not in counts]
+            if pending:
+                stack.extend(pending)
+            else:
+                stack.pop()
+                counts[u] = sum(counts[a] for a in u.args if holds[a])
+        return counts[self.term]
 
     @property
     def positions(self) -> tuple[Position, ...]:
@@ -421,12 +449,12 @@ def _group_placement(
     positions, checked against t, one at a time."""
     if chosen_positions is not None or group.term is not t:
         chosen = tuple(chosen_positions) if chosen_positions is not None else group.positions
-        if not chosen or not set(chosen) <= set(group.positions):
+        if not chosen or not all(group.holds_at(pos) for pos in chosen):
             raise InvalidGroup(f"positions {chosen} are not a non-empty subset of the group")
         for pos in chosen:
             if subterm_at(t, pos) is not group.instance:
                 raise InvalidGroup(f"stale group: instance changed at {pos}")
-        if group.term is not t or len(set(chosen)) < len(group.positions):
+        if group.term is not t or len(set(chosen)) < group.count():
             return partial(_replace_all, t, chosen)
     return partial(table.rebuild, t, group.instance)
 
@@ -659,9 +687,10 @@ class Scripted(Policy):
         for entry in self.entries:
             if match(entry.pattern, t) is None:
                 continue
-            wanted = set(entry.positions)
             for g in groups:
-                if g.rule_index == entry.rule_index and wanted <= set(g.positions):
+                if g.rule_index == entry.rule_index and all(
+                    g.holds_at(pos) for pos in entry.positions
+                ):
                     return g, entry.positions
         return self._fallback.pick_group(t, groups)
 

@@ -1,16 +1,18 @@
 """Shared fixtures: the bundled example systems, a reference simultaneous
-step, random-instance generators, and the acceptance-criteria summary printed
-at the end of a run."""
+step, a reference closure, random-instance generators, and the
+acceptance-criteria summary printed at the end of a run."""
 
 from __future__ import annotations
 
+import heapq
 import random
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import pytest
 
+from pastlift.analyzer import ClosureArrow, Prop
 from pastlift.fmt import parse_file
 from pastlift.rewriting import (
     Policy,
@@ -124,6 +126,45 @@ def pick_group(
     if isinstance(policy, RightmostFirst):
         return max(groups, key=lambda g: (last_position(t, g.instance), -g.rule_index)), None
     return policy.pick_group(t, groups)
+
+
+def reference_closure(
+    arrows: Sequence[tuple[Prop, Prop, str]], sources: Iterable[Prop]
+) -> list[ClosureArrow]:
+    """The analyzer's closure as a Dijkstra search over ``Prop`` atoms, one
+    per source, the reference for the indexed one: reachability with the
+    cheapest (definitional hops, hops) chain per pair, ties to the earliest
+    push, sorted by (source token, target token)."""
+    graph: dict[Prop, list[tuple[Prop, str]]] = {}
+    for a, b, label in arrows:
+        graph.setdefault(a, []).append((b, label))
+
+    def edge_cost(label: str) -> tuple[int, int]:
+        return (1 if label in ("definition", "restriction") else 0, 1)
+
+    out: list[ClosureArrow] = []
+    for src in sources:
+        best: dict[Prop, tuple[tuple[int, int], tuple[str, ...]]] = {
+            src: ((0, 0), ())
+        }
+        counter = 0
+        heap = [((0, 0), counter, src)]
+        while heap:
+            cost, _, node = heapq.heappop(heap)
+            if best[node][0] < cost:
+                continue
+            for succ, label in graph.get(node, []):
+                step = edge_cost(label)
+                new_cost = (cost[0] + step[0], cost[1] + step[1])
+                if succ not in best or new_cost < best[succ][0]:
+                    best[succ] = (new_cost, best[node][1] + (label,))
+                    counter += 1
+                    heapq.heappush(heap, (new_cost, counter, succ))
+        for target, (_, chain) in best.items():
+            if target != src:
+                out.append(ClosureArrow(src, target, chain))
+    out.sort(key=lambda c: (c.source.token(), c.target.token()))
+    return out
 
 
 # --- random instance generation (used by the bulk randomized suites) ---

@@ -1,11 +1,18 @@
+import random
+
 import pytest
 
-from conftest import load_system
+from conftest import CORPUS_STARTS, load_system, reference_closure
+from pastlift import analyzer
 from pastlift.analyzer import (
     FALSIFY_ARG_DEPTH,
     FALSIFY_DEPTH,
     FALSIFY_START_CAP,
+    NONPROB_THEOREMS,
+    PROB_THEOREMS,
     Prop,
+    _closure,
+    _structural_arrows,
     analyze,
     analyze_nonprob,
     parse_prop_token,
@@ -149,6 +156,117 @@ def test_assertions_feed_the_closure():
     assert "fAST" in conclusions  # via Thm 14
     report = analyze(load_system("s2"), assertions=[parse_prop_token("iAST")])
     assert "fAST" not in {c.target.token() for c in report.conclusions}
+
+
+def cheapest_chains(arrows, src):
+    """The least (definitional hops, hops) over every walk from src to each
+    atom it reaches, by token, found by extending all walks one hop at a
+    time until they are longer than any path without a repeated atom."""
+    graph = {}
+    for a, b, label in arrows:
+        graph.setdefault(a.token(), []).append((b.token(), label in ("definition", "restriction")))
+    least = {}
+    frontier = {src.token(): 0}  # least definitional hops over walks of k hops
+    for hops in range(1, len(graph) + 2):
+        reached = {}
+        for a, defs in frontier.items():
+            for b, definitional in graph.get(a, []):
+                d = defs + definitional
+                if d < reached.get(b, d + 1):
+                    reached[b] = d
+        for b, d in reached.items():
+            least[b] = min(least.get(b, (d, hops)), (d, hops))
+        frontier = reached
+    least.pop(src.token(), None)
+    return least
+
+
+def assert_chains_are_cheapest(arrows, got):
+    """Each arrow's chain is a walk of the graph from its source to its
+    target, its cost is the brute-force least, and every reachable atom has
+    an arrow."""
+    by_label = {}
+    for a, b, label in arrows:
+        by_label.setdefault((a.token(), label), set()).add(b.token())
+    rows = {}
+    for c in got:
+        rows.setdefault(c.source.token(), {})[c.target.token()] = c.chain
+        frontier = {c.source.token()}
+        for label in c.chain:
+            frontier = set().union(*(by_label.get((a, label), ()) for a in frontier))
+        assert c.target.token() in frontier, c
+    sources = {c.source.token(): c.source for c in got}
+    for token, src in sources.items():
+        least = cheapest_chains(arrows, src)
+        assert {t: (sum(l in ("definition", "restriction") for l in chain), len(chain))
+                for t, chain in rows[token].items()} == least, token
+
+
+ASSERTION_SETS = (
+    (),
+    ("iAST",),
+    ("iAST-par", "wPAST"),
+    ("fAST@basic", "fAST@basic", "iSAST"),
+    ("liSAST@basic", "fSAST-par"),
+    ("SN",),
+    ("iSN", "WN", "iSN"),
+)
+
+
+def test_closure_matches_the_reference_on_the_corpus(monkeypatch):
+    calls = []
+
+    def recording(arrows, sources):
+        sources = list(sources)
+        got = _closure(arrows, sources)
+        calls.append((arrows, sources, got))
+        return got
+
+    monkeypatch.setattr(analyzer, "_closure", recording)
+    for name in CORPUS_STARTS:
+        system = load_system(name)
+        for tokens in ASSERTION_SETS:
+            props = [parse_prop_token(token) for token in tokens]
+            prob = [p for p in props if p.notion != "SN"]
+            for scope in ("all", "basic"):
+                analyze(system, scope, prob)
+            if system.is_trivial:
+                analyze_nonprob(system, [p for p in props if p.notion == "SN"])
+    graphs = {}
+    for arrows, sources, got in calls:
+        assert got == reference_closure(arrows, sources)
+        graphs.setdefault(tuple(arrows), got)
+    for arrows, got in graphs.items():
+        assert_chains_are_cheapest(arrows, got)
+    # each engine run asks for the closure from every atom, then from the
+    # assertions
+    conclusions = sum(len(got) > 0 for _, _, got in calls[1::2])
+    assert len(graphs) > 10 and conclusions > 50
+
+
+def test_closure_matches_the_reference_on_random_arrows():
+    structural = {
+        notions: _structural_arrows(notions, scopes)
+        for notions, scopes in ((("AST", "PAST", "SAST"), ("all", "basic")), (("SN",), ("all",)))
+    }
+    labels = [spec.theorem_id for spec in PROB_THEOREMS + NONPROB_THEOREMS]
+    labels += ["definition", "restriction"]
+    rng = random.Random(90)
+    for round_ in range(150):
+        arrows = list(structural[rng.choice(list(structural))])
+        atoms = sorted({p for a, b, _ in arrows for p in (a, b)}, key=Prop.token)
+        licensed = [
+            (rng.choice(atoms), rng.choice(atoms), rng.choice(labels))
+            for _ in range(rng.randint(0, 30))
+        ]
+        arrows = arrows + licensed if rng.random() < 0.7 else licensed + arrows
+        sources = rng.sample(atoms, rng.randint(0, min(8, len(atoms))))
+        sources += rng.choices(atoms, k=rng.randint(0, 3))
+        sources.append(Prop("AST", "f", True, "basic"))  # not an atom of the SN arrows
+        for srcs in (atoms, sources):
+            got = _closure(arrows, srcs)
+            assert got == reference_closure(arrows, srcs), round_
+        assert_chains_are_cheapest(arrows, _closure(arrows, atoms))
 
 
 def test_precondition_toggle_flips_verdicts():

@@ -219,6 +219,26 @@ def test_runs_as_a_module_from_a_checkout():
     assert proc.returncode == 1 and "usage error" in proc.stderr
 
 
+def test_main_reuses_its_parser_without_carrying_state(capsys):
+    # one process builds the parser once; each command must print what it
+    # prints in a process of its own, an --assert list must not leak into
+    # the next analyze, and a usage error must not spoil the parser
+    commands = [
+        ("analyze", path("srw"), "--assert", "iAST"),
+        ("analyze", path("srw")),
+        ("simulate", path("srw"), "--depth", "3"),
+        ("simulate", path("srw"), "--term", "g", "--depth", "3", "--json"),
+    ]
+    in_process = [run(capsys, *argv) for argv in commands]
+    for argv, got in zip(commands, in_process):
+        proc = run_module(*argv)
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+    codes = [code for code, _, _ in in_process]
+    assert codes == [0, 0, 1, 0]
+    assert "asserted iAST yields fAST" in in_process[0][1]
+    assert "asserted" not in in_process[1][1]
+
+
 def test_adversary_rejects_a_negative_depth():
     # it used never to return, so it runs in a process with a timeout
     proc = run_module("adversary", path("srw"), "--term", "g", "--depth", "-2")

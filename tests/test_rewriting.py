@@ -25,6 +25,7 @@ from pastlift.rewriting import (
     RightmostFirst,
     Scripted,
     ScriptEntry,
+    SimGroup,
     Strategy,
     admissible_moves,
     coalesce,
@@ -37,7 +38,7 @@ from pastlift.rewriting import (
     step,
 )
 from pastlift.system import MultiDistribution, ProbRule, Ptrs, singleton
-from pastlift.terms import Symbol, app, positions, subterm_at, var
+from pastlift.terms import Symbol, app, positions, replace_at, subterm_at, var
 
 half = Fraction(1, 2)
 
@@ -200,6 +201,7 @@ def test_simultaneous_groups():
                 assert [(g.rule_index, g.instance, g.subst, g.positions) for g in groups] == [
                     (idx, u, sigma, tuple(found)) for (idx, u), (sigma, found) in want.items()
                 ]
+                assert [g.count() for g in groups] == [len(g.positions) for g in groups]
                 grouped += len(groups) > 1
     assert grouped > 80 and g0 > 150
 
@@ -425,6 +427,36 @@ def test_scripted_subset_in_simultaneous_lifting():
     assert mu == MultiDistribution(
         [(half, t("s2", "f(b,b)")), (half, t("s2", "f(c,c)"))]
     )
+
+
+def test_scripted_rows_on_a_duplicated_term_list_no_positions(monkeypatch):
+    # s6's d-tree of depth 20 holds g at 2^20 positions over 21 distinct
+    # subterms; a script row naming two of them must not list them all
+    s6 = load_system("s6")
+    g, bot = t("s6", "g"), t("s6", "bot")
+    dgg = t("s6", "d(g,g)")
+    tree = g
+    for _ in range(20):
+        tree = app(dgg.symbol, [tree, tree])
+
+    def listed(self):
+        raise AssertionError("SimGroup.positions listed")
+
+    monkeypatch.setattr(SimGroup, "positions", property(listed))
+    left, right = (1,) * 20, (2,) * 20
+    script = Scripted([ScriptEntry(var("x"), 0, (left, right))])
+    groups = simultaneous_groups(s6, tree, innermost_only=False)
+    group, chosen = script.pick_group(tree, groups)
+    assert (group.rule_index, group.instance, chosen) == (0, g, (left, right))
+    assert group.count() == 2**20
+    mu = lift_step(s6, singleton(tree), Strategy.SIMULTANEOUS, script)
+    both = [replace_at(replace_at(tree, left, u), right, u) for u in (dgg, bot)]
+    assert mu == MultiDistribution([(Fraction(3, 4), both[0]), (Fraction(1, 4), both[1])])
+    # a row naming a position that does not hold g falls back to the first
+    # group, the root's d-redex, contracted whole
+    miss = Scripted([ScriptEntry(var("x"), 0, (left, (1,) * 19))])
+    assert miss.pick_group(tree, groups)[0] is groups[0]
+    assert groups[0].rule_index == 1 and groups[0].first == ()
 
 
 def test_lift_determinism_including_order():
