@@ -4,14 +4,18 @@ A rewrite step is spare when every variable that is duplicated by the applied
 right-hand side is instantiated with a normal form; a system is spare when
 every step reachable from a basic start term is spare. Spareness is
 undecidable, so we implement our own sound taint fixpoint over defined-symbol
-argument positions and, in the other direction, a breadth-first search for a
+argument positions and, in the other direction, a bounded search for a
 reachable non-spare step.
 
-The search lists each term's moves from one successor table per call, keyed
-by distinct subterm and shared by all start terms, and it searches only the
-starts that some rule matches at the root. Every other basic start is a
-normal form (its arguments are constructor terms), so it has no step to be,
-or lead to, a non-spare one.
+The search decides each start by components: whether a step is spare
+depends only on its rule and substitution, and a term whose root symbol
+heads no left-hand side never becomes a root redex, so such a term is
+searched as its non-normal arguments, each with the same budget of steps.
+One table per call records the greatest budget each term has been searched
+clean for, and it is shared by all starts, so a component met again is not
+searched again. Moves come from one successor table per call, keyed by
+distinct subterm. Only the first start that this search does not clear is
+searched again breadth first with traces, to report the counterexample.
 """
 
 from __future__ import annotations
@@ -143,19 +147,20 @@ class SparenessCounterexample:
 def falsify_spare(
     system: Ptrs, depth: int, starts: Sequence[Term]
 ) -> Optional[SparenessCounterexample]:
-    """Breadth-first search for a reachable non-spare step.
+    """Search for a non-spare step within ``depth`` steps of a start.
 
     Explores every redex and every probability branch (probabilities are
     irrelevant to spareness, branches are plain nondeterminism). Start terms
     are tried in order, so the first counterexample is deterministic.
 
-    Every start is checked to be basic. One full-rewriting
-    ``SuccessorTable`` serves all starts, so a term met from many starts has
-    its moves built once, and each rule's duplicated variables are found
-    once. A start that no rule matches at its root is skipped: its arguments
-    are constructor terms and so normal forms, which makes the start a
-    normal form with no step. Skipping it changes neither the first
-    counterexample, nor its start, nor its trace.
+    Every start is checked to be basic. Each start is first decided by
+    ``_clears``, a component search that keeps no traces, with one table of
+    clean budgets shared by all starts. Only the first start it does not
+    clear is searched again, breadth first with traces (``_falsify_from``),
+    which gives the same start, trace and duplicated variable as searching
+    every start breadth first. One full-rewriting ``SuccessorTable`` serves
+    both searches and all starts, so a term's moves are built once, and each
+    rule's duplicated variables are found once.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -168,13 +173,57 @@ def falsify_spare(
         sorted(set().union(*(duplicated_vars(r) for r in rule.rhs.terms)))
         for rule in system.rules
     ]
+    clean: dict[Term, int] = {}
     for start in starts:
-        if system.root_match(start) is None:
-            continue
-        found = _falsify_from(system, table, dups, depth, start)
-        if found is not None:
-            return found
+        if not _clears(system, table, dups, clean, depth, start):
+            return _falsify_from(system, table, dups, depth, start)
     return None
+
+
+def _clears(
+    system: Ptrs,
+    table: SuccessorTable,
+    dups: list[list[str]],
+    clean: dict[Term, int],
+    depth: int,
+    start: Term,
+) -> bool:
+    """No non-spare step is among the first ``depth`` steps from start.
+
+    Whether a step is spare depends only on its rule and substitution, and a
+    term whose root symbol heads no left-hand side never becomes a root
+    redex; so such a term has a non-spare step within ``r`` steps exactly
+    when one of its non-normal arguments has. The search goes level by
+    level, one level per remaining budget: such a term is replaced by its
+    arguments on its own level, any other term's moves are checked and its
+    successors make the next level. ``clean`` maps each term met to the
+    greatest budget it was met with, and a term met again with no larger
+    budget is passed over. When the search returns True every entry is
+    clean for its budget; after False the table is no longer valid.
+    """
+    nf = system.is_normal_form
+    rooted = system.rules_at_root
+    level = [start]
+    for budget in range(depth, 0, -1):
+        successors: list[Term] = []
+        # the level grows while it is walked: a constructor root adds its args
+        for t in level:
+            if clean.get(t, 0) >= budget or nf(t):
+                continue
+            clean[t] = budget
+            if not rooted(t):
+                level.extend(t.args)
+                continue
+            for _, idx, sigma, dist in table.moves(t):
+                for name in dups[idx]:
+                    image = sigma.get(name)
+                    if image is not None and not nf(image):
+                        return False
+                successors.extend(dist.terms)
+        level = successors
+        if not level:
+            break
+    return True
 
 
 def _falsify_from(
@@ -232,17 +281,14 @@ def default_basic_starts(
 ) -> list[Term]:
     """All basic terms with ground constructor arguments of depth <= arg_depth,
     enumerated deterministically (defined symbols by name, argument tuples in
-    pool-product order)."""
+    pool-product order), or the first ``cap`` of them."""
     if arg_depth < 0:
         raise ValueError("arg_depth must be non-negative")
     pool = ground_constructor_terms(system, arg_depth)
-    starts: list[Term] = []
-    for sym in sorted(system.defined_symbols, key=lambda s: (s.name, s.arity)):
-        if sym.arity == 0:
-            starts.append(app(sym))
-            continue
-        for combo in itertools.product(pool, repeat=sym.arity):
-            starts.append(app(sym, combo))
-            if cap is not None and len(starts) >= cap:
-                return starts
-    return starts
+    # a constant's only argument tuple is the empty product ()
+    starts = (
+        app(sym, combo)
+        for sym in sorted(system.defined_symbols, key=lambda s: (s.name, s.arity))
+        for combo in itertools.product(pool, repeat=sym.arity)
+    )
+    return list(itertools.islice(starts, cap))

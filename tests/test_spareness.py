@@ -1,16 +1,21 @@
+import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
 
 from conftest import CORPUS, SIGNATURE_SYMBOLS, load_system, random_system, random_term
+from pastlift import parse, spareness
 from pastlift.fmt import parse_term
 from pastlift.props import duplicated_vars
-from pastlift.rewriting import redexes, step
+from pastlift.rewriting import SuccessorTable, redexes, step
 from pastlift.spareness import (
     SparenessCounterexample,
     SpareVerdict,
     TraceStep,
+    _clears,
+    _falsify_from,
     default_basic_starts,
     falsify_spare,
     ground_constructor_terms,
@@ -193,6 +198,30 @@ def test_default_basic_starts_examples():
     assert default_basic_starts(empty, 3) == []
 
 
+def test_default_basic_starts_cap_counts_constants():
+    """The cap bounds the whole list, defined constants included, and a cap
+    of 0 gives no start; a capped list is a prefix of the full one."""
+    system = parse(
+        """(VAR x)
+        (RULES
+          a -> {1: o}
+          b -> {1: o}
+          c -> {1: o}
+          f(x) -> {1: o}
+        )"""
+    )
+    full = default_basic_starts(system, 1)
+    assert [term_to_str(t) for t in full] == ["a", "b", "c", "f(o)"]
+    for cap in range(7):
+        assert default_basic_starts(system, 1, cap=cap) == full[:cap]
+    assert default_basic_starts(system, 0, cap=0) == []
+    for name in CORPUS:
+        corpus_system = load_system(name)
+        full = default_basic_starts(corpus_system, 2)
+        for cap in (0, 1, 2, 5, 500):
+            assert default_basic_starts(corpus_system, 2, cap=cap) == full[:cap], name
+
+
 def test_spare_soundness_against_falsifier_on_corpus():
     for name in ("srw", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s2bar", "s2prime"):
         system = load_system(name)
@@ -274,19 +303,23 @@ def with_non_spare_bait(rng, system):
     ))
 
 
-def test_falsifier_matches_the_exhaustive_search_on_random_systems():
+def falsifier_draws():
     """Random systems, non-left-linear ones among them, whose right-hand
     sides are drawn over their own signature, so ``g0`` rules fire too; half
-    of them carry rules that make a non-spare step likely."""
+    of them carry rules that make a non-spare step likely. Yields (system,
+    starts, depth)."""
     rng = random.Random(83)
-    found = non_left_linear_found = 0
-    fired = Counter()
     for _ in range(600):
         system = random_system(rng, symbols=SIGNATURE_SYMBOLS)
         if rng.random() < 0.5:
             system = with_non_spare_bait(rng, system)
-        starts = default_basic_starts(system, rng.randint(0, 2))
-        depth = rng.randint(1, 5)
+        yield system, default_basic_starts(system, rng.randint(0, 2)), rng.randint(1, 5)
+
+
+def test_falsifier_matches_the_exhaustive_search_on_random_systems():
+    found = non_left_linear_found = 0
+    fired = Counter()
+    for system, starts, depth in falsifier_draws():
         counts = Counter()
         want = reference_falsify(system, depth, starts, counts)
         assert falsify_spare(system, depth, starts) == want
@@ -298,3 +331,120 @@ def test_falsifier_matches_the_exhaustive_search_on_random_systems():
     assert 100 < found < 500
     assert non_left_linear_found > 20
     assert min(fired["g0"], fired["f"], fired["h"]) > 500
+
+
+def rule_dups(system):
+    """Per rule, the variables some right-hand side duplicates, in name order."""
+    return [
+        sorted(set().union(*(duplicated_vars(r) for r in rule.rhs.terms)))
+        for rule in system.rules
+    ]
+
+
+def component_search_agrees(system, depth, starts):
+    """Checks every start's component search against the breadth-first
+    search with traces, both ways: ``_clears`` says True exactly when
+    ``_falsify_from`` finds nothing. One budget table serves the starts, as
+    in ``falsify_spare``, until a start is not cleared; then a fresh one.
+    Returns (starts not cleared, terms split at a constructor root)."""
+    table = SuccessorTable(system, innermost=False)
+    dups = rule_dups(system)
+    tables = [{}]
+    for start in starts:
+        cleared = _clears(system, table, dups, tables[-1], depth, start)
+        assert cleared == (_falsify_from(system, table, dups, depth, start) is None), (
+            term_to_str(start), depth)
+        if not cleared:
+            tables.append({})
+    splits = sum(not system.rules_at_root(t) for clean in tables for t in clean)
+    return len(tables) - 1, splits
+
+
+def test_component_search_is_exact_on_the_corpus():
+    """At argument depths 0-2 (s5 up to 1) and depths 1-8."""
+    found = splits = 0
+    for name in CORPUS + ["srw2"]:
+        system = load_system(name)
+        searched = []
+        for arg_depth in range(2 if name == "s5" else 3):
+            starts = default_basic_starts(system, arg_depth)
+            if starts in searched:
+                continue
+            searched.append(starts)
+            for depth in range(1, 9):
+                f, k = component_search_agrees(system, depth, starts)
+                found += f
+                splits += k
+    assert found > 30
+    assert splits > 100
+
+
+def test_component_search_is_exact_on_random_systems():
+    """The draws of the exhaustive-search oracle above, then more draws from
+    a second stream searched deeper, where budgets differ more."""
+    rng = random.Random(84)
+    extra = (
+        (system, default_basic_starts(system, rng.randint(0, 2)), rng.randint(4, 8))
+        for system in (
+            with_non_spare_bait(rng, random_system(rng, symbols=SIGNATURE_SYMBOLS))
+            for _ in range(200)
+        )
+    )
+    found = splits = 0
+    for system, starts, depth in itertools.chain(falsifier_draws(), extra):
+        f, k = component_search_agrees(system, depth, starts)
+        found += f
+        splits += k
+    assert found > 300
+    assert splits > 150
+
+
+def test_falsifier_recurses_neither_on_term_depth_nor_on_depth():
+    """A start whose constructor argument is a tower deeper than the
+    recursion limit, searched to a depth above the limit: the reachable set
+    is one term per level, the counterexample sits at the bottom, and the
+    search finds it, or nothing one step short of it, as the breadth-first
+    search with traces does under the default limit."""
+    system = parse(
+        """(VAR x)
+        (RULES
+          f(s(x)) -> {1: s(f(x))}
+          f(o) -> {1: d(g)}
+          d(x) -> {1: c(x,x)}
+          g -> {1: o}
+        )"""
+    )
+    tall = 300
+    arg = parse_term("o", system)
+    for _ in range(tall):
+        arg = app(Symbol("s", 1), [arg])
+    start = app(Symbol("f", 1), [arg])
+    table = SuccessorTable(system, innermost=False)
+    dups = rule_dups(system)
+    want = {depth: _falsify_from(system, table, dups, depth, start) for depth in (tall + 1, tall + 2)}
+    assert want[tall + 1] is None and want[tall + 2].violating_step == tall + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        got = {depth: falsify_spare(system, depth, [start]) for depth in want}
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
+
+
+def test_falsifier_work_on_srw_stays_small(monkeypatch):
+    """From ``g``, srw's successors ``c(g,g)`` split into copies of ``g``
+    already searched with a larger budget, so the whole search steps one
+    term; searching the terms themselves would step every ``c``-tree of
+    ``g`` and ``bot`` of height up to 11."""
+    tables = []
+
+    class Recorded(SuccessorTable):
+        def __init__(self, system, innermost):
+            super().__init__(system, innermost)
+            tables.append(self)
+
+    monkeypatch.setattr(spareness, "SuccessorTable", Recorded)
+    srw = load_system("srw")
+    assert falsify_spare(srw, 12, default_basic_starts(srw, 3)) is None
+    assert len(tables) == 1 and len(tables[0]._moves) < 5
