@@ -9,6 +9,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .rewriting import Strategy, SuccessorTable
 from .system import Ptrs
 from .terms import (
     Position,
@@ -191,32 +192,33 @@ def bounded_wcr(system: Ptrs, join_depth: int = 10) -> WcrOutcome:
 
     YES if every critical pair joins within join_depth steps from each side,
     NO if some pair consists of two distinct normal forms, UNKNOWN otherwise.
-    UNKNOWN is a genuine verdict and is never coerced.
+    UNKNOWN is a genuine verdict and is never coerced. One full-rewriting
+    ``SuccessorTable`` serves every pair's search, so a term's moves are
+    built once.
     """
     if not system.is_trivial:
         raise ValueError("bounded_wcr requires a trivial-probability system")
     verdict = WcrVerdict.YES
+    table = SuccessorTable(system, Strategy.FULL)
     for left, right in critical_pairs(system):
         if left is right:
             continue
         if system.is_normal_form(left) and system.is_normal_form(right):
             return WcrOutcome(WcrVerdict.NO, (left, right))
-        if not _joinable(system, left, right, join_depth):
+        if not _joinable(table, left, right, join_depth):
             verdict = WcrVerdict.UNKNOWN
     return WcrOutcome(verdict)
 
 
-def _joinable(system: Ptrs, left: Term, right: Term, depth: int) -> bool:
-    from .rewriting import redexes, step
-
+def _joinable(table: SuccessorTable, left: Term, right: Term, depth: int) -> bool:
     def reachable(t: Term) -> set[Term]:
         frontier = {t}
         seen = {t}
         for _ in range(depth):
             nxt: set[Term] = set()
             for u in frontier:
-                for r in redexes(system, u):
-                    for v in step(system, u, r).terms:
+                for _, _, _, dist in table.moves(u):
+                    for v in dist.terms:
                         if v not in seen:
                             seen.add(v)
                             nxt.add(v)

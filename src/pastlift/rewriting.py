@@ -308,25 +308,33 @@ TableMove = tuple[Position, int, Substitution, MultiDistribution]
 
 
 class SuccessorTable:
-    """Every move of every term asked about, memoised by distinct subterm for
-    the table's lifetime (one call of the analysis that builds it).
+    """The moves of the terms one call asks about under ``full``, ``i`` or
+    ``li``, memoised by distinct subterm for the table's lifetime (one call
+    of the analysis that builds it), in two views: ``moves``, every
+    admissible move, and ``pick``, one descent rule's move.
 
     A subterm's moves are its own root matches in rule order, followed by the
-    moves of each non-normal child, children left to right, lifted under the
-    subterm: full rewriting's, in the order of ``redexes``. With
-    ``innermost`` a subterm has its own matches only when all its children
-    are normal forms, which gives ``innermost_redexes``. Lifting a child's
-    move builds one parent node per branch, so a subterm's moves cost its
-    own matches plus one node per lifted branch, however deep it is."""
+    moves of its non-normal children, children left to right, lifted under
+    the subterm. Under ``full`` every non-normal child is lifted and the
+    root matches always count, which gives ``redexes``. Under ``i`` the
+    root matches count only when no child is lifted, which gives
+    ``innermost_redexes``; under ``li`` only the leftmost non-normal child
+    is lifted, and only its moves are built, which gives
+    ``leftmost_innermost_moves``. Lifting a child's move builds one parent
+    node per branch, so a subterm's moves cost its own matches plus one node
+    per lifted branch, however deep it is."""
 
-    __slots__ = ("system", "innermost", "_moves")
+    __slots__ = ("system", "strategy", "_moves", "_picks")
 
-    def __init__(self, system: Ptrs, innermost: bool):
+    def __init__(self, system: Ptrs, strategy: Strategy):
         self.system = system
-        self.innermost = innermost
+        self.strategy = strategy
         self._moves: dict[Term, list[TableMove]] = {}
+        self._picks: dict[Term, MultiDistribution] = {}
 
     def moves(self, t: Term) -> list[TableMove]:
+        """The admissible moves of t, in the order ``admissible_moves``
+        lists them."""
         table = self._moves
         got = table.get(t)
         if got is not None:
@@ -334,6 +342,8 @@ class SuccessorTable:
         nf = self.system.is_normal_form
         if nf(t):
             return []
+        # how many of a node's non-normal children its moves lift
+        width = 1 if self.strategy is Strategy.LEFTMOST_INNERMOST else None
         # children before parents, without recursion: terms may be deep
         stack = [t]
         while stack:
@@ -341,28 +351,63 @@ class SuccessorTable:
             if u in table:
                 stack.pop()
                 continue
-            pending = [a for a in u.args if a not in table and not nf(a)]
+            lifted = [(k, a) for k, a in enumerate(u.args, 1) if not nf(a)][:width]
+            pending = [a for _, a in lifted if a not in table]
             if pending:
                 stack.extend(pending)
                 continue
             stack.pop()
-            table[u] = self._build(u)
+            table[u] = self._build(u, lifted)
         return table[t]
 
-    def _build(self, u: Term) -> list[TableMove]:
+    def _build(self, u: Term, lifted: list[tuple[int, Term]]) -> list[TableMove]:
         system, table = self.system, self._moves
-        nf = system.is_normal_form
         found: list[TableMove] = []
-        args = u.args
-        if not self.innermost or all(nf(a) for a in args):
-            for idx, sigma in system.root_matches(u):
-                dist = _contract(system, (idx, sigma, partial(replace_at, u, ())))
-                found.append(((), idx, sigma, dist))
-        for k, a in enumerate(args, 1):
-            if not nf(a):
-                for pos, idx, sigma, dist in table[a]:
-                    found.append(((k,) + pos, idx, sigma, lift_under(u, k, dist)))
+        if self.strategy is Strategy.FULL or not lifted:
+            for at_root in system.root_matches(u):
+                found.append(((), *at_root, _contract_at(system, u, at_root)))
+        for k, a in lifted:
+            for pos, idx, sigma, dist in table[a]:
+                found.append(((k,) + pos, idx, sigma, lift_under(u, k, dist)))
         return found
+
+    def pick(self, t: Term, rule: Descent) -> MultiDistribution:
+        """``entry_step`` for a policy whose pick follows a descent rule: the
+        successor distribution of the redex ``descend`` finds in t. The
+        rule's pick in a node that descends into child k is the pick in that
+        child, so the node's step is the child's lifted under it. Every pick
+        from one table must follow the same rule."""
+        return _memo_descent(self.system, t, rule, self._picks, _contract_at, lift_under)
+
+
+def _memo_descent(
+    system: Ptrs, t: Term, rule: Descent, memo: dict, at_redex: Callable, lift: Callable
+):
+    """What a descent rule's pick gives t, paying only for the subterms on
+    the pick's path that ``memo`` has not seen. The walk goes down to the
+    first memoised subterm, or to the redex, which gives ``at_redex(system,
+    redex, (rule index, σ))``; then back up one level at a time, a parent
+    that descends into child k getting ``lift(parent, k, what the child
+    got)``, and every level is memoised."""
+    path: list[tuple[Term, int]] = []
+    u = t
+    got = memo.get(u)
+    while got is None:
+        found = rule(system, u)
+        if isinstance(found, int):
+            path.append((u, found))
+            u = u.args[found - 1]
+            got = memo.get(u)
+        else:
+            got = memo[u] = at_redex(system, u, found)
+    for parent, k in reversed(path):
+        got = memo[parent] = lift(parent, k, got)
+    return got
+
+
+def _contract_at(system: Ptrs, u: Term, found: tuple[int, Substitution]) -> MultiDistribution:
+    """The step at u's root by the rule and σ of ``found``."""
+    return _contract(system, (*found, partial(replace_at, u, ())))
 
 
 def lift_under(parent: Term, k: int, dist: MultiDistribution) -> MultiDistribution:
@@ -488,21 +533,7 @@ class SimTable:
     def pick(self, t: Term, rule: Descent) -> tuple[int, Substitution, Term]:
         """The redex ``descend`` finds in t, as (rule index, σ, the subterm
         it contracts)."""
-        picks = self._picks
-        path: list[Term] = []
-        u = t
-        got = picks.get(u)
-        while got is None:
-            found = rule(self.system, u)
-            if isinstance(found, int):
-                path.append(u)
-                u = u.args[found - 1]
-                got = picks.get(u)
-            else:
-                got = picks[u] = (*found, u)
-        for v in path:
-            picks[v] = got
-        return got
+        return _memo_descent(self.system, t, rule, self._picks, _redex_at, _same_redex)
 
     def groups(self, t: Term) -> list[SimGroup]:
         """``simultaneous_groups`` of t under the table's strategy."""
@@ -546,6 +577,15 @@ class SimTable:
                 stack.pop()
                 done[u] = app(u.symbol, args) if changed else u
         return done[t]
+
+
+def _redex_at(system: Ptrs, u: Term, found: tuple[int, Substitution]):
+    return (*found, u)
+
+
+def _same_redex(parent: Term, k: int, got: tuple[int, Substitution, Term]):
+    """A descent's redex in child k is its redex in the parent."""
+    return got
 
 
 def _replace_all(t: Term, chosen: Sequence[Position], replacement: Term) -> Term:
@@ -766,8 +806,7 @@ def lift_step(
     mu: MultiDistribution,
     strategy: Strategy,
     policy: Policy,
-    memo: Optional[dict[Term, MultiDistribution]] = None,
-    table: Optional[SimTable] = None,
+    table: Union[SuccessorTable, SimTable, None] = None,
 ) -> MultiDistribution:
     """One lifting step: normal forms are kept, every other entry takes the
     policy-chosen move and its branch distribution is spliced in place.
@@ -778,16 +817,13 @@ def lift_step(
     form. Its weights must sum to D*L, or ValueError is raised; the common
     factor is then divided out.
 
-    Where the policy has a descent rule, entries are stepped through
-    ``memo`` (a fresh one when none is given; see ``memo_step``), so a
-    caller that lifts repeatedly can pass one dict to every step. Under
-    ``par``/``ipar`` entries are stepped through ``table`` in the same way
-    (see ``SimTable``)."""
+    Entries are stepped through ``table``: a ``SimTable`` under
+    ``par``/``ipar``, else a ``SuccessorTable``, whose ``pick`` serves a
+    policy with a descent rule. A fresh one is used when none is given, so a
+    caller that lifts repeatedly can pass one table to every step."""
     rule = policy.descent(strategy)
-    if rule is not None and memo is None:
-        memo = {}
-    if strategy.simultaneous and table is None:
-        table = SimTable(system, strategy)
+    if table is None:
+        table = (SimTable if strategy.simultaneous else SuccessorTable)(system, strategy)
     branch_den = system.branch_den
     weights: list[int] = []
     terms: list[Term] = []
@@ -799,7 +835,7 @@ def lift_step(
         if rule is None:
             dist = entry_step(system, t, strategy, policy, table)
         else:
-            dist = memo_step(system, t, rule, memo)
+            dist = table.pick(t, rule)
         weights.extend([n * w for w in dist.weights])
         terms.extend(dist.terms)
     den = mu.den * branch_den
@@ -811,33 +847,6 @@ def lift_step(
         weights = [w // g for w in weights]
         den //= g
     return MultiDistribution.of_weights(tuple(weights), tuple(terms), den)
-
-
-def memo_step(
-    system: Ptrs, t: Term, rule: Descent, memo: dict[Term, MultiDistribution]
-) -> MultiDistribution:
-    """``entry_step`` for a policy whose pick follows a descent rule, paying
-    only for the subterms on the pick's path that ``memo`` has not seen.
-
-    The rule's pick in a node that descends into child k is the pick in that
-    child, so the node's step is the child's lifted under it (``lift_under``).
-    The walk goes down to the first memoised subterm or to the redex, which
-    is contracted in place with the substitution the rule matched there,
-    then builds back up one level at a time, memoising every level."""
-    path: list[tuple[Term, int]] = []
-    u = t
-    dist = memo.get(u)
-    while dist is None:
-        found = rule(system, u)
-        if isinstance(found, int):
-            path.append((u, found))
-            u = u.args[found - 1]
-            dist = memo.get(u)
-        else:
-            dist = memo[u] = _contract(system, (*found, partial(replace_at, u, ())))
-    for parent, k in reversed(path):
-        dist = memo[parent] = lift_under(parent, k, dist)
-    return dist
 
 
 def coalesce(mu: MultiDistribution) -> MultiDistribution:

@@ -1,11 +1,11 @@
 """Quantitative semantics: exact depth-bounded unfolding, adversarial lower
 bounds on bounded termination probability, and Monte-Carlo estimation.
 
-Every table a call keeps (the successor memo and ``SimTable`` of an
-unfolding, the transitions of the adversary, the tables ``mc_runs`` shares
-among the runs of an estimate) lives for that call only: it holds terms by
-identity, and a term dropped from the intern pool after the call must not be
-found in one.
+Every table a call keeps (the ``SuccessorTable`` of an unfolding under
+``full``/``i``/``li`` or of the adversary, the ``SimTable`` of an unfolding
+under ``par``/``ipar``, the tables ``mc_runs`` shares among the runs of an
+estimate) lives for that call only: it holds terms by identity, and a term
+dropped from the intern pool after the call must not be found in one.
 
 All probability arithmetic is exact. Convergence probability is reported as
 the interval [nf_mass(final state), 1]: a finite unfolding yields evidence,
@@ -27,10 +27,8 @@ from .rewriting import (
     Strategy,
     SuccessorTable,
     coalesce,
-    leftmost_innermost_moves,
     lift_step,
     sample_step,
-    step,
 )
 from .system import MultiDistribution, Ptrs, singleton
 from .terms import Term
@@ -91,10 +89,9 @@ def unfold_exact(
     masses = [system.nf_mass(mu)]
     trace = SemanticsTrace(start, strategy, policy.name, states, masses)
     # successors, or simultaneous steps' work, for this call only
-    memo: dict[Term, MultiDistribution] = {}
-    table = SimTable(system, strategy) if strategy.simultaneous else None
+    table = (SimTable if strategy.simultaneous else SuccessorTable)(system, strategy)
     for _ in range(depth):
-        mu = lift_step(system, mu, strategy, policy, memo, table)
+        mu = lift_step(system, mu, strategy, policy, table)
         if coalesce_states:
             mu = coalesce(mu)
         if len(mu) > support_cap:
@@ -118,11 +115,12 @@ def adversarial_lower_bound(
 
     Backward induction (Puterman, *Markov Decision Processes*, 1994, ch. 4).
     A forward pass lists, for each k < depth, the distinct non-normal terms
-    reachable in exactly k steps, building each term's moves once per call.
-    Under ``i`` the moves come from one innermost ``SuccessorTable``, so a
-    term's moves are its child's lifted under its root, and a chain like
-    g^j(0) costs a few nodes per term instead of a walk down its spine;
-    under ``li`` they are the moves at the leftmost innermost position.
+    reachable in exactly k steps. Every term's moves, as successor
+    distributions, come from one ``SuccessorTable`` of the strategy for the
+    whole call, which builds them once: a term's moves are its non-normal
+    children's (under ``li`` the leftmost one's) lifted under its root, so a
+    chain like g^j(0) costs a few nodes per term instead of a walk down its
+    spine.
     A backward pass then computes, layer by layer from the deepest,
     V_n(t) = min over admissible moves of the branch-weighted V_{n-1}, where
     a normal form is worth 1 and V_0 is 0 on every other term. A rewrite
@@ -138,16 +136,7 @@ def adversarial_lower_bound(
         raise ValueError("depth must be non-negative")
     if memo_cap < 0:
         raise ValueError("memo cap must be non-negative")
-    if strategy is Strategy.INNERMOST:
-        table = SuccessorTable(system, innermost=True)
-
-        def moves_of(t: Term) -> list[MultiDistribution]:
-            return [dist for _, _, _, dist in table.moves(t)]
-    elif strategy is Strategy.LEFTMOST_INNERMOST:
-
-        def moves_of(t: Term) -> list[MultiDistribution]:
-            return [step(system, t, r) for r in leftmost_innermost_moves(system, t)]
-    else:
+    if strategy not in (Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST):
         raise ValueError("adversarial bound supports innermost strategies only")
     nf = system.is_normal_form
     if nf(start):
@@ -155,8 +144,7 @@ def adversarial_lower_bound(
     if depth == 0:
         return Fraction(0)
 
-    # each term's moves as their successor distributions, built once per call
-    transitions: dict[Term, list[MultiDistribution]] = {}
+    table = SuccessorTable(system, strategy)
     layers: list[set[Term]] = []
     layer = {start}
     pairs = 0
@@ -167,10 +155,7 @@ def adversarial_lower_bound(
         layers.append(layer)
         following: set[Term] = set()
         for t in layer:
-            moves = transitions.get(t)
-            if moves is None:
-                moves = transitions[t] = moves_of(t)
-            for mu in moves:
+            for _, _, _, mu in table.moves(t):
                 following.update(s for s in mu.terms if not nf(s))
         layer = following
 
@@ -183,7 +168,7 @@ def adversarial_lower_bound(
                     w * (scale if nf(s) else values[s])
                     for w, s in zip(mu.weights, mu.terms)
                 )
-                for mu in transitions[t]
+                for _, _, _, mu in table.moves(t)
             )
             for t in layer
         }

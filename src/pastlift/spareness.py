@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .props import duplicated_vars
-from .rewriting import SuccessorTable
+from .rewriting import Strategy, SuccessorTable
 from .system import Ptrs
 from .terms import Position, Symbol, Term, Var, app, pos_to_str, term_to_str
 
@@ -167,7 +167,7 @@ def falsify_spare(
     for start in starts:
         if not system.is_basic(start):
             raise ValueError(f"start term {term_to_str(start)} is not basic")
-    table = SuccessorTable(system, innermost=False)
+    table = SuccessorTable(system, Strategy.FULL)
     # per rule, the variables some right-hand side duplicates, in name order
     dups = [
         sorted(set().union(*(duplicated_vars(r) for r in rule.rhs.terms)))

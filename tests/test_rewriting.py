@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from conftest import (
     CORPUS,
     CORPUS_STARTS,
     DEFAULT_SYMBOLS,
+    SIGNATURE_SYMBOLS,
     fires_g0,
     load_system,
     pick_redex,
@@ -27,6 +29,7 @@ from pastlift.rewriting import (
     ScriptEntry,
     SimGroup,
     Strategy,
+    SuccessorTable,
     admissible_moves,
     coalesce,
     first_move_redex,
@@ -141,6 +144,41 @@ def test_leftmost_innermost_moves_match_the_innermost_listing():
         ]
         checked += len(want) > 1
     assert checked > 50
+
+
+def branches_of(dist):
+    """A distribution's weights, terms and denominator: equal tuples mean the
+    same branches in the same order."""
+    return dist.weights, dist.terms, dist.den
+
+
+def test_successor_table_lists_every_admissible_move_with_its_step():
+    """Under full, i and li, a table's moves of a term are the redexes
+    ``admissible_moves`` lists, in order, each with the step it takes. One
+    table per system and strategy serves every term drawn for the system, so
+    most moves are lifted from children the table built for other terms.
+    Terms come from the corpus and random systems, then from a second
+    stream over the whole signature, g0 included."""
+    own = random.Random(38)
+    second = (
+        (system, random_term(own, 5, vars_=(), symbols=SIGNATURE_SYMBOLS))
+        for system in (random_system(own, symbols=SIGNATURE_SYMBOLS) for _ in range(1500))
+    )
+    tables = {}
+    listed = g0 = 0
+    for system, term in itertools.chain(corpus_and_random_terms(), second):
+        for strategy in (Strategy.FULL, Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST):
+            # the table holds the system, so its id is not reused while kept
+            table = tables.setdefault((id(system), strategy), SuccessorTable(system, strategy))
+            got = [(*move[:3], *branches_of(move[3])) for move in table.moves(term)]
+            want = []
+            for r in admissible_moves(system, term, strategy):
+                dist = step(system, term, r)
+                want.append((r.position, r.rule_index, r.subst, *branches_of(dist)))
+            assert got == want, (term, strategy)
+            listed += len(want) > 1
+            g0 += any(system.rules[m[1]].lhs.symbol.name == "g0" for m in got)
+    assert listed > 500 and g0 > 1500
 
 
 def test_step_examples():

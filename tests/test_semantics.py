@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     CORPUS_STARTS,
+    DEFAULT_SYMBOLS,
     SIGNATURE_SYMBOLS,
     SYSTEMS_DIR,
     fires_g0,
@@ -221,7 +222,7 @@ def assert_memo_unfolding_matches_reference(system, start, depth):
                     for (p, u), (q, v) in zip(got_mu.entries, want_mu.entries):
                         assert u is v and p == q, where
                 assert trace.nf_masses == [system.nf_mass(mu) for mu in want], where
-            # lift_step without a memo of the caller's starts from an empty one
+            # lift_step without a table of the caller's starts from an empty one
             one = lift_step(system, singleton(start), strategy, policy)
             assert one.entries == reference_unfold(
                 system, start, strategy, policy, 1, False
@@ -248,31 +249,44 @@ def test_memoised_unfolding_matches_stepping_every_entry_on_the_corpus():
     )
 
 
-def random_start(rng, system, max_depth):
-    """A ground term of a random system that is not a normal form: a random
-    term, or, most of the time, a term holding a ground instance of a random
-    left-hand side at one or two places."""
-    start = random_term(rng, max_depth, vars_=())
+def random_start(rng, system, max_depth, symbols=DEFAULT_SYMBOLS):
+    """A ground term of a random system, over ``symbols``, that is not a
+    normal form: a random term, or, most of the time, a term holding a
+    ground instance of a random left-hand side at one or two places."""
+    start = random_term(rng, max_depth, vars_=(), symbols=symbols)
     for _ in range(rng.choice((0, 1, 1, 2))):
         lhs = rng.choice(system.rules).lhs
         redex = apply_subst(
-            lhs, {x: random_term(rng, 2, vars_=()) for x in sorted(lhs.vars)}
+            lhs, {x: random_term(rng, 2, vars_=(), symbols=symbols) for x in sorted(lhs.vars)}
         )
         start = replace_at(start, rng.choice(positions(start)), redex)
     return start
 
 
-def test_memoised_unfolding_matches_stepping_every_entry_on_random_systems():
-    rng = random.Random(61)
-    compared = 0
-    for _ in range(300):
+def random_start_draws(seed, draws, max_depth, extra):
+    """(system, start) for ``draws`` random systems over the default symbols
+    from one stream, then ``extra`` from a second stream whose right-hand
+    sides and starts are over the whole signature, g0 included, which the
+    default symbols lack; the default draws stay as they were."""
+    rng = random.Random(seed)
+    for _ in range(draws):
         system = random_system(rng)
-        start = random_start(rng, system, 4)
+        yield rng, system, random_start(rng, system, max_depth)
+    own = random.Random(seed + 1000)
+    for _ in range(extra):
+        system = random_system(own, symbols=SIGNATURE_SYMBOLS)
+        yield own, system, random_start(own, system, max_depth, SIGNATURE_SYMBOLS)
+
+
+def test_memoised_unfolding_matches_stepping_every_entry_on_random_systems():
+    compared = g0 = 0
+    for _, system, start in random_start_draws(61, 300, 4, 100):
         if system.is_normal_form(start):
             continue
         assert_memo_unfolding_matches_reference(system, start, 4)
         compared += 1
-    assert compared > 150
+        g0 += fires_g0(system, start)
+    assert compared > 250 and g0 > 80
 
 
 def reference_adversary(system, start, strategy, depth):
@@ -322,15 +336,13 @@ def test_adversary_matches_the_recursive_reference_and_its_memo_cap():
     for name, text, depth in (("s1", "g", 8), ("s4", "f(a,b)", 12), ("s4", "f(a,b)", 0)):
         for strategy in (Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST):
             assert_adversary_matches_reference(load_system(name), t(name, text), strategy, depth)
-    rng = random.Random(67)
-    compared = 0
-    for _ in range(1000):
-        system = random_system(rng)
-        start = random_start(rng, system, 4)
+    compared = g0 = 0
+    for rng, system, start in random_start_draws(67, 1000, 4, 300):
         for strategy in (Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST):
             assert_adversary_matches_reference(system, start, strategy, rng.randint(0, 4))
         compared += not system.is_normal_form(start)
-    assert compared > 500
+        g0 += fires_g0(system, start)
+    assert compared > 800 and g0 > 250
 
 
 def test_adversary_matches_the_recursive_reference_on_the_corpus():
@@ -364,20 +376,22 @@ def test_innermost_adversary_builds_linearly_many_terms_along_a_chain(monkeypatc
     moves of the whole chain cost a few terms per link; stepping each term
     through its spine costs a term per level, quadratic in the depth. srw2
     has one innermost move per term, so the bound is the mass the one
-    policy reaches."""
+    policy reaches. The same holds under ``li``, whose one move is also the
+    leftmost."""
     srw2 = load_system("srw2")
     start = t("srw2", "g(0)")
     counter = count_app_calls(monkeypatch)
-    built = {}
-    for depth in (100, 200, 400):
-        counter["calls"] = 0
-        bound = adversarial_lower_bound(srw2, start, Strategy.INNERMOST, depth)
-        built[depth] = counter["calls"]
-        if depth < 400:
-            unfolded = unfold_exact(srw2, start, Strategy.INNERMOST, first, depth, coalesce_states=True)
-            assert bound == unfolded.lower_bound
-    assert built[100] <= 5 * 100
-    assert built[200] <= 2.1 * built[100] and built[400] <= 2.1 * built[200]
+    for strategy in (Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST):
+        built = {}
+        for depth in (100, 200, 400):
+            counter["calls"] = 0
+            bound = adversarial_lower_bound(srw2, start, strategy, depth)
+            built[depth] = counter["calls"]
+            if depth < 400:
+                unfolded = unfold_exact(srw2, start, strategy, first, depth, coalesce_states=True)
+                assert bound == unfolded.lower_bound
+        assert built[100] <= 5 * 100, strategy
+        assert built[200] <= 2.1 * built[100] and built[400] <= 2.1 * built[200], strategy
 
 
 def naive_innermost_moves(system, term, leftmost):
@@ -442,18 +456,16 @@ def test_adversary_equals_brute_force_over_policies():
         assert_adversary_is_the_least_policy_value(s4, t("s4", "f(a,b)"), depth)
     # the four-step horizon is the first where a single coin can end s4's cycle
     assert min(achievable_masses(s4, t("s4", "f(a,b)"), 4, True)) == half
-    rng = random.Random(71)
-    compared = choices = 0
-    for _ in range(3000):
-        system = random_system(rng)
-        start = random_start(rng, system, 3)
+    compared = choices = g0 = 0
+    for rng, system, start in random_start_draws(71, 3000, 3, 1000):
         if system.is_normal_form(start):
             continue
         choices += assert_adversary_is_the_least_policy_value(
             system, start, rng.randint(1, 4)
         )
         compared += 1
-    assert compared > 1500 and choices > 40
+        g0 += fires_g0(system, start)
+    assert compared > 2500 and choices > 150 and g0 > 800
 
 
 def test_adversary_s4():

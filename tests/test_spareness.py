@@ -9,7 +9,7 @@ from conftest import CORPUS, SIGNATURE_SYMBOLS, load_system, random_system, rand
 from pastlift import parse, spareness
 from pastlift.fmt import parse_term
 from pastlift.props import duplicated_vars
-from pastlift.rewriting import SuccessorTable, redexes, step
+from pastlift.rewriting import Strategy, SuccessorTable, redexes, step
 from pastlift.spareness import (
     SparenessCounterexample,
     SpareVerdict,
@@ -347,7 +347,7 @@ def component_search_agrees(system, depth, starts):
     ``_falsify_from`` finds nothing. One budget table serves the starts, as
     in ``falsify_spare``, until a start is not cleared; then a fresh one.
     Returns (starts not cleared, terms split at a constructor root)."""
-    table = SuccessorTable(system, innermost=False)
+    table = SuccessorTable(system, Strategy.FULL)
     dups = rule_dups(system)
     tables = [{}]
     for start in starts:
@@ -419,7 +419,7 @@ def test_falsifier_recurses_neither_on_term_depth_nor_on_depth():
     for _ in range(tall):
         arg = app(Symbol("s", 1), [arg])
     start = app(Symbol("f", 1), [arg])
-    table = SuccessorTable(system, innermost=False)
+    table = SuccessorTable(system, Strategy.FULL)
     dups = rule_dups(system)
     want = {depth: _falsify_from(system, table, dups, depth, start) for depth in (tall + 1, tall + 2)}
     assert want[tall + 1] is None and want[tall + 2].violating_step == tall + 1
@@ -440,8 +440,8 @@ def test_falsifier_work_on_srw_stays_small(monkeypatch):
     tables = []
 
     class Recorded(SuccessorTable):
-        def __init__(self, system, innermost):
-            super().__init__(system, innermost)
+        def __init__(self, system, strategy):
+            super().__init__(system, strategy)
             tables.append(self)
 
     monkeypatch.setattr(spareness, "SuccessorTable", Recorded)
