@@ -217,7 +217,7 @@ def _joinable(table: SuccessorTable, left: Term, right: Term, depth: int) -> boo
         for _ in range(depth):
             nxt: set[Term] = set()
             for u in frontier:
-                for _, _, _, dist in table.moves(u):
+                for _, _, dist in table.moves(u):
                     for v in dist.terms:
                         if v not in seen:
                             seen.add(v)

@@ -71,23 +71,19 @@ class SimGroup:
     rewrites it. The occurrences are pairwise parallel (a term cannot nest
     inside itself), so the group is an admissible simultaneous move.
 
-    ``first`` is the leftmost position, found when the group is.
     ``positions`` (all of them, left to right) are listed on first use,
     entering only the subterms that hold the instance. On a term that
     ``par`` duplicates there are exponentially many of them; ``holds_at``
     and ``count`` answer in DAG time without listing them.
     """
 
-    __slots__ = ("rule_index", "subst", "instance", "term", "first", "_holds", "_positions")
+    __slots__ = ("rule_index", "subst", "instance", "term", "_holds", "_positions")
 
-    def __init__(
-        self, rule_index: int, subst: Substitution, instance: Term, term: Term, first: Position
-    ):
+    def __init__(self, rule_index: int, subst: Substitution, instance: Term, term: Term):
         self.rule_index = rule_index
         self.subst = subst
         self.instance = instance
         self.term = term
-        self.first = first
         self._holds: Optional[dict[Term, bool]] = None
         self._positions: Optional[tuple[Position, ...]] = None
 
@@ -270,28 +266,6 @@ def first_move_redex(system: Ptrs, t: Term, strategy: Strategy) -> Redex:
     return descend(system, t, FirstMove().descent(strategy))
 
 
-def nth_redex(system: Ptrs, t: Term, k: int) -> Redex:
-    """``redexes(system, t)[k]``, found by descent: at each node its own
-    matches come first in rule order, then each child's, skipping whole
-    children by their cached redex counts."""
-    pos: list[int] = []
-    u = t
-    while True:
-        found = system.root_matches(u)
-        if k < len(found):
-            return Redex(tuple(pos), *found[k])
-        k -= len(found)
-        for i, a in enumerate(u.args):
-            n = system.redex_count(a)
-            if k < n:
-                pos.append(i + 1)
-                u = a
-                break
-            k -= n
-        else:
-            raise InvalidRedex("redex index out of range")
-
-
 def leftmost_innermost_moves(system: Ptrs, t: Term) -> list[Redex]:
     """Innermost redexes at the leftmost innermost position only, in rule
     order; several rules may match there. The position is found by descent,
@@ -302,9 +276,9 @@ def leftmost_innermost_moves(system: Ptrs, t: Term) -> list[Redex]:
     return [Redex(pos, idx, sigma) for idx, sigma in system.root_matches(subterm_at(t, pos))]
 
 
-# A move listed by a successor table: (position, rule index, σ, the step's
-# successor distribution, as ``step`` gives it).
-TableMove = tuple[Position, int, Substitution, MultiDistribution]
+# A move listed by a successor table: (rule index, σ, the step's successor
+# distribution, as ``step`` gives it).
+TableMove = tuple[int, Substitution, MultiDistribution]
 
 
 class SuccessorTable:
@@ -322,7 +296,12 @@ class SuccessorTable:
     is lifted, and only its moves are built, which gives
     ``leftmost_innermost_moves``. Lifting a child's move builds one parent
     node per branch, so a subterm's moves cost its own matches plus one node
-    per lifted branch, however deep it is."""
+    per lifted branch, however deep it is.
+
+    A move keeps no position: each move is listed again under every
+    ancestor, so kept positions would make a chain of depth k hold O(k³)
+    entries. Under ``full``, ``redexes`` lists the same moves in the same
+    order, with their positions."""
 
     __slots__ = ("system", "strategy", "_moves", "_picks")
 
@@ -334,7 +313,7 @@ class SuccessorTable:
 
     def moves(self, t: Term) -> list[TableMove]:
         """The admissible moves of t, in the order ``admissible_moves``
-        lists them."""
+        lists them, without their positions."""
         table = self._moves
         got = table.get(t)
         if got is not None:
@@ -365,10 +344,10 @@ class SuccessorTable:
         found: list[TableMove] = []
         if self.strategy is Strategy.FULL or not lifted:
             for at_root in system.root_matches(u):
-                found.append(((), *at_root, _contract_at(system, u, at_root)))
+                found.append((*at_root, _contract_at(system, u, at_root)))
         for k, a in lifted:
-            for pos, idx, sigma, dist in table[a]:
-                found.append(((k,) + pos, idx, sigma, lift_under(u, k, dist)))
+            for idx, sigma, dist in table[a]:
+                found.append((idx, sigma, lift_under(u, k, dist)))
         return found
 
     def pick(self, t: Term, rule: Descent) -> MultiDistribution:
@@ -465,23 +444,22 @@ def simultaneous_groups(
     One pre-order walk, children left to right, over the distinct non-normal
     subterms of t: the walk meets positions in lexicographic order and stops
     at a subterm it has met before, so each subterm is visited once, at its
-    leftmost position, and the groups come out already in order.
+    leftmost position, and the groups come out already in order. No
+    position is kept; a group lists its own on demand.
     """
     nf = system.is_normal_form
     groups: list[SimGroup] = []
     seen: set[Term] = set()
-    stack: list[tuple[Term, Position]] = [(t, ())]
+    stack = [t]
     while stack:
-        u, pos = stack.pop()
+        u = stack.pop()
         if u in seen or nf(u):
             continue
         seen.add(u)
         args = u.args
         if not innermost_only or all(nf(a) for a in args):
-            groups.extend(SimGroup(idx, sigma, u, t, pos) for idx, sigma in system.root_matches(u))
-        for k in range(len(args), 0, -1):
-            if args[k - 1] not in seen:
-                stack.append((args[k - 1], pos + (k,)))
+            groups.extend(SimGroup(idx, sigma, u, t) for idx, sigma in system.root_matches(u))
+        stack.extend(a for a in reversed(args) if a not in seen)
     return groups
 
 
@@ -614,16 +592,14 @@ class Policy:
     def choose(self, system: Ptrs, t: Term, strategy: Strategy) -> Redex:
         """The move this policy takes on a non-normal-form term under a
         non-simultaneous strategy: by descent where the policy has a descent
-        rule, else by index where it has an index rule, otherwise by
-        enumerating every admissible move and deferring to ``pick_redex``.
-        Each way must pick what choosing from the list of every admissible
-        move would."""
+        rule, which must pick what choosing from the list of every admissible
+        move would, otherwise by enumerating every admissible move and
+        deferring to ``pick_redex``. An index rule picks what ``pick_redex``
+        picks from ``redexes``; only the Monte-Carlo index zipper
+        (``runsim.run_full_by_index``) uses one."""
         rule = self.descent(strategy)
         if rule is not None:
             return descend(system, t, rule)
-        index = self.redex_index(strategy)
-        if index is not None:
-            return nth_redex(system, t, index(system.redex_count(t)))
         return self.pick_redex(t, admissible_moves(system, t, strategy))
 
     def pick_redex(self, t: Term, moves: Sequence[Redex]) -> Redex:
@@ -659,7 +635,8 @@ class FirstMove(Policy):
         return moves[0]
 
     def pick_group(self, t, groups):
-        return min(groups, key=lambda g: (g.first, g.rule_index)), None
+        # simultaneous_groups lists groups by (first position, rule index)
+        return groups[0], None
 
 
 class RightmostFirst(Policy):

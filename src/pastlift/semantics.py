@@ -155,7 +155,7 @@ def adversarial_lower_bound(
         layers.append(layer)
         following: set[Term] = set()
         for t in layer:
-            for _, _, _, mu in table.moves(t):
+            for _, _, mu in table.moves(t):
                 following.update(s for s in mu.terms if not nf(s))
         layer = following
 
@@ -168,7 +168,7 @@ def adversarial_lower_bound(
                     w * (scale if nf(s) else values[s])
                     for w, s in zip(mu.weights, mu.terms)
                 )
-                for _, _, _, mu in table.moves(t)
+                for _, _, mu in table.moves(t)
             )
             for t in layer
         }

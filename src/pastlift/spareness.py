@@ -14,8 +14,10 @@ searched as its non-normal arguments, each with the same budget of steps.
 One table per call records the greatest budget each term has been searched
 clean for, and it is shared by all starts, so a component met again is not
 searched again. Moves come from one successor table per call, keyed by
-distinct subterm. Only the first start that this search does not clear is
-searched again breadth first with traces, to report the counterexample.
+distinct subterm; they carry no positions. Only the first start that this
+search does not clear is searched again breadth first with traces, to report
+the counterexample, and that search takes the positions of its trace steps
+from ``redexes``, which lists the table's moves in the same order.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .props import duplicated_vars
-from .rewriting import Strategy, SuccessorTable
+from .rewriting import Strategy, SuccessorTable, redexes
 from .system import Ptrs
 from .terms import Position, Symbol, Term, Var, app, pos_to_str, term_to_str
 
@@ -160,7 +162,8 @@ def falsify_spare(
     which gives the same start, trace and duplicated variable as searching
     every start breadth first. One full-rewriting ``SuccessorTable`` serves
     both searches and all starts, so a term's moves are built once, and each
-    rule's duplicated variables are found once.
+    rule's duplicated variables are found once. The table keeps no
+    positions; the search with traces pairs its moves with ``redexes``.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -214,7 +217,7 @@ def _clears(
             if not rooted(t):
                 level.extend(t.args)
                 continue
-            for _, idx, sigma, dist in table.moves(t):
+            for idx, sigma, dist in table.moves(t):
                 for name in dups[idx]:
                     image = sigma.get(name)
                     if image is not None and not nf(image):
@@ -236,7 +239,9 @@ def _falsify_from(
     for _ in range(depth):
         next_queue: list[tuple[Term, list[TraceStep]]] = []
         for t, trace in queue:
-            for pos, idx, sigma, dist in table.moves(t):
+            # the table lists redexes(t) in order, without their positions
+            listed = [r.position for r in redexes(system, t)]
+            for pos, (idx, sigma, dist) in zip(listed, table.moves(t), strict=True):
                 for name in dups[idx]:
                     image = sigma.get(name)
                     if image is not None and not nf(image):

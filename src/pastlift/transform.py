@@ -44,13 +44,6 @@ class ExtendedSignature:
                 taken.add(cons_name)
                 self.cons[name] = Symbol(cons_name, sym.arity)
 
-    def is_extended_symbol(self, name: str) -> bool:
-        return (
-            name == self.argenc.name
-            or name in {s.name for s in self.enc.values()}
-            or name in {s.name for s in self.cons.values()}
-        )
-
 
 def generator_rules(system: Ptrs, ext: Optional[ExtendedSignature] = None) -> Ptrs:
     """The generated rules, as a standalone system with {1: r} branches.

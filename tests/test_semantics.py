@@ -1141,14 +1141,25 @@ def test_memoised_runs_match_the_memo_free_zipper_at_every_cap():
             assert steps == 7 and s8.is_normal_form(normal)
 
 
-def test_memoised_runs_match_the_memo_free_zipper_on_random_systems():
+def zipper_draws():
+    """(case, system, start): 4,000 draws over the default symbols, then
+    1,000 from a second stream with starts and right-hand sides over the
+    whole signature, g0 included, which the default symbols lack."""
     rng = random.Random(59)
-    compared = hits = 0
     for case in range(4000):
-        system = random_system(rng)
-        start = random_term(rng, 4, vars_=())
+        yield case, random_system(rng), random_term(rng, 4, vars_=())
+    own = random.Random(60)
+    for case in range(4000, 5000):
+        system = random_system(own, symbols=SIGNATURE_SYMBOLS)
+        yield case, system, random_term(own, 4, vars_=(), symbols=SIGNATURE_SYMBOLS)
+
+
+def test_memoised_runs_match_the_memo_free_zipper_on_random_systems():
+    compared = hits = g0 = 0
+    for case, system, start in zipper_draws():
         if system.is_normal_form(start):
             continue
+        g0 += fires_g0(system, start)
         for strategy, policy, rule in innermost_rules():
             memo = CountingMemo()
             for i, cap in enumerate((25, 3, 25, 8, 1, 25)):
@@ -1160,8 +1171,9 @@ def test_memoised_runs_match_the_memo_free_zipper_on_random_systems():
                 assert got == expected, (case, strategy, policy, i, cap)
                 compared += 1
             hits += memo.hits
-    assert compared > 5000
-    assert hits > 1000
+    assert compared > 12000
+    assert hits > 3000
+    assert g0 > 150
 
 
 def s8_tower(k):

@@ -246,7 +246,6 @@ def test_groups_and_sim_steps_match_the_tree_walk():
                 g0 += system.rules[g.rule_index].lhs.symbol.name == "g0"
                 assert (g.rule_index, g.subst) == (w.rule_index, w.subst), where
                 assert g.instance is w.instance and g.term is term, where
-                assert g.first == w.positions[0], where
                 assert g.positions == w.positions, where
                 whole = tree_walk_sim_step(system, term, w, w.positions)
                 assert_same_dist(sim_step(system, term, g), whole, where)

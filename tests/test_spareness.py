@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -430,6 +431,22 @@ def test_falsifier_recurses_neither_on_term_depth_nor_on_depth():
     finally:
         sys.setrecursionlimit(limit)
     assert got == want
+
+
+def test_falsifier_memory_on_a_deep_chain_stays_small():
+    """From ``g(0)``, srw2 reaches ``g^k(0)``, whose k moves are listed again
+    under every ancestor. Moves that kept their positions would hold O(k³)
+    position entries: about 15 MB at depth 200, against about 4 MB without
+    them."""
+    srw2 = load_system("srw2")
+    start = parse_term("g(0)", srw2)
+    tracemalloc.start()
+    try:
+        assert falsify_spare(srw2, 200, [start]) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_falsifier_work_on_srw_stays_small(monkeypatch):
