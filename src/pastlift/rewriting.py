@@ -484,8 +484,9 @@ def _group_placement(
 
 class SimTable:
     """The work of simultaneous steps, memoised by distinct subterm for one
-    call (one exact unfolding, or all the runs of one Monte-Carlo estimate)
-    on one system under ``par`` or ``ipar`` and one policy:
+    call (one exact unfolding, or all the runs of one Monte-Carlo estimate,
+    whose move table ``runsim.run_simultaneous`` fills from this one) on one
+    system under ``par`` or ``ipar`` and one policy:
 
     - descent picks: a node whose descent enters child k has that child's
       pick, so only the part of a pick's path the table has not met is
@@ -589,6 +590,12 @@ class Policy:
         full rewriting has such rules: its admissible moves are ``redexes``."""
         return None
 
+    def group_index(self, strategy: Strategy) -> Optional[IndexPick]:
+        """The rule that makes this policy's pick under ``par``/``ipar`` by
+        index among a term's ``simultaneous_groups``, every occurrence
+        taken, or None when the pick is not made that way."""
+        return None
+
     def choose(self, system: Ptrs, t: Term, strategy: Strategy) -> Redex:
         """The move this policy takes on a non-normal-form term under a
         non-simultaneous strategy: by descent where the policy has a descent
@@ -665,6 +672,10 @@ class RandomSeeded(Policy):
 
     def pick_redex(self, t: Term, moves: Sequence[Redex]) -> Redex:
         return moves[self.rng.randrange(len(moves))]
+
+    def group_index(self, strategy: Strategy) -> Optional[IndexPick]:
+        # the same draw as pick_group
+        return self.rng.randrange if strategy.simultaneous else None
 
     def pick_group(self, t, groups):
         return groups[self.rng.randrange(len(groups))], None

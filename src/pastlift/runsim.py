@@ -1,8 +1,10 @@
-"""Sampled runs as zippers: under an innermost descent rule, and under full
-rewriting for a policy that picks a redex by its index. Which (strategy,
-policy) pairs run here is ``semantics.mc_runs``'s choice: ``first`` under
-``i``/``li`` and ``rightmost`` under ``full``/``i``/``li`` on the innermost
-zipper, ``first`` and ``random`` under ``full`` on the index zipper.
+"""Sampled runs: as zippers under an innermost descent rule, and under full
+rewriting for a policy that picks a redex by its index; and under
+``par``/``ipar`` from a move table of whole terms. Which (strategy, policy)
+pairs run here is ``semantics.mc_runs``'s choice: ``first`` under ``i``/``li``
+and ``rightmost`` under ``full``/``i``/``li`` on the innermost zipper,
+``first`` and ``random`` under ``full`` on the index zipper, and ``first``,
+``rightmost`` and ``random`` under ``par``/``ipar`` on the simultaneous table.
 
 A run keeps the hash-consed term open at its current redex (Huet, "The
 Zipper", JFP 1997): a frame ``(parent, k, ...)`` per ancestor, the open
@@ -63,6 +65,17 @@ common ancestor and down again, with one interned parent per level climbed
 out of a changed subterm. The move is measured, not constant: ``first``'s
 next redex is mostly near the last one, but a ``random`` pick lands anywhere,
 so on a chain such as ``g(g(...))`` its move grows with the depth.
+
+**Simultaneous rewriting** (``run_simultaneous``). A ``par``/``ipar`` step
+replaces every occurrence of an instance, anywhere in the term, so the run
+keeps no cursor: its state is the whole term. The runs of one estimate share
+a move table with one entry per distinct term they reach: no move for a
+normal form; the descent rule's pick (``SimTable.pick``) for a policy with
+one; otherwise every group (``SimTable.groups``), in list order, for a policy
+that picks a group by its index. A move holds its rule, σ, instance and
+successors by branch, each successor rebuilt (``SimTable.rebuild``) the first
+time a draw picks it. So a step on a term met before, in any run, is one
+lookup, the branch draw and, for an index pick, the policy's draw.
 """
 
 from __future__ import annotations
@@ -70,7 +83,7 @@ from __future__ import annotations
 import random
 from typing import Optional, Union
 
-from .rewriting import Descent, IndexPick
+from .rewriting import Descent, IndexPick, SimTable
 from .system import Ptrs
 from .terms import Position, Substitution, Term, Var, app
 
@@ -290,3 +303,63 @@ def run_full_by_index(
             total += c - (n + rest)
             n = c
     return not total, step_cap
+
+
+# A term's moves under par/ipar: () for a normal form, else the moves a
+# policy picks among, each as (rule index, σ, instance, successors by branch),
+# each successor built the first time a draw picks it
+SimMove = tuple[int, Substitution, Term, list[Optional[Term]]]
+SimMoves = dict[Term, tuple[SimMove, ...]]
+
+
+def _sim_entry(
+    system: Ptrs, table: SimTable, rule: Optional[Descent], u: Term
+) -> tuple[SimMove, ...]:
+    """u's move-table entry: the descent rule's pick alone, or every group."""
+    if system.is_normal_form(u):
+        return ()
+    if rule is not None:
+        found = [table.pick(u, rule)]
+    else:
+        found = [(g.rule_index, g.subst, g.instance) for g in table.groups(u)]
+    weights = system.branch_weights
+    return tuple((idx, sigma, instance, [None] * len(weights[idx])) for idx, sigma, instance in found)
+
+
+def run_simultaneous(
+    system: Ptrs,
+    start: Term,
+    table: SimTable,
+    rule: Optional[Descent],
+    pick: Optional[IndexPick],
+    rng: random.Random,
+    step_cap: int,
+    moves: Optional[SimMoves] = None,
+) -> tuple[bool, int]:
+    """Simulate one run under the table's ``par`` or ``ipar``; returns
+    (reached normal form, steps taken). Each step draws its branch with one
+    ``rng.random()``, and takes the descent rule's group, or, without a
+    rule, the group ``pick(n)`` among the term's n groups.
+
+    ``table`` and ``moves`` carry the work from run to run; both must come
+    from runs on the same system and strategy with the same rule, or both
+    without one."""
+    if moves is None:
+        moves = {}
+    get = moves.get
+    rules, contract, rebuild = system.rules, system.contract, table.rebuild
+    u = start
+    for steps in range(step_cap):
+        e = get(u)
+        if e is None:
+            e = moves[u] = _sim_entry(system, table, rule, u)
+        if not e:
+            return True, steps
+        x = rng.random()
+        idx, sigma, instance, built = e[0] if pick is None else e[pick(len(e))]
+        b = rules[idx].pick_branch(x)
+        v = built[b]
+        if v is None:
+            v = built[b] = rebuild(u, instance, contract(idx, b, sigma))
+        u = v
+    return system.is_normal_form(u), step_cap

@@ -212,20 +212,23 @@ def mc_runs(
     Run i uses its own RNG derived from (seed, i), and a random policy its
     own stream derived from the same pair, so runs are independent of one
     another and of the order they are made in. The path a run takes is fixed
-    by the strategy and the policy:
+    by the strategy and the policy's hooks:
 
     - a descent rule in ``INNERMOST_DESCENTS`` (``first`` under ``i``/``li``,
       ``rightmost`` under ``full``/``i``/``li``): the innermost zipper,
       ``runsim.run_innermost_first``;
-    - otherwise, an index rule (``first`` and ``random`` under ``full``):
-      the index zipper, ``runsim.run_full_by_index``;
-    - otherwise (``random`` under ``i``/``li``, every policy under
-      ``par``/``ipar``, and ``script``): ``sample_step`` from the root.
+    - an index rule (``first`` and ``random`` under ``full``): the index
+      zipper, ``runsim.run_full_by_index``;
+    - under ``par``/``ipar``, a descent rule under the plain strategy
+      (``first``, ``rightmost``) or a group index rule (``random``): the
+      simultaneous move table, ``runsim.run_simultaneous``;
+    - otherwise (``random`` under ``i``/``li``, and ``script``):
+      ``sample_step`` from the root.
 
     Every run of one returned function shares its tables: the innermost
     zipper's deterministic segments and move table, and under
-    ``par``/``ipar`` one ``SimTable``. They hold only terms the runs met, and
-    live as long as the function."""
+    ``par``/``ipar`` one ``SimTable`` and one simultaneous move table. They
+    hold only terms the runs met, and live as long as the function."""
     rule = policy.descent(strategy)
     if rule in INNERMOST_DESCENTS:
         memo: runsim.Memo = {}
@@ -237,14 +240,22 @@ def mc_runs(
 
         return one_run
     table = SimTable(system, strategy) if strategy.simultaneous else None
+    plain = policy.descent(strategy.plain) if strategy.simultaneous else None
+    sim_moves: runsim.SimMoves = {}
 
     def one_run(i: int) -> tuple[bool, int]:
         rng = random.Random(f"{seed}:{i}")
+        if plain is not None:
+            return runsim.run_simultaneous(
+                system, start, table, plain, None, rng, step_cap, sim_moves
+            )
         own = policy.clone_for_run(f"{seed}:{i}:policy")
-        index = own.redex_index(strategy)
-        if index is not None:
+        index = own.group_index(strategy) if strategy.simultaneous else own.redex_index(strategy)
+        if index is None:
+            return _run_generic(system, start, strategy, own, rng, step_cap, table)
+        if table is None:
             return runsim.run_full_by_index(system, start, index, rng, step_cap)
-        return _run_generic(system, start, strategy, own, rng, step_cap, table)
+        return runsim.run_simultaneous(system, start, table, None, index, rng, step_cap, sim_moves)
 
     return one_run
 

@@ -155,27 +155,31 @@ def falsify_spare(
     irrelevant to spareness, branches are plain nondeterminism). Start terms
     are tried in order, so the first counterexample is deterministic.
 
-    Every start is checked to be basic. Each start is first decided by
-    ``_clears``, a component search that keeps no traces, with one table of
-    clean budgets shared by all starts. Only the first start it does not
-    clear is searched again, breadth first with traces (``_falsify_from``),
-    which gives the same start, trace and duplicated variable as searching
-    every start breadth first. One full-rewriting ``SuccessorTable`` serves
-    both searches and all starts, so a term's moves are built once, and each
-    rule's duplicated variables are found once. The table keeps no
-    positions; the search with traces pairs its moves with ``redexes``.
+    Every start is checked to be basic. When no rule duplicates a variable,
+    no step can be non-spare and nothing is searched. Otherwise each start
+    is first decided by ``_clears``, a component search that keeps no
+    traces, with one table of clean budgets shared by all starts. Only the
+    first start it does not clear is searched again, breadth first with
+    traces (``_falsify_from``), which gives the same start, trace and
+    duplicated variable as searching every start breadth first. One
+    full-rewriting ``SuccessorTable`` serves both searches and all starts,
+    so a term's moves are built once, and each rule's duplicated variables
+    are found once. The table keeps no positions; the search with traces
+    pairs its moves with ``redexes``.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     for start in starts:
         if not system.is_basic(start):
             raise ValueError(f"start term {term_to_str(start)} is not basic")
-    table = SuccessorTable(system, Strategy.FULL)
     # per rule, the variables some right-hand side duplicates, in name order
     dups = [
         sorted(set().union(*(duplicated_vars(r) for r in rule.rhs.terms)))
         for rule in system.rules
     ]
+    if not any(dups):  # every step is spare
+        return None
+    table = SuccessorTable(system, Strategy.FULL)
     clean: dict[Term, int] = {}
     for start in starts:
         if not _clears(system, table, dups, clean, depth, start):

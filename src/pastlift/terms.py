@@ -61,6 +61,7 @@ class App(Term):
 
 _VAR_POOL: dict[str, Var] = {}
 _APP_POOL: dict[tuple, App] = {}
+_NO_VARS: frozenset[str] = frozenset()
 
 
 def var(name: str) -> Var:
@@ -85,14 +86,20 @@ def app(symbol: Symbol, args: Iterable[Term] = ()) -> App:
         t = App.__new__(App)
         t.symbol = symbol
         t.args = args
-        if args:
-            t.vars = frozenset().union(*(a.vars for a in args))
-            t.size = 1 + sum(a.size for a in args)
-            t.depth = 1 + max(a.depth for a in args)
-        else:
-            t.vars = frozenset()
-            t.size = 1
-            t.depth = 1
+        # one pass over the arguments; a child's variable set is shared
+        # when no other child adds to it
+        names = _NO_VARS
+        size = depth = 0
+        for a in args:
+            size += a.size
+            if a.depth > depth:
+                depth = a.depth
+            v = a.vars
+            if v and v is not names and not v <= names:
+                names = v if names <= v else names | v
+        t.vars = names
+        t.size = size + 1
+        t.depth = depth + 1
         _APP_POOL[key] = t
     return t
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from pastlift.rewriting import (
     RightmostFirst,
     Scripted,
     ScriptEntry,
+    SimTable,
     Strategy,
     admissible_moves,
     coalesce,
@@ -826,6 +828,120 @@ def test_runs_sharing_one_calls_tables_match_independent_reference_runs():
     assert deepest == 200
 
 
+# par/ipar estimates on the simultaneous move table, at caps that s6's
+# d-trees, srw2's chain and s3's growing term reach: (system, start,
+# strategy, policy, step cap)
+SIMULTANEOUS_RUNS = (
+    [("s6", "g", strategy, spec, 1000) for strategy in ("par", "ipar")
+     for spec in ("first", "rightmost", "random:2")]
+    + [("srw2", "g(0)", "ipar", "random:1", 4000)]
+    + [(name, "f(a,a)", strategy, spec, 60) for name in ("s3", "s5")
+       for strategy in ("par", "ipar") for spec in ("first", "rightmost", "random:2")]
+)
+
+
+def test_simultaneous_runs_match_the_generic_sampler_on_the_corpus():
+    """Run i of one ``mc_runs`` estimate under ``par``/``ipar``, made on the
+    move table runs 0..i-1 filled, is ``_run_generic``'s run from the same
+    seeds on a fresh ``SimTable``."""
+    deepest = {}
+    for name, text, strategy, spec, cap in SIMULTANEOUS_RUNS:
+        system = load_system(name)
+        start = t(name, text)
+        strategy = Strategy(strategy)
+        shared = mc_runs(system, start, strategy, make_policy(spec), cap, 11)
+        table = SimTable(system, strategy)
+        for i in range(200 if name == "srw2" else 40):
+            expected = _run_generic(
+                system, start, strategy, make_policy(spec).clone_for_run(f"11:{i}:policy"),
+                random.Random(f"11:{i}"), cap, table,
+            )
+            assert shared(i) == expected, (name, strategy, spec, i)
+            deepest[name] = max(deepest.get(name, 0), expected[1])
+    # s3 never terminates, and some srw2 walk outlives the cap
+    assert deepest["s3"] == 60 and deepest["srw2"] == 4000
+    assert deepest["s6"] > 20
+
+
+def test_simultaneous_runs_sharing_a_move_table_build_each_move_once(monkeypatch):
+    """The runs of one estimate ask ``SimTable`` for each distinct term's
+    descent pick or groups once, and rebuild each (term, group, branch)
+    successor once, in any run."""
+    asked, rebuilt = [], []
+    pick, groups, rebuild = SimTable.pick, SimTable.groups, SimTable.rebuild
+
+    def counted_pick(table, u, rule):
+        asked.append(u)
+        return pick(table, u, rule)
+
+    def counted_groups(table, u):
+        asked.append(u)
+        return groups(table, u)
+
+    def counted_rebuild(table, u, instance, replacement):
+        rebuilt.append((u, instance, replacement))
+        return rebuild(table, u, instance, replacement)
+
+    monkeypatch.setattr(SimTable, "pick", counted_pick)
+    monkeypatch.setattr(SimTable, "groups", counted_groups)
+    monkeypatch.setattr(SimTable, "rebuild", counted_rebuild)
+    for name, text, strategy, spec, cap in SIMULTANEOUS_RUNS:
+        asked.clear()
+        rebuilt.clear()
+        one_run = mc_runs(load_system(name), t(name, text), Strategy(strategy),
+                          make_policy(spec), cap, 11)
+        steps = sum(one_run(i)[1] for i in range(40))
+        assert asked and len(asked) == len(set(asked)), (name, strategy, spec)
+        assert rebuilt and len(rebuilt) == len(set(rebuilt)), (name, strategy, spec)
+        if name in ("s6", "srw2"):  # runs that meet the same terms again
+            assert steps > 2 * len(rebuilt), (name, strategy, spec)
+
+
+def wilson_interval(successes, n, z):
+    """Wilson's score interval for a binomial proportion (Wilson, JASA 1927)."""
+    p = successes / n
+    centre = p + z * z / (2 * n)
+    half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+    scale = 1 + z * z / n
+    return (centre - half) / scale, (centre + half) / scale
+
+
+def test_mc_estimates_lie_near_exact_masses_on_random_systems():
+    """Under a deterministic policy a run's law is the exact lifting, so the
+    share of runs that reach a normal form within N steps estimates exact
+    ``nf_mass`` at depth N. Each estimate must lie within a Wilson interval
+    (z = 5) of it, and over all estimates the pooled deviation must stay
+    within five standard errors."""
+    rng = random.Random(61)
+    samples, z = 200, 5.0
+    compared = strict = g0 = 0
+    deviation = variance = 0.0
+    for case in range(300):
+        system = random_system(rng, symbols=SIGNATURE_SYMBOLS)
+        start = random_term(rng, 4, vars_=(), symbols=SIGNATURE_SYMBOLS)
+        if system.is_normal_form(start):
+            continue
+        g0 += fires_g0(system, start)
+        depth = rng.randint(2, 8)
+        for strategy in Strategy:
+            for policy in (FirstMove(), RightmostFirst()):
+                try:
+                    exact = unfold_exact(system, start, strategy, policy, depth,
+                                         support_cap=5000, coalesce_states=True)
+                except CapExceeded:
+                    continue
+                mass = float(exact.lower_bound)
+                summary = mc_estimate(system, start, strategy, policy, samples, depth, case)
+                lo, hi = wilson_interval(summary.terminated, samples, z)
+                assert lo <= mass <= hi, (case, strategy, policy.name, summary, mass)
+                deviation += summary.terminated - samples * mass
+                variance += samples * mass * (1 - mass)
+                strict += 0 < mass < 1
+                compared += 1
+    assert abs(deviation) <= z * math.sqrt(variance)
+    assert compared > 600 and strict > 150 and g0 > 50
+
+
 def full_index_runs(system, start, spec, run_seed, step_cap):
     """One full-rewriting run under a policy with an index rule, from the
     same seeds by ``_run_generic`` and by ``runsim.run_full_by_index``."""
@@ -1024,19 +1140,20 @@ class GenericReached(Exception):
 
 
 def test_only_policies_without_a_fast_path_reach_the_generic_sampler(monkeypatch):
+    """``script`` under every strategy and ``random`` under ``i``/``li``
+    take ``_run_generic``; every other pair has a table or a zipper."""
     def refuse(*args):
         raise GenericReached
 
     monkeypatch.setattr(semantics, "_run_generic", refuse)
     srw = load_system("srw")
     g = t("srw", "g")
-    for policy in (FirstMove(), RandomSeeded(1)):
-        mc_estimate(srw, g, Strategy.FULL, policy, 20, 300, seed=1)
+    simultaneous = (Strategy.SIMULTANEOUS, Strategy.INNERMOST_SIMULTANEOUS)
+    for strategy in (Strategy.FULL,) + simultaneous:
+        for policy in (FirstMove(), RightmostFirst(), RandomSeeded(1)):
+            mc_estimate(srw, g, strategy, policy, 20, 300, seed=1)
     script = Scripted([ScriptEntry(g, 0, ((),))])
     generic = [(strategy, script) for strategy in Strategy]
-    generic += [(strategy, policy) for strategy in (Strategy.SIMULTANEOUS,
-                                                    Strategy.INNERMOST_SIMULTANEOUS)
-                for policy in (FirstMove(), RightmostFirst(), RandomSeeded(1))]
     generic += [(strategy, RandomSeeded(1)) for strategy in (Strategy.INNERMOST,
                                                               Strategy.LEFTMOST_INNERMOST)]
     for strategy, policy in generic:

@@ -433,12 +433,36 @@ def test_falsifier_recurses_neither_on_term_depth_nor_on_depth():
     assert got == want
 
 
+# a rule that duplicates a variable but never fires from a basic start (no
+# basic term matches h(h(x))): without one, falsify_spare has nothing to search
+UNREACHABLE_DUPLICATION = "h(h(x)) -> {1: c(x,x)}"
+
+
+def with_unreachable_duplication(rules: str, constructors: str = ""):
+    return parse(f"(VAR x)\n{constructors}\n(RULES\n  {rules}\n  {UNREACHABLE_DUPLICATION}\n)\n")
+
+
+def test_falsifier_without_duplicating_rules_searches_nothing(monkeypatch):
+    """No rule of srw or srw2 duplicates a variable, so no step is
+    non-spare; the falsifier still checks that every start is basic."""
+    def refuse(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(spareness, "SuccessorTable", refuse)
+    for name in ("srw", "srw2"):
+        system = load_system(name)
+        assert falsify_spare(system, 900, default_basic_starts(system, 3)) is None
+    srw2 = load_system("srw2")
+    with pytest.raises(ValueError, match="not basic"):
+        falsify_spare(srw2, 5, [parse_term("g(g(0))", srw2)])
+
+
 def test_falsifier_memory_on_a_deep_chain_stays_small():
     """From ``g(0)``, srw2 reaches ``g^k(0)``, whose k moves are listed again
     under every ancestor. Moves that kept their positions would hold O(k³)
     position entries: about 15 MB at depth 200, against about 4 MB without
-    them."""
-    srw2 = load_system("srw2")
+    them. An unreachable duplicating rule makes the falsifier search."""
+    srw2 = with_unreachable_duplication("g(x) -> {1/2: g(g(x)), 1/2: x}", "(CONSTRUCTORS 0/0)")
     start = parse_term("g(0)", srw2)
     tracemalloc.start()
     try:
@@ -453,7 +477,8 @@ def test_falsifier_work_on_srw_stays_small(monkeypatch):
     """From ``g``, srw's successors ``c(g,g)`` split into copies of ``g``
     already searched with a larger budget, so the whole search steps one
     term; searching the terms themselves would step every ``c``-tree of
-    ``g`` and ``bot`` of height up to 11."""
+    ``g`` and ``bot`` of height up to 11. An unreachable duplicating rule
+    makes the falsifier search."""
     tables = []
 
     class Recorded(SuccessorTable):
@@ -462,6 +487,6 @@ def test_falsifier_work_on_srw_stays_small(monkeypatch):
             tables.append(self)
 
     monkeypatch.setattr(spareness, "SuccessorTable", Recorded)
-    srw = load_system("srw")
+    srw = with_unreachable_duplication("g -> {1/2: c(g,g), 1/2: bot}")
     assert falsify_spare(srw, 12, default_basic_starts(srw, 3)) is None
     assert len(tables) == 1 and len(tables[0]._moves) < 5

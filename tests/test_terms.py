@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pastlift.terms import (
+    App,
     InvalidPosition,
     Symbol,
+    Var,
     app,
     apply_subst,
     match,
@@ -40,6 +42,71 @@ def test_interning_gives_pointer_equality():
     t2 = app(D1, [app(S1, [var("x")])])
     assert t1 is t2
     assert app(C2, [a, b]) is not app(C2, [b, a])
+
+
+def naive_fields(t, memo):
+    """(vars, size, depth) by their recursive definitions, once per
+    distinct subterm."""
+    got = memo.get(t)
+    if got is None:
+        if isinstance(t, Var):
+            got = frozenset((t.name,)), 1, 1
+        else:
+            fields = [naive_fields(a, memo) for a in t.args]
+            got = (
+                frozenset().union(*(f[0] for f in fields)),
+                1 + sum(f[1] for f in fields),
+                1 + max((f[2] for f in fields), default=0),
+            )
+        memo[t] = got
+    return got
+
+
+def rebuilt(t, memo):
+    """t built again from its symbols and variable names, bottom up, once
+    per distinct subterm."""
+    got = memo.get(t)
+    if got is None:
+        if isinstance(t, Var):
+            got = var(t.name)
+        else:
+            got = app(Symbol(t.symbol.name, t.symbol.arity), [rebuilt(a, memo) for a in t.args])
+        memo[t] = got
+    return got
+
+
+def test_app_fields_match_their_definitions_and_equal_terms_are_one_object():
+    """Random terms over constants, variables and shared arguments: every
+    node has the vars, size and depth of the recursive definitions, a node
+    with the variables of one of its children shares that child's set, and
+    building a term again gives the same object."""
+    rng = random.Random(67)
+    symbols = [F3, F2, F1, D1, C2, A, B, G]
+    leaves = [var("x"), var("y"), var("z"), app(A), app(B), app(G)]
+    built = list(leaves)
+    fields: dict = {}
+    shared = 0
+
+    def argument():
+        # a leaf, or a term built before, recent ones more often
+        if rng.random() < 0.3:
+            return rng.choice(leaves)
+        return built[max(0, len(built) - 1 - int(rng.expovariate(0.05)))]
+
+    for _ in range(3000):
+        sym = rng.choice(symbols)
+        args = [argument() for _ in range(sym.arity)]
+        u = app(sym, args)
+        assert (u.vars, u.size, u.depth) == naive_fields(u, fields)
+        if any(a.vars == u.vars for a in args if a.vars):
+            assert any(a.vars is u.vars for a in args)
+            shared += 1
+        assert rebuilt(u, {}) is u and app(sym, tuple(args)) is u
+        built.append(u)
+    assert shared > 600
+    assert max(u.depth for u in built) > 10
+    assert sum(1 for u in built if u.vars) > 700
+    assert sum(1 for u in built if isinstance(u, App) and not u.vars) > 1000
 
 
 def test_positions_examples():
