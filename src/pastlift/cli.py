@@ -258,9 +258,7 @@ def _cmd_simulate(args) -> int:
         print(f"partial edl after {trace.depth} steps: {trace.partial_edl} "
               f"(~{float(trace.partial_edl):.6g})")
         final = trace.states[-1]
-        if len(final) <= reportmod.STATE_ENTRY_LIMIT and all(
-            t.size <= reportmod.STATE_TERM_SIZE_LIMIT for _, t in final.entries
-        ):
+        if reportmod.renders_state(final):
             print("final state:")
             for p, t in final.entries:
                 print(f"  {p}: {term_to_str(t)}")

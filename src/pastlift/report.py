@@ -18,7 +18,7 @@ from .analyzer import AnalysisReport, ClosureArrow, Verdict
 from .props import PropertyReport
 from .semantics import McSummary, SemanticsTrace
 from .spareness import SparenessCounterexample, SpareVerdict
-from .system import Ptrs
+from .system import MultiDistribution, Ptrs
 from .terms import pos_to_str, term_to_str
 
 FORMAT = "past-lift/1"
@@ -172,6 +172,14 @@ def analysis_doc(system: Ptrs, reports: list[AnalysisReport], scope: str) -> dic
     return {"format": FORMAT, "kind": "analyze", "scope": scope, "sections": sections}
 
 
+def renders_state(mu: MultiDistribution) -> bool:
+    """Whether a final state is small enough to print: its support and each
+    of its terms within the rendering limits."""
+    return len(mu) <= STATE_ENTRY_LIMIT and all(
+        t.size <= STATE_TERM_SIZE_LIMIT for t in mu.terms
+    )
+
+
 def exact_trace_doc(system: Ptrs, trace: SemanticsTrace) -> dict:
     final = trace.states[-1]
     doc = {
@@ -187,9 +195,7 @@ def exact_trace_doc(system: Ptrs, trace: SemanticsTrace) -> dict:
         "upper_bound": "1",
         "partial_edl": _rat(trace.partial_edl),
     }
-    if len(final) <= STATE_ENTRY_LIMIT and all(
-        t.size <= STATE_TERM_SIZE_LIMIT for _, t in final.entries
-    ):
+    if renders_state(final):
         doc["final_state"] = [
             {"p": _rat(p), "term": term_to_str(t)} for p, t in final.entries
         ]

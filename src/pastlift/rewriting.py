@@ -4,6 +4,10 @@ plus one lifting step over multi-distributions under a policy.
 Policies resolve every bit of nondeterminism (position, rule, and for
 simultaneous rewriting the subset of equal redexes), so that a lifted rewrite
 sequence is a pure function of (system, start, strategy, policy).
+
+A simultaneous move is a group, (rule index, σ, instance): every occurrence
+of the instance rewritten at once, wherever it sits in the term, or only the
+occurrences a script row names. No group lists its positions.
 """
 
 from __future__ import annotations
@@ -66,92 +70,10 @@ class Redex:
     subst: Substitution
 
 
-class SimGroup:
-    """Every occurrence of one redex instance in a term, with the rule that
-    rewrites it. The occurrences are pairwise parallel (a term cannot nest
-    inside itself), so the group is an admissible simultaneous move.
-
-    ``positions`` (all of them, left to right) are listed on first use,
-    entering only the subterms that hold the instance. On a term that
-    ``par`` duplicates there are exponentially many of them; ``holds_at``
-    and ``count`` answer in DAG time without listing them.
-    """
-
-    __slots__ = ("rule_index", "subst", "instance", "term", "_holds", "_positions")
-
-    def __init__(self, rule_index: int, subst: Substitution, instance: Term, term: Term):
-        self.rule_index = rule_index
-        self.subst = subst
-        self.instance = instance
-        self.term = term
-        self._holds: Optional[dict[Term, bool]] = None
-        self._positions: Optional[tuple[Position, ...]] = None
-
-    def _holders(self) -> dict[Term, bool]:
-        """For each distinct subterm of ``term`` deeper than the instance,
-        and each child of one, whether the instance occurs in it."""
-        if self._holds is None:
-            instance = self.instance
-            depth = instance.depth
-            holds = self._holds = {instance: True}
-            stack = [self.term]
-            while stack:
-                u = stack[-1]
-                if u in holds:
-                    stack.pop()
-                elif u.depth <= depth:  # not the instance, so too shallow to hold it
-                    holds[u] = False
-                    stack.pop()
-                else:
-                    pending = [a for a in u.args if a not in holds]
-                    if pending:
-                        stack.extend(pending)
-                    else:
-                        stack.pop()
-                        holds[u] = any(holds[a] for a in u.args)
-        return self._holds
-
-    def holds_at(self, pos: Position) -> bool:
-        """Whether pos is one of the positions."""
-        try:
-            return subterm_at(self.term, pos) is self.instance
-        except InvalidPosition:
-            return False
-
-    def count(self) -> int:
-        """The number of positions, counted over the distinct subterms."""
-        holds = self._holders()
-        counts: dict[Term, int] = {self.instance: 1}
-        stack = [self.term]
-        while stack:
-            u = stack[-1]
-            if u in counts:
-                stack.pop()
-                continue
-            pending = [a for a in u.args if holds[a] and a not in counts]
-            if pending:
-                stack.extend(pending)
-            else:
-                stack.pop()
-                counts[u] = sum(counts[a] for a in u.args if holds[a])
-        return counts[self.term]
-
-    @property
-    def positions(self) -> tuple[Position, ...]:
-        if self._positions is None:
-            holds = self._holders()
-            found: list[Position] = []
-            stack: list[tuple[Term, Position]] = [(self.term, ())]
-            while stack:
-                u, pos = stack.pop()
-                if u is self.instance:
-                    found.append(pos)
-                    continue
-                for k in range(len(u.args), 0, -1):
-                    if holds[u.args[k - 1]]:
-                        stack.append((u.args[k - 1], pos + (k,)))
-            self._positions = tuple(found)
-        return self._positions
+# A simultaneous move: (rule index, σ, instance), which rewrites every
+# occurrence of the instance at once. The occurrences are pairwise parallel
+# (a term cannot nest inside itself), so the move is admissible.
+Group = tuple[int, Substitution, Term]
 
 
 def _walk_redexes(system: Ptrs, t: Term, innermost_only: bool):
@@ -235,9 +157,9 @@ def _rightmost_innermost(system: Ptrs, u: Term) -> Pick:
 # descent rules whose pick at a node changes only when a child becomes normal
 INNERMOST_DESCENTS = (_leftmost_innermost, _rightmost_innermost)
 
-# An index rule is a policy's choice under full rewriting made from the
-# number n of the term's redexes alone: the index, in [0, n), of the redex
-# it takes in ``redexes`` order.
+# An index rule is a policy's choice made from the number n of the term's
+# admissible moves alone: the index, in [0, n), of the move it takes in
+# ``admissible_moves`` order.
 IndexPick = Callable[[int], int]
 
 
@@ -435,9 +357,7 @@ def _contract(
     )
 
 
-def simultaneous_groups(
-    system: Ptrs, t: Term, innermost_only: bool
-) -> list[SimGroup]:
+def simultaneous_groups(system: Ptrs, t: Term, innermost_only: bool) -> list[Group]:
     """Group redexes by rule and identical instance, ordered by (first
     position, rule index).
 
@@ -445,10 +365,11 @@ def simultaneous_groups(
     subterms of t: the walk meets positions in lexicographic order and stops
     at a subterm it has met before, so each subterm is visited once, at its
     leftmost position, and the groups come out already in order. No
-    position is kept; a group lists its own on demand.
+    position is kept: on a term that ``par`` duplicates an instance may
+    occur at exponentially many of them.
     """
     nf = system.is_normal_form
-    groups: list[SimGroup] = []
+    groups: list[Group] = []
     seen: set[Term] = set()
     stack = [t]
     while stack:
@@ -458,28 +379,29 @@ def simultaneous_groups(
         seen.add(u)
         args = u.args
         if not innermost_only or all(nf(a) for a in args):
-            groups.extend(SimGroup(idx, sigma, u, t) for idx, sigma in system.root_matches(u))
+            groups.extend([(idx, sigma, u) for idx, sigma in system.root_matches(u)])
         stack.extend(a for a in reversed(args) if a not in seen)
     return groups
 
 
+def _occurs_at(t: Term, pos: Position, instance: Term) -> bool:
+    try:
+        return subterm_at(t, pos) is instance
+    except InvalidPosition:
+        return False
+
+
 def _group_placement(
-    t: Term, group: SimGroup, chosen_positions: Optional[Sequence[Position]], table: "SimTable"
+    t: Term, instance: Term, chosen: Optional[Sequence[Position]], table: "SimTable"
 ) -> Callable[[Term], Term]:
     """The placement of a group's move on t: every occurrence of the
-    instance in one pass when no positions are chosen, or the chosen are
-    every occurrence in t, the group's own term; otherwise the chosen
-    positions, checked against t, one at a time."""
-    if chosen_positions is not None or group.term is not t:
-        chosen = tuple(chosen_positions) if chosen_positions is not None else group.positions
-        if not chosen or not all(group.holds_at(pos) for pos in chosen):
-            raise InvalidGroup(f"positions {chosen} are not a non-empty subset of the group")
-        for pos in chosen:
-            if subterm_at(t, pos) is not group.instance:
-                raise InvalidGroup(f"stale group: instance changed at {pos}")
-        if group.term is not t or len(set(chosen)) < group.count():
-            return partial(_replace_all, t, chosen)
-    return partial(table.rebuild, t, group.instance)
+    instance in one pass when no positions are chosen, otherwise the chosen
+    positions, each checked to hold the instance, replaced one at a time."""
+    if chosen is None:
+        return partial(table.rebuild, t, instance)
+    if not chosen or not all(_occurs_at(t, pos, instance) for pos in chosen):
+        raise InvalidGroup(f"positions {tuple(chosen)} are not a non-empty subset of the group")
+    return partial(_replace_all, t, tuple(chosen))
 
 
 class SimTable:
@@ -505,16 +427,16 @@ class SimTable:
     def __init__(self, system: Ptrs, strategy: Strategy):
         self.system = system
         self.innermost = strategy is Strategy.INNERMOST_SIMULTANEOUS
-        self._picks: dict[Term, tuple[int, Substitution, Term]] = {}
-        self._groups: dict[Term, list[SimGroup]] = {}
+        self._picks: dict[Term, Group] = {}
+        self._groups: dict[Term, list[Group]] = {}
         self._rebuilt: dict[tuple[Term, Term], dict[Term, Term]] = {}
 
-    def pick(self, t: Term, rule: Descent) -> tuple[int, Substitution, Term]:
-        """The redex ``descend`` finds in t, as (rule index, σ, the subterm
-        it contracts)."""
+    def pick(self, t: Term, rule: Descent) -> Group:
+        """The group of the redex ``descend`` finds in t: (rule index, σ,
+        the subterm it contracts)."""
         return _memo_descent(self.system, t, rule, self._picks, _redex_at, _same_redex)
 
-    def groups(self, t: Term) -> list[SimGroup]:
+    def groups(self, t: Term) -> list[Group]:
         """``simultaneous_groups`` of t under the table's strategy."""
         got = self._groups.get(t)
         if got is None:
@@ -562,7 +484,7 @@ def _redex_at(system: Ptrs, u: Term, found: tuple[int, Substitution]):
     return (*found, u)
 
 
-def _same_redex(parent: Term, k: int, got: tuple[int, Substitution, Term]):
+def _same_redex(parent: Term, k: int, got: Group):
     """A descent's redex in child k is its redex in the parent."""
     return got
 
@@ -584,16 +506,10 @@ class Policy:
         way (it depends on state, or on the whole term)."""
         return None
 
-    def redex_index(self, strategy: Strategy) -> Optional[IndexPick]:
-        """The rule that makes this policy's pick by index among all of a
-        term's redexes, or None when the pick is not made that way. Only
-        full rewriting has such rules: its admissible moves are ``redexes``."""
-        return None
-
-    def group_index(self, strategy: Strategy) -> Optional[IndexPick]:
-        """The rule that makes this policy's pick under ``par``/``ipar`` by
-        index among a term's ``simultaneous_groups``, every occurrence
-        taken, or None when the pick is not made that way."""
+    def index_rule(self) -> Optional[IndexPick]:
+        """The rule that makes this policy's pick by index among a term's
+        admissible moves, in ``admissible_moves`` order, under any strategy
+        (a group taken whole), or None when the pick is not made that way."""
         return None
 
     def choose(self, system: Ptrs, t: Term, strategy: Strategy) -> Redex:
@@ -602,8 +518,9 @@ class Policy:
         rule, which must pick what choosing from the list of every admissible
         move would, otherwise by enumerating every admissible move and
         deferring to ``pick_redex``. An index rule picks what ``pick_redex``
-        picks from ``redexes``; only the Monte-Carlo index zipper
-        (``runsim.run_full_by_index``) uses one."""
+        and ``pick_group`` pick; only the Monte-Carlo samplers
+        (``runsim.run_full_by_index``, ``runsim.run_simultaneous``) use
+        one."""
         rule = self.descent(strategy)
         if rule is not None:
             return descend(system, t, rule)
@@ -613,9 +530,9 @@ class Policy:
         raise NotImplementedError
 
     def pick_group(
-        self, t: Term, groups: Sequence[SimGroup]
-    ) -> tuple[SimGroup, Optional[tuple[Position, ...]]]:
-        """A group and the positions of it to rewrite, None for all."""
+        self, t: Term, groups: Sequence[Group]
+    ) -> tuple[Group, Optional[tuple[Position, ...]]]:
+        """A group of t and the positions of it to rewrite, None for all."""
         raise NotImplementedError
 
     def clone_for_run(self, run_seed: object) -> "Policy":
@@ -634,9 +551,8 @@ class FirstMove(Policy):
             return _leftmost_outermost
         return None if strategy.simultaneous else _leftmost_innermost
 
-    def redex_index(self, strategy: Strategy) -> Optional[IndexPick]:
-        # leftmost-outermost, lowest rule: the first of redexes()
-        return _first_index if strategy is Strategy.FULL else None
+    def index_rule(self) -> Optional[IndexPick]:
+        return _first_index
 
     def pick_redex(self, t: Term, moves: Sequence[Redex]) -> Redex:
         return moves[0]
@@ -666,16 +582,12 @@ class RandomSeeded(Policy):
         self.rng = random.Random(seed)
         self.name = f"random:{seed}"
 
-    def redex_index(self, strategy: Strategy) -> Optional[IndexPick]:
-        # the same draw as pick_redex over all len(redexes) moves
-        return self.rng.randrange if strategy is Strategy.FULL else None
+    def index_rule(self) -> Optional[IndexPick]:
+        # the same draw as pick_redex and pick_group
+        return self.rng.randrange
 
     def pick_redex(self, t: Term, moves: Sequence[Redex]) -> Redex:
         return moves[self.rng.randrange(len(moves))]
-
-    def group_index(self, strategy: Strategy) -> Optional[IndexPick]:
-        # the same draw as pick_group
-        return self.rng.randrange if strategy.simultaneous else None
 
     def pick_group(self, t, groups):
         return groups[self.rng.randrange(len(groups))], None
@@ -715,11 +627,12 @@ class Scripted(Policy):
         for entry in self.entries:
             if match(entry.pattern, t) is None:
                 continue
-            for g in groups:
-                if g.rule_index == entry.rule_index and all(
-                    g.holds_at(pos) for pos in entry.positions
+            for group in groups:
+                idx, _, instance = group
+                if idx == entry.rule_index and all(
+                    _occurs_at(t, pos, instance) for pos in entry.positions
                 ):
-                    return g, entry.positions
+                    return group, entry.positions
         return self._fallback.pick_group(t, groups)
 
 
@@ -783,10 +696,10 @@ def _move(
         table = SimTable(system, strategy)
     rule = policy.descent(strategy.plain)
     if rule is None:
-        group, chosen = policy.pick_group(t, table.groups(t))
-        return group.rule_index, group.subst, _group_placement(t, group, chosen, table)
-    idx, sigma, instance = table.pick(t, rule)
-    return idx, sigma, partial(table.rebuild, t, instance)
+        (idx, sigma, instance), chosen = policy.pick_group(t, table.groups(t))
+    else:
+        (idx, sigma, instance), chosen = table.pick(t, rule), None
+    return idx, sigma, _group_placement(t, instance, chosen, table)
 
 
 def lift_step(

@@ -72,10 +72,11 @@ keeps no cursor: its state is the whole term. The runs of one estimate share
 a move table with one entry per distinct term they reach: no move for a
 normal form; the descent rule's pick (``SimTable.pick``) for a policy with
 one; otherwise every group (``SimTable.groups``), in list order, for a policy
-that picks a group by its index. A move holds its rule, σ, instance and
-successors by branch, each successor rebuilt (``SimTable.rebuild``) the first
-time a draw picks it. So a step on a term met before, in any run, is one
-lookup, the branch draw and, for an index pick, the policy's draw.
+that picks a group by its index. A move is a group, (rule index, σ,
+instance), with its successors by branch, each successor rebuilt
+(``SimTable.rebuild``) the first time a draw picks it. So a step on a term
+met before, in any run, is one lookup, the branch draw and, for an index
+pick, the policy's draw.
 """
 
 from __future__ import annotations
@@ -318,10 +319,7 @@ def _sim_entry(
     """u's move-table entry: the descent rule's pick alone, or every group."""
     if system.is_normal_form(u):
         return ()
-    if rule is not None:
-        found = [table.pick(u, rule)]
-    else:
-        found = [(g.rule_index, g.subst, g.instance) for g in table.groups(u)]
+    found = table.groups(u) if rule is None else [table.pick(u, rule)]
     weights = system.branch_weights
     return tuple((idx, sigma, instance, [None] * len(weights[idx])) for idx, sigma, instance in found)
 

@@ -220,10 +220,10 @@ def mc_runs(
     - an index rule (``first`` and ``random`` under ``full``): the index
       zipper, ``runsim.run_full_by_index``;
     - under ``par``/``ipar``, a descent rule under the plain strategy
-      (``first``, ``rightmost``) or a group index rule (``random``): the
+      (``first``, ``rightmost``) or an index rule (``random``): the
       simultaneous move table, ``runsim.run_simultaneous``;
-    - otherwise (``random`` under ``i``/``li``, and ``script``):
-      ``sample_step`` from the root.
+    - otherwise (``random`` under ``i``/``li``, whose moves no sampler
+      counts, and ``script``): ``sample_step`` from the root.
 
     Every run of one returned function shares its tables: the innermost
     zipper's deterministic segments and move table, and under
@@ -241,6 +241,7 @@ def mc_runs(
         return one_run
     table = SimTable(system, strategy) if strategy.simultaneous else None
     plain = policy.descent(strategy.plain) if strategy.simultaneous else None
+    counted = strategy is Strategy.FULL or table is not None
     sim_moves: runsim.SimMoves = {}
 
     def one_run(i: int) -> tuple[bool, int]:
@@ -250,7 +251,7 @@ def mc_runs(
                 system, start, table, plain, None, rng, step_cap, sim_moves
             )
         own = policy.clone_for_run(f"{seed}:{i}:policy")
-        index = own.group_index(strategy) if strategy.simultaneous else own.redex_index(strategy)
+        index = own.index_rule() if counted else None
         if index is None:
             return _run_generic(system, start, strategy, own, rng, step_cap, table)
         if table is None:

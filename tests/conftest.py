@@ -1,11 +1,13 @@
 """Shared fixtures: the bundled example systems, a reference simultaneous
-step, a reference closure, random-instance generators, and the
-acceptance-criteria summary printed at the end of a run."""
+step, the tree walk that lists simultaneous groups with their positions, a
+reference closure, random-instance generators, and the acceptance-criteria
+summary printed at the end of a run."""
 
 from __future__ import annotations
 
 import heapq
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -15,10 +17,10 @@ import pytest
 from pastlift.analyzer import ClosureArrow, Prop
 from pastlift.fmt import parse_file
 from pastlift.rewriting import (
+    Group,
     Policy,
     Redex,
     RightmostFirst,
-    SimGroup,
     SimTable,
     Strategy,
     _contract,
@@ -26,7 +28,7 @@ from pastlift.rewriting import (
     redexes,
 )
 from pastlift.system import MultiDistribution, ProbRule, Ptrs
-from pastlift.terms import Position, Symbol, Term, app, var
+from pastlift.terms import Position, Substitution, Symbol, Term, Var, app, match, var
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -74,14 +76,15 @@ def corpus():
 
 
 def sim_step(
-    system: Ptrs, t: Term, group: SimGroup, chosen_positions: Optional[Sequence[Position]] = None
+    system: Ptrs, t: Term, group: Group, chosen_positions: Optional[Sequence[Position]] = None
 ) -> MultiDistribution:
     """A simultaneous step's whole distribution, the reference the tests
     compare against: every chosen position of the group (all of them when
     none are given) rewritten at once, branch j replacing all of them by the
     j-th right-hand side instance (merged, not a product)."""
-    place = _group_placement(t, group, chosen_positions, SimTable(system, Strategy.SIMULTANEOUS))
-    return _contract(system, (group.rule_index, group.subst, place))
+    idx, sigma, instance = group
+    table = SimTable(system, Strategy.SIMULTANEOUS)
+    return _contract(system, (idx, sigma, _group_placement(t, instance, chosen_positions, table)))
 
 
 def pick_redex(policy: Policy, t: Term, moves: Sequence[Redex]) -> Redex:
@@ -117,14 +120,74 @@ def last_position(t: Term, instance: Term) -> Optional[Position]:
     return find(t)
 
 
+# --- the tree walk that simultaneous rewriting replaced, kept verbatim as
+# the reference for its groups and their positions ---
+
+
+@dataclass
+class TreeWalkGroup:
+    """Maximal set of parallel positions carrying the same redex instance."""
+
+    rule_index: int
+    subst: Substitution
+    positions: tuple[Position, ...]
+    instance: Term
+
+
+def tree_walk_redexes(system, t: Term, innermost_only: bool):
+    """Yield (position, node, rule index, substitution) for every redex.
+
+    Normal-form subtrees are skipped wholesale (their status is cached on
+    the system), which keeps enumeration linear in the non-normal spine
+    even when the term is a huge shared DAG. The innermost filter inspects
+    the node's direct children, never re-walking from the root.
+    """
+    stack: list[tuple[Term, Position]] = [(t, ())]
+    while stack:
+        u, pos = stack.pop()
+        if system.is_normal_form(u):
+            continue
+        if not innermost_only or all(system.is_normal_form(a) for a in u.args):
+            for idx, rule in system.rules_at_root(u):
+                sigma = match(rule.lhs, u)
+                if sigma is not None:
+                    yield pos, u, idx, sigma
+        if not isinstance(u, Var):
+            for k, a in enumerate(u.args):
+                stack.append((a, pos + (k + 1,)))
+
+
+def tree_walk_groups(system, t: Term, innermost_only: bool) -> list[TreeWalkGroup]:
+    """Group redexes by rule and identical instance.
+
+    Positions carrying the same instance are automatically parallel (a term
+    cannot nest inside itself), so every group is an admissible simultaneous
+    move; ordered by (first position, rule index).
+    """
+    grouped: dict[tuple[int, Term], tuple[Substitution, list[Position]]] = {}
+    for pos, u, idx, sigma in tree_walk_redexes(system, t, innermost_only):
+        grouped.setdefault((idx, u), (sigma, []))[1].append(pos)
+    groups = [
+        TreeWalkGroup(
+            rule_index=idx,
+            subst=sigma,
+            positions=tuple(sorted(found)),
+            instance=instance,
+        )
+        for (idx, instance), (sigma, found) in grouped.items()
+    ]
+    groups.sort(key=lambda g: (g.positions[0], g.rule_index))
+    return groups
+
+
 def pick_group(
-    policy: Policy, t: Term, groups: Sequence[SimGroup]
-) -> tuple[SimGroup, Optional[tuple[Position, ...]]]:
+    policy: Policy, t: Term, groups: Sequence[Group]
+) -> tuple[Group, Optional[tuple[Position, ...]]]:
     """The group, and the positions of it, a policy takes from the list of
     every group: ``rightmost`` the one with the greatest last position,
     lowest rule there, whole; any other policy by its ``pick_group``."""
     if isinstance(policy, RightmostFirst):
-        return max(groups, key=lambda g: (last_position(t, g.instance), -g.rule_index)), None
+        return max(groups, key=lambda g: (last_position(t, g[2]), -g[0])), None
     return policy.pick_group(t, groups)
 
 

@@ -13,7 +13,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import load_system, random_system, random_term, record_acceptance, sim_step
+from conftest import (
+    DEFAULT_SYMBOLS,
+    SIGNATURE_SYMBOLS,
+    fires_g0,
+    load_system,
+    random_system,
+    random_term,
+    record_acceptance,
+    sim_step,
+    tree_walk_groups,
+)
 from pastlift.analyzer import analyze, analyze_nonprob
 from pastlift.cli import main as cli_main
 from pastlift.fmt import parse, parse_term
@@ -241,26 +251,38 @@ def test_criterion_7_adversarial_strategy_gap():
 
 
 CHECKS_PER_SUITE = 10_000
+# checks for each suite over random systems in the second stream, whose
+# terms and right-hand sides are drawn over the whole signature
+SIGNATURE_CHECKS = 2_000
+
+# The suites over random systems draw terms and right-hand sides over
+# ``symbols`` and return how many g0 redexes they met: terms with one, or in
+# the singleton suite, groups contracted.
 
 
-def _suite_conservation(rng) -> None:
+def _suite_conservation(rng, symbols=DEFAULT_SYMBOLS, checks=CHECKS_PER_SUITE) -> int:
     strategies = list(Strategy)
-    done = 0
-    while done < CHECKS_PER_SUITE:
-        system = random_system(rng)
-        mu = singleton(random_term(rng, 3, vars_=()))
+    done = g0 = 0
+    while done < checks:
+        system = random_system(rng, symbols=symbols)
+        term = random_term(rng, 3, vars_=(), symbols=symbols)
+        g0 += fires_g0(system, term)
+        mu = singleton(term)
         strategy = strategies[rng.randrange(len(strategies))]
         for _ in range(3):
             mu = lift_step(system, mu, strategy, first)
             assert mu.total() == 1
             done += 1
+    return g0
 
 
-def _suite_monotone_mass(rng) -> None:
-    done = 0
-    while done < CHECKS_PER_SUITE:
-        system = random_system(rng)
-        mu = singleton(random_term(rng, 3, vars_=()))
+def _suite_monotone_mass(rng, symbols=DEFAULT_SYMBOLS, checks=CHECKS_PER_SUITE) -> int:
+    done = g0 = 0
+    while done < checks:
+        system = random_system(rng, symbols=symbols)
+        term = random_term(rng, 3, vars_=(), symbols=symbols)
+        g0 += fires_g0(system, term)
+        mu = singleton(term)
         last = system.nf_mass(mu)
         for _ in range(3):
             mu = lift_step(system, mu, Strategy.FULL, first)
@@ -268,32 +290,47 @@ def _suite_monotone_mass(rng) -> None:
             assert mass >= last
             last = mass
             done += 1
+    return g0
 
 
-def _suite_inclusion(rng) -> None:
-    for _ in range(CHECKS_PER_SUITE):
-        system = random_system(rng)
-        term = random_term(rng, 4, vars_=())
+def _suite_inclusion(rng, symbols=DEFAULT_SYMBOLS, checks=CHECKS_PER_SUITE) -> int:
+    g0 = 0
+    for _ in range(checks):
+        system = random_system(rng, symbols=symbols)
+        term = random_term(rng, 4, vars_=(), symbols=symbols)
         full = {(r.position, r.rule_index) for r in redexes(system, term)}
         inner = {(r.position, r.rule_index) for r in innermost_redexes(system, term)}
         left = {(r.position, r.rule_index) for r in leftmost_innermost_moves(system, term)}
         assert left <= inner <= full
+        g0 += fires_g0(system, term)
+    return g0
 
 
-def _suite_singleton_sim(rng) -> None:
-    done = 0
-    while done < CHECKS_PER_SUITE:
-        system = random_system(rng)
-        term = random_term(rng, 4, vars_=())
-        groups = simultaneous_groups(system, term, innermost_only=bool(rng.getrandbits(1)))
+def _suite_singleton_sim(rng, symbols=DEFAULT_SYMBOLS, checks=CHECKS_PER_SUITE) -> int:
+    """One position of a group, drawn from the group's positions left to
+    right as the tree walk lists them, rewritten alone."""
+    done = g0 = 0
+    while done < checks:
+        system = random_system(rng, symbols=symbols)
+        term = random_term(rng, 4, vars_=(), symbols=symbols)
+        innermost = bool(rng.getrandbits(1))
+        groups = simultaneous_groups(system, term, innermost_only=innermost)
         if not groups:
             continue
         group = groups[rng.randrange(len(groups))]
-        pos = group.positions[rng.randrange(len(group.positions))]
+        idx, sigma, instance = group
+        (found,) = [
+            w.positions
+            for w in tree_walk_groups(system, term, innermost)
+            if (w.rule_index, w.instance) == (idx, instance)
+        ]
+        pos = found[rng.randrange(len(found))]
         lone = sim_step(system, term, group, [pos])
-        plain = step(system, term, Redex(pos, group.rule_index, group.subst))
+        plain = step(system, term, Redex(pos, idx, sigma))
         assert lone == plain
+        g0 += system.rules[idx].lhs.symbol.name == "g0"
         done += 1
+    return g0
 
 
 def _suite_decode_identities(rng) -> None:
@@ -339,10 +376,27 @@ SUITES = [
 ]
 
 
+SIGNATURE_SUITES = [
+    _suite_conservation,
+    _suite_monotone_mass,
+    _suite_inclusion,
+    _suite_singleton_sim,
+]
+
+
 def test_criterion_8_randomized_property_suites():
-    with criterion(8, f"{CHECKS_PER_SUITE} randomized checks for each of six invariants"):
+    title = (
+        f"{CHECKS_PER_SUITE} randomized checks for each of six invariants, and"
+        f" {SIGNATURE_CHECKS} over the whole signature for each of four"
+    )
+    with criterion(8, title):
         for index, (name, suite) in enumerate(SUITES):
             suite(random.Random(1000 + index))
+        # the default symbols lack g0, so no g0 rule fires in the draws
+        # above; a second stream draws over the whole signature
+        for index, suite in enumerate(SIGNATURE_SUITES):
+            g0 = suite(random.Random(2000 + index), SIGNATURE_SYMBOLS, SIGNATURE_CHECKS)
+            assert g0 > SIGNATURE_CHECKS // 20, (suite.__name__, g0)
 
 
 def test_criterion_9_monte_carlo_sanity():

@@ -16,6 +16,7 @@ from conftest import (
     random_system,
     random_term,
     sim_step,
+    tree_walk_groups,
 )
 from pastlift.fmt import parse_term
 from pastlift.rewriting import (
@@ -27,7 +28,6 @@ from pastlift.rewriting import (
     RightmostFirst,
     Scripted,
     ScriptEntry,
-    SimGroup,
     Strategy,
     SuccessorTable,
     admissible_moves,
@@ -207,22 +207,29 @@ def test_step_rejects_bogus_redex():
         step(srw, t("srw", "c(bot,bot)"), Redex((1,), 0, {}))
 
 
+def groups_with_positions(system, term, innermost):
+    """``simultaneous_groups`` of term, each with its positions, left to
+    right, from the tree walk, which must list the same groups in the same
+    order."""
+    groups = simultaneous_groups(system, term, innermost_only=innermost)
+    walked = tree_walk_groups(system, term, innermost)
+    assert groups == [(w.rule_index, w.subst, w.instance) for w in walked]
+    return [(g, w.positions) for g, w in zip(groups, walked)]
+
+
 def test_simultaneous_groups():
     s2 = load_system("s2")
-    groups = simultaneous_groups(s2, t("s2", "f(a,a)"), innermost_only=True)
-    assert len(groups) == 1
-    assert groups[0].positions == ((1,), (2,))
-    assert groups[0].rule_index == 1
+    a = t("s2", "a")
+    groups = groups_with_positions(s2, t("s2", "f(a,a)"), True)
+    assert groups == [((1, {}, a), ((1,), (2,)))]
 
-    groups = simultaneous_groups(s2, t("s2", "f(b,a)"), innermost_only=True)
-    assert len(groups) == 1
-    assert groups[0].positions == ((2,),)
+    groups = groups_with_positions(s2, t("s2", "f(b,a)"), True)
+    assert groups == [((1, {}, a), ((2,),))]
 
     s5 = load_system("s5")
     big = t("s5", "d(f(b,b),f(b,b),f(b,b))")
-    groups = simultaneous_groups(s5, big, innermost_only=True)
-    assert [g.positions for g in groups] == [((1,), (2,), (3,))]
-    assert subterm_at(big, groups[0].positions[0]) is t("s5", "f(b,b)")
+    groups = groups_with_positions(s5, big, True)
+    assert [(g[2], found) for g, found in groups] == [(t("s5", "f(b,b)"), ((1,), (2,), (3,)))]
 
     # on random systems: the redex listing grouped by (rule, instance)
     rng, own = random.Random(53), random.Random(54)
@@ -237,10 +244,9 @@ def test_simultaneous_groups():
                     key = (r.rule_index, subterm_at(term, r.position))
                     want.setdefault(key, (r.subst, []))[1].append(r.position)
                 groups = simultaneous_groups(system, term, innermost_only=innermost)
-                assert [(g.rule_index, g.instance, g.subst, g.positions) for g in groups] == [
-                    (idx, u, sigma, tuple(found)) for (idx, u), (sigma, found) in want.items()
+                assert [(idx, u, sigma) for idx, sigma, u in groups] == [
+                    (idx, u, sigma) for (idx, u), (sigma, _) in want.items()
                 ]
-                assert [g.count() for g in groups] == [len(g.positions) for g in groups]
                 grouped += len(groups) > 1
     assert grouped > 80 and g0 > 150
 
@@ -375,10 +381,10 @@ def test_singleton_group_equals_plain_step_bruteforce():
             if term in seen or term.size != size:
                 continue
             seen.add(term)
-            for group in simultaneous_groups(s2, term, innermost_only=False):
-                for pos in group.positions:
+            for group, found in groups_with_positions(s2, term, False):
+                for pos in found:
                     lone = sim_step(s2, term, group, [pos])
-                    plain = step(s2, term, Redex(pos, group.rule_index, group.subst))
+                    plain = step(s2, term, Redex(pos, group[0], group[1]))
                     assert lone == plain
                     count += 1
     assert count > 50
@@ -389,12 +395,13 @@ def test_singleton_group_equals_plain_step_bruteforce():
     for _ in range(1500):
         system = random_system(rng)
         for term in random_ground_terms(rng, own, system):
-            for group in simultaneous_groups(system, term, innermost_only=False):
-                for pos in group.positions:
+            for group, found in groups_with_positions(system, term, False):
+                idx, sigma, _ = group
+                for pos in found:
                     lone = sim_step(system, term, group, [pos])
-                    assert lone == step(system, term, Redex(pos, group.rule_index, group.subst))
+                    assert lone == step(system, term, Redex(pos, idx, sigma))
                     count += 1
-                    g0 += system.rules[group.rule_index].lhs.symbol.name == "g0"
+                    g0 += system.rules[idx].lhs.symbol.name == "g0"
     assert count > 300 and g0 > 200
 
 
@@ -468,7 +475,7 @@ def test_scripted_subset_in_simultaneous_lifting():
     )
 
 
-def test_scripted_rows_on_a_duplicated_term_list_no_positions(monkeypatch):
+def test_scripted_rows_on_a_duplicated_term_list_no_positions():
     # s6's d-tree of depth 20 holds g at 2^20 positions over 21 distinct
     # subterms; a script row naming two of them must not list them all
     s6 = load_system("s6")
@@ -478,16 +485,11 @@ def test_scripted_rows_on_a_duplicated_term_list_no_positions(monkeypatch):
     for _ in range(20):
         tree = app(dgg.symbol, [tree, tree])
 
-    def listed(self):
-        raise AssertionError("SimGroup.positions listed")
-
-    monkeypatch.setattr(SimGroup, "positions", property(listed))
     left, right = (1,) * 20, (2,) * 20
     script = Scripted([ScriptEntry(var("x"), 0, (left, right))])
     groups = simultaneous_groups(s6, tree, innermost_only=False)
-    group, chosen = script.pick_group(tree, groups)
-    assert (group.rule_index, group.instance, chosen) == (0, g, (left, right))
-    assert group.count() == 2**20
+    (idx, _, instance), chosen = script.pick_group(tree, groups)
+    assert (idx, instance, chosen) == (0, g, (left, right))
     mu = lift_step(s6, singleton(tree), Strategy.SIMULTANEOUS, script)
     both = [replace_at(replace_at(tree, left, u), right, u) for u in (dgg, bot)]
     assert mu == MultiDistribution([(Fraction(3, 4), both[0]), (Fraction(1, 4), both[1])])
@@ -495,7 +497,7 @@ def test_scripted_rows_on_a_duplicated_term_list_no_positions(monkeypatch):
     # group, the root's d-redex, contracted whole
     miss = Scripted([ScriptEntry(var("x"), 0, (left, (1,) * 19))])
     assert miss.pick_group(tree, groups)[0] is groups[0]
-    assert groups[0].rule_index == 1 and groups[0].instance is tree
+    assert groups[0][0] == 1 and groups[0][2] is tree
 
 
 def test_lift_determinism_including_order():

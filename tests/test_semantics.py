@@ -745,8 +745,9 @@ def test_sampled_runs_match_the_reference_sampler_on_random_systems():
                         )
                         assert fast == expected, (case, strategy, spec, i)
                         zipped += 1
-                    index = policy.clone_for_run(run_seed + ":policy").redex_index(strategy)
-                    if index is not None and rule not in INNERMOST_DESCENTS:
+                    index = policy.clone_for_run(run_seed + ":policy").index_rule()
+                    full = strategy is Strategy.FULL
+                    if full and index is not None and rule not in INNERMOST_DESCENTS:
                         fast = runsim.run_full_by_index(
                             system, start, index, random.Random(run_seed), 25
                         )
@@ -950,7 +951,7 @@ def full_index_runs(system, start, spec, run_seed, step_cap):
         system, start, Strategy.FULL, policy.clone_for_run(run_seed + ":policy"),
         random.Random(run_seed), step_cap,
     )
-    index = policy.clone_for_run(run_seed + ":policy").redex_index(Strategy.FULL)
+    index = policy.clone_for_run(run_seed + ":policy").index_rule()
     got = runsim.run_full_by_index(system, start, index, random.Random(run_seed), step_cap)
     return expected, got
 

@@ -3,7 +3,6 @@ against the tree walk it replaced: groups, steps, sampled successors and
 exact unfoldings must be pointer-identical to it."""
 
 import random
-from dataclasses import dataclass
 
 from conftest import (
     CORPUS_STARTS,
@@ -15,6 +14,7 @@ from conftest import (
     random_system,
     random_term,
     sim_step,
+    tree_walk_groups,
 )
 from pastlift import rewriting, terms
 from pastlift.fmt import parse_term
@@ -35,14 +35,9 @@ from pastlift.rewriting import (
 from pastlift.semantics import mc_runs, unfold_exact
 from pastlift.system import MultiDistribution, singleton
 from pastlift.terms import (
-    Position,
-    Substitution,
     Symbol,
-    Term,
-    Var,
     app,
     apply_subst,
-    match,
     positions,
     replace_at,
     subterm_at,
@@ -57,63 +52,8 @@ def t(name, text):
     return parse_term(text, load_system(name))
 
 
-# --- the tree walk, kept verbatim as the reference -------------------------
-
-
-@dataclass
-class TreeWalkGroup:
-    """Maximal set of parallel positions carrying the same redex instance."""
-
-    rule_index: int
-    subst: Substitution
-    positions: tuple[Position, ...]
-    instance: Term
-
-
-def tree_walk_redexes(system, t: Term, innermost_only: bool):
-    """Yield (position, node, rule index, substitution) for every redex.
-
-    Normal-form subtrees are skipped wholesale (their status is cached on
-    the system), which keeps enumeration linear in the non-normal spine
-    even when the term is a huge shared DAG. The innermost filter inspects
-    the node's direct children, never re-walking from the root.
-    """
-    stack: list[tuple[Term, Position]] = [(t, ())]
-    while stack:
-        u, pos = stack.pop()
-        if system.is_normal_form(u):
-            continue
-        if not innermost_only or all(system.is_normal_form(a) for a in u.args):
-            for idx, rule in system.rules_at_root(u):
-                sigma = match(rule.lhs, u)
-                if sigma is not None:
-                    yield pos, u, idx, sigma
-        if not isinstance(u, Var):
-            for k, a in enumerate(u.args):
-                stack.append((a, pos + (k + 1,)))
-
-
-def tree_walk_groups(system, t: Term, innermost_only: bool) -> list[TreeWalkGroup]:
-    """Group redexes by rule and identical instance.
-
-    Positions carrying the same instance are automatically parallel (a term
-    cannot nest inside itself), so every group is an admissible simultaneous
-    move; ordered by (first position, rule index).
-    """
-    grouped: dict[tuple[int, Term], tuple[Substitution, list[Position]]] = {}
-    for pos, u, idx, sigma in tree_walk_redexes(system, t, innermost_only):
-        grouped.setdefault((idx, u), (sigma, []))[1].append(pos)
-    groups = [
-        TreeWalkGroup(
-            rule_index=idx,
-            subst=sigma,
-            positions=tuple(sorted(found)),
-            instance=instance,
-        )
-        for (idx, instance), (sigma, found) in grouped.items()
-    ]
-    groups.sort(key=lambda g: (g.positions[0], g.rule_index))
-    return groups
+# --- the tree walk, kept verbatim as the reference (its groups are
+# conftest's ``tree_walk_groups``) ------------------------------------------
 
 
 def tree_walk_replace_all(t, chosen, replacement):
@@ -243,10 +183,10 @@ def test_groups_and_sim_steps_match_the_tree_walk():
             where = (term_to_str(term), innermost_only)
             assert len(got) == len(want), where
             for g, w in zip(got, want):
-                g0 += system.rules[g.rule_index].lhs.symbol.name == "g0"
-                assert (g.rule_index, g.subst) == (w.rule_index, w.subst), where
-                assert g.instance is w.instance and g.term is term, where
-                assert g.positions == w.positions, where
+                idx, sigma, instance = g
+                g0 += system.rules[idx].lhs.symbol.name == "g0"
+                assert (idx, sigma) == (w.rule_index, w.subst), where
+                assert instance is w.instance, where
                 whole = tree_walk_sim_step(system, term, w, w.positions)
                 assert_same_dist(sim_step(system, term, g), whole, where)
                 assert_same_dist(sim_step(system, term, g, list(w.positions)), whole, where)
@@ -318,8 +258,8 @@ def test_first_and_rightmost_pick_the_group_of_the_plain_descent_redex():
                 group, chosen = pick_group(policy, term, groups)
                 redex = descend(system, term, rule)
                 assert chosen is None
-                assert group.instance is subterm_at(term, redex.position)
-                assert group.rule_index == redex.rule_index
+                assert group[2] is subterm_at(term, redex.position)
+                assert group[0] == redex.rule_index
                 checked += 1
     assert FirstMove().descent(PAR.plain) is rewriting._leftmost_outermost
     assert FirstMove().descent(IPAR.plain) is rewriting._leftmost_innermost
