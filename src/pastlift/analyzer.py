@@ -355,6 +355,17 @@ class AnalysisReport:
     conclusions: list[ClosureArrow]
     notes: list[str] = field(default_factory=list)
 
+    @property
+    def routes(self) -> list[ClosureArrow]:
+        """The closure arrows into full termination (strategy ``f``, not
+        w.r.t. ∥) from any other atom, in closure order: the routes the
+        text report prints and the JSON report lists."""
+        return [
+            c for c in self.closure
+            if c.target.strategy == "f" and not c.target.par
+            and (c.source.strategy != "f" or c.source.par)
+        ]
+
     def verdict(self, theorem_id: str) -> Verdict:
         for v in self.verdicts:
             if v.theorem_id == theorem_id:

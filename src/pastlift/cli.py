@@ -76,6 +76,11 @@ def _build_argparser() -> _Parser:
     )
     p_an.add_argument("--join-depth", type=int, default=10)
     p_an.add_argument("--json", action="store_true")
+    p_an.add_argument(
+        "--closure",
+        action="store_true",
+        help="with --json, also list the whole implication closure, not only its routes",
+    )
 
     p_sim = sub.add_parser("simulate", help="exact unfolding or Monte-Carlo sampling")
     p_sim.add_argument("file")
@@ -172,17 +177,10 @@ def _print_analysis(r: AnalysisReport) -> None:
                 print(f"    {line}")
     for v in r.verdicts:
         print(f"  {v.describe()}")
-    # text output keeps only routes into full termination; JSON has the rest
-    interesting = [
-        c
-        for c in r.closure
-        if c.target.strategy == "f"
-        and not c.target.par
-        and not (c.source.strategy == "f" and not c.source.par)
-    ]
-    if interesting:
+    routes = r.routes
+    if routes:
         print("  routes to full termination:")
-        for c in interesting:
+        for c in routes:
             chain = ", ".join(c.chain)
             print(f"    {c.source.display()} ⇒ {c.target.display()}  [{chain}]")
     if r.assertions:
@@ -215,6 +213,8 @@ def _split_assertions(tokens: Sequence[str]) -> tuple[list[Prop], list[Prop]]:
 
 
 def _cmd_analyze(args) -> int:
+    if args.closure and not args.json:
+        raise UsageError("--closure requires --json")
     loaded = _load(args.file)
     prob_assert, nonprob_assert = _split_assertions(args.assertions)
     reports = []
@@ -226,7 +226,7 @@ def _cmd_analyze(args) -> int:
         raise UsageError("SN/WN assertions require a trivial-probability system")
     reports.append(analyze(loaded.system, args.scope, prob_assert, join_depth=args.join_depth))
     if args.json:
-        _emit(reportmod.analysis_doc(loaded.system, reports, args.scope))
+        _emit(reportmod.analysis_doc(loaded.system, reports, args.scope, args.closure))
         return EXIT_OK
     for r in reports:
         _print_analysis(r)
@@ -240,15 +240,21 @@ def _cmd_simulate(args) -> int:
     strategy = Strategy(args.strategy)
     policy = _make_policy(args.policy, system)
     if args.mode == "exact":
-        trace = unfold_exact(
-            system,
-            term,
-            strategy,
-            policy,
-            args.depth,
-            support_cap=args.support_cap,
-            coalesce_states=args.coalesce,
-        )
+        try:
+            trace = unfold_exact(
+                system,
+                term,
+                strategy,
+                policy,
+                args.depth,
+                support_cap=args.support_cap,
+                coalesce_states=args.coalesce,
+            )
+        except CapExceeded as exc:
+            if args.json:
+                # the states finished before the cap; main still exits 3
+                _emit(reportmod.exact_trace_doc(system, exc.partial, partial=True))
+            raise
         if args.json:
             _emit(reportmod.exact_trace_doc(system, trace))
             return EXIT_OK

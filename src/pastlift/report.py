@@ -1,9 +1,21 @@
-"""Machine-readable report documents, versioned as ``past-lift/1``.
+"""Machine-readable report documents, versioned as ``past-lift/2``.
 
 Every rational is serialized as a ``num`` or ``num/den`` string so that no
 precision is lost; positions use ``e`` for the root and dotted paths
 otherwise. The shipped JSON schema (``report_schema.json``) validates every
 document this module produces.
+
+Format 2 differs from format 1 in three documents:
+
+- an ``analyze`` section lists its ``routes``, the closure arrows into full
+  termination that the text report prints, in place of the whole closure;
+  ``analyze --closure`` adds the whole closure as ``closure``, with each
+  atom's token listed once under ``atoms`` and each arrow as
+  ``[source index, target index, chain]`` under ``arrows``;
+- a ``simulate-mc`` document gives the 95 % Wilson interval of its estimate
+  as ``estimate_interval``, two floats;
+- a ``simulate-exact`` document that stopped at the support cap holds the
+  states finished before it, with ``"partial": true``.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from .spareness import SparenessCounterexample, SpareVerdict
 from .system import MultiDistribution, Ptrs
 from .terms import pos_to_str, term_to_str
 
-FORMAT = "past-lift/1"
+FORMAT = "past-lift/2"
 
 # final distributions beyond these sizes are summarized, not listed
 STATE_ENTRY_LIMIT = 50
@@ -153,22 +165,37 @@ def _arrow_doc(c: ClosureArrow) -> dict:
     return {"from": c.source.token(), "to": c.target.token(), "chain": list(c.chain)}
 
 
-def analysis_doc(system: Ptrs, reports: list[AnalysisReport], scope: str) -> dict:
+def _closure_doc(closure: list[ClosureArrow]) -> dict:
+    """The whole closure: each atom's token once, in order of first
+    appearance, and each arrow as [source index, target index, chain]."""
+    index: dict[str, int] = {}
+    arrows = []
+    for c in closure:
+        source = index.setdefault(c.source.token(), len(index))
+        target = index.setdefault(c.target.token(), len(index))
+        arrows.append([source, target, list(c.chain)])
+    return {"atoms": list(index), "arrows": arrows}
+
+
+def analysis_doc(
+    system: Ptrs, reports: list[AnalysisReport], scope: str, closure: bool = False
+) -> dict:
     sections = []
     for r in reports:
-        sections.append(
-            {
-                "engine": r.kind,
-                "properties": properties_doc(system, r.properties),
-                "spare": r.spare.value if r.spare is not None else None,
-                "spare_evidence": r.spare_evidence,
-                "verdicts": [_verdict_doc(v) for v in r.verdicts],
-                "closure": [_arrow_doc(c) for c in r.closure],
-                "assertions": [p.token() for p in r.assertions],
-                "conclusions": [_arrow_doc(c) for c in r.conclusions],
-                "notes": r.notes,
-            }
-        )
+        section = {
+            "engine": r.kind,
+            "properties": properties_doc(system, r.properties),
+            "spare": r.spare.value if r.spare is not None else None,
+            "spare_evidence": r.spare_evidence,
+            "verdicts": [_verdict_doc(v) for v in r.verdicts],
+            "routes": [_arrow_doc(c) for c in r.routes],
+            "assertions": [p.token() for p in r.assertions],
+            "conclusions": [_arrow_doc(c) for c in r.conclusions],
+            "notes": r.notes,
+        }
+        if closure:
+            section["closure"] = _closure_doc(r.closure)
+        sections.append(section)
     return {"format": FORMAT, "kind": "analyze", "scope": scope, "sections": sections}
 
 
@@ -180,7 +207,9 @@ def renders_state(mu: MultiDistribution) -> bool:
     )
 
 
-def exact_trace_doc(system: Ptrs, trace: SemanticsTrace) -> dict:
+def exact_trace_doc(system: Ptrs, trace: SemanticsTrace, partial: bool = False) -> dict:
+    """The unfolding's document; ``partial`` marks a trace that stopped at
+    the support cap before the depth asked for."""
     final = trace.states[-1]
     doc = {
         "format": FORMAT,
@@ -195,6 +224,8 @@ def exact_trace_doc(system: Ptrs, trace: SemanticsTrace) -> dict:
         "upper_bound": "1",
         "partial_edl": _rat(trace.partial_edl),
     }
+    if partial:
+        doc["partial"] = True
     if renders_state(final):
         doc["final_state"] = [
             {"p": _rat(p), "term": term_to_str(t)} for p, t in final.entries
@@ -218,6 +249,7 @@ def mc_doc(summary: McSummary, start, strategy, policy_name: str) -> dict:
         "seed": summary.seed,
         "terminated": summary.terminated,
         "estimate": summary.estimate,
+        "estimate_interval": list(summary.interval),
         "censored_fraction": summary.censored_fraction,
         "mean_steps_of_terminated": summary.mean_steps_of_terminated,
     }

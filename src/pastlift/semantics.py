@@ -14,6 +14,7 @@ never a limit claim.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -176,6 +177,10 @@ def adversarial_lower_bound(
     return Fraction(values[start], scale)
 
 
+# the normal quantile of a two-sided 95 % interval
+WILSON_Z = 1.959963984540054
+
+
 @dataclass
 class McSummary:
     samples: int
@@ -185,6 +190,16 @@ class McSummary:
     mean_steps_of_terminated: Optional[float]
     step_cap: int
     seed: int
+
+    @property
+    def interval(self) -> tuple[float, float]:
+        """The 95 % Wilson score interval (Wilson, JASA 1927) of the
+        termination probability within the step cap, from the runs'
+        terminated/samples."""
+        k, n, z2 = self.terminated, self.samples, WILSON_Z * WILSON_Z
+        centre = (k + z2 / 2) / (n + z2)
+        half = WILSON_Z * math.sqrt(k * (n - k) / n + z2 / 4) / (n + z2)
+        return max(0.0, centre - half), min(1.0, centre + half)
 
 
 def _run_generic(

@@ -10,9 +10,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DEFAULT_SYMBOLS, SYSTEMS_DIR, random_system, random_term
+from pastlift import report as reportmod
+from pastlift.analyzer import parse_prop_token
 from pastlift.cli import main
 from pastlift.fmt import serialize
 from pastlift.report import load_schema
@@ -83,6 +86,121 @@ def test_analyze_with_assertion(capsys):
     assert "asserted iAST yields fAST" in out
 
 
+CORPUS_FILES = sorted(SYSTEMS_DIR.glob("*.ptrs"))
+ANALYZE_VARIANTS = [
+    (scope, asserted) for scope in ("all", "basic") for asserted in ((), ("--assert", "iAST"))
+]
+
+
+def analyze_argv(file, scope, asserted):
+    return ["analyze", str(file), "--scope", scope, *asserted]
+
+
+def recorded_analysis(monkeypatch, argv):
+    """The document ``main(argv)`` prints, and the analysis reports it was
+    written from."""
+    reports = []
+    written = reportmod.analysis_doc
+
+    def recording(system, rs, scope, closure=False):
+        reports.extend(rs)
+        return written(system, rs, scope, closure)
+
+    monkeypatch.setattr(reportmod, "analysis_doc", recording)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0, argv
+    monkeypatch.setattr(reportmod, "analysis_doc", written)
+    doc = json.loads(out.getvalue())
+    jsonschema.validate(doc, SCHEMA)
+    return doc, reports
+
+
+def is_full(token):
+    prop = parse_prop_token(token)
+    return prop.strategy == "f" and not prop.par
+
+
+def arrow_triples(arrows):
+    return [(c.source.token(), c.target.token(), list(c.chain)) for c in arrows]
+
+
+def test_analyze_closure_decodes_to_the_report_closure(monkeypatch):
+    # on every corpus file, under both scopes, with and without an assertion
+    for file in CORPUS_FILES:
+        for scope, asserted in ANALYZE_VARIANTS:
+            argv = analyze_argv(file, scope, asserted) + ["--json"]
+            doc, reports = recorded_analysis(monkeypatch, argv + ["--closure"])
+            assert len(doc["sections"]) == len(reports)
+            for section, r in zip(doc["sections"], reports):
+                atoms = section["closure"]["atoms"]
+                assert len(set(atoms)) == len(atoms)
+                decoded = [(atoms[s], atoms[t], chain)
+                           for s, t, chain in section["closure"]["arrows"]]
+                assert decoded == arrow_triples(r.closure), (argv, r.kind)
+                # the routes are the closure's arrows into full termination
+                # from any other atom, in closure order
+                assert [(a["from"], a["to"], a["chain"]) for a in section["routes"]] == [
+                    arrow for arrow in decoded if is_full(arrow[1]) and not is_full(arrow[0])
+                ]
+            # the flag adds the closure and changes nothing else
+            plain, _ = recorded_analysis(monkeypatch, argv)
+            for section in doc["sections"]:
+                del section["closure"]
+            assert plain == doc, argv
+
+
+def test_analyze_json_routes_are_the_text_routes(capsys):
+    def text_routes(out):
+        sections, lines = [], None
+        for line in out.splitlines():
+            if line.startswith("["):
+                sections.append([])
+            elif line == "  routes to full termination:":
+                lines = sections[-1]
+            elif lines is not None and line.startswith("    ") and " ⇒ " in line:
+                lines.append(line)
+            else:
+                lines = None
+        return sections
+
+    def shown(token):
+        return parse_prop_token(token).display()
+
+    routed = 0
+    for file in CORPUS_FILES:
+        for scope, asserted in ANALYZE_VARIANTS:
+            argv = analyze_argv(file, scope, asserted)
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            doc = run_json(capsys, *argv, "--json")
+            from_json = [
+                [f"    {shown(a['from'])} ⇒ {shown(a['to'])}  [{', '.join(a['chain'])}]"
+                 for a in section["routes"]]
+                for section in doc["sections"]
+            ]
+            assert from_json == text_routes(out), argv
+            routed += sum(map(len, from_json))
+    assert routed > 100
+
+
+def test_analyze_closure_needs_json(capsys):
+    code, out, err = run(capsys, "analyze", path("srw"), "--closure")
+    assert code == 1 and out == ""
+    assert "--closure requires --json" in err
+
+
+def test_schema_rejects_format_1_and_sections_without_routes(capsys):
+    doc = run_json(capsys, "analyze", path("srw"), "--json")
+    old = dict(doc, format="past-lift/1")
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(old, SCHEMA)
+    for section in doc["sections"]:
+        section["closure"] = section.pop("routes")
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, SCHEMA)
+
+
 def test_simulate_exact_prints_five_eighths(capsys):
     code, out, _ = run(
         capsys,
@@ -112,6 +230,8 @@ def test_simulate_mc_json(capsys):
     )
     assert doc["kind"] == "simulate-mc"
     assert doc["estimate"] == 1.0
+    lo, hi = doc["estimate_interval"]
+    assert 0.9 < lo < 1.0 and hi == 1.0
 
 
 def test_simulate_mc_scripted_policy(tmp_path, capsys):
@@ -328,6 +448,29 @@ def test_exit_code_cap_exceeded(capsys):
     assert "cap exceeded" in err
 
 
+def test_cap_hit_prints_a_partial_document(capsys):
+    # srw from g under full/first: supports 1, 2, 3, 5, 8, then 13 > 10
+    code, out, err = run(
+        capsys,
+        "simulate", path("srw"), "--term", "g", "--depth", "60",
+        "--support-cap", "10", "--json",
+    )
+    assert code == 3
+    assert err == "cap exceeded: distribution support exceeded 10 entries\n"
+    doc = json.loads(out)
+    jsonschema.validate(doc, SCHEMA)
+    assert doc["partial"] is True
+    assert doc["depth"] == 4 and doc["support_sizes"] == [1, 2, 3, 5, 8]
+    whole = run_json(capsys, "simulate", path("srw"), "--term", "g", "--depth", "4", "--json")
+    assert "partial" not in whole
+    assert dict(doc, partial=None) == dict(whole, partial=None)
+    # the text report still prints nothing on a cap hit
+    code, out, _ = run(
+        capsys, "simulate", path("srw"), "--term", "g", "--depth", "60", "--support-cap", "10"
+    )
+    assert code == 3 and out == ""
+
+
 def test_exit_code_missing_file(capsys):
     code, _, _ = run(capsys, "check", "no-such-file.ptrs")
     assert code == 1
@@ -422,6 +565,14 @@ def assert_contract(argv, code, out, err, kind):
         doc = json.loads(out)
         jsonschema.validate(doc, SCHEMA)
         assert doc["kind"] == kind
+    elif code == 3 and "--json" in argv and kind == "simulate-exact":
+        # a support-cap hit still prints the states finished before it
+        doc = json.loads(out)
+        jsonschema.validate(doc, SCHEMA)
+        assert doc["kind"] == kind and doc["partial"] is True
+        assert doc["depth"] < int(argv[argv.index("--depth") + 1])
+    elif code != 0:
+        assert out == "", argv
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from statistics import NormalDist
 
 import pytest
 
@@ -513,6 +514,33 @@ def test_negative_bounds_are_rejected():
         for strategy in (Strategy.FULL, Strategy.INNERMOST):
             summary = mc_estimate(srw, start, strategy, first, samples=5, step_cap=0, seed=1)
             assert summary.estimate == estimate and summary.step_cap == 0
+
+
+def test_mc_interval_is_the_95_percent_wilson_interval():
+    z = NormalDist().inv_cdf(0.975)
+
+    def summary(k, n):
+        return McSummary(n, k, k / n, (n - k) / n, None, 10, 1)
+
+    for n in (1, 2, 7, 10, 50, 1000):
+        # at the ends, the bounds are z^2/(n+z^2) from 0 and n/(n+z^2) from 1
+        lo, hi = summary(0, n).interval
+        assert lo == 0.0 and hi == pytest.approx(z * z / (n + z * z), rel=1e-12)
+        lo, hi = summary(n, n).interval
+        assert hi == 1.0 and lo == pytest.approx(n / (n + z * z), rel=1e-12)
+        for k in range(n + 1):
+            p = k / n
+            centre = (p + z * z / (2 * n)) / (1 + z * z / n)
+            half = z / (1 + z * z / n) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+            lo, hi = summary(k, n).interval
+            assert lo == pytest.approx(max(0.0, centre - half), rel=1e-12, abs=1e-15)
+            assert hi == pytest.approx(min(1.0, centre + half), rel=1e-12, abs=1e-15)
+            assert 0.0 <= lo <= p <= hi <= 1.0
+    # Newcombe (Stat. Med. 1998), table I: 81/263, 15/148, 0/20 and 1/29
+    assert summary(81, 263).interval == pytest.approx((0.2553, 0.3662), abs=5e-5)
+    assert summary(15, 148).interval == pytest.approx((0.0624, 0.1605), abs=5e-5)
+    assert summary(0, 20).interval == pytest.approx((0.0, 0.1611), abs=5e-5)
+    assert summary(1, 29).interval == pytest.approx((0.0061, 0.1718), abs=5e-5)
 
 
 def test_mc_s7_always_terminates():
