@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import functools
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import groupby
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .props import (
     PropertyReport,
@@ -424,18 +424,16 @@ def _evidence(system: Ptrs, report: PropertyReport, spare: Optional[SpareVerdict
     return ev
 
 
-def _closure(
-    arrows: Sequence[tuple[Prop, Prop, str]], sources: Iterable[Prop]
-) -> list[ClosureArrow]:
-    """Reachability with the cheapest labelled chain per pair, preferring
-    chains that lean on theorems over ones padded with definitional hops.
+def _closure(arrows: Sequence[tuple[Prop, Prop, str]]) -> list[ClosureArrow]:
+    """Reachability from every atom of the arrows, with the cheapest
+    labelled chain per pair, preferring chains that lean on theorems over
+    ones padded with definitional hops.
 
     A chain's cost is (definitional hops, hops), compared in that order. The
     search runs over integer atom indices with the pair packed into one int;
     ties between equal costs go to the earliest push, so each chain is the
     one a search over the arrows in the given order finds first. The arrows
-    come out sorted by (source token, target token), those of a repeated
-    source once per repetition."""
+    come out sorted by (source token, target token)."""
     index: dict[str, int] = {}
     atoms: list[Prop] = []
     adjacency: list[list[tuple[int, int, str]]] = []
@@ -460,10 +458,7 @@ def _closure(
     by_token = sorted(range(n), key=lambda i: atoms[i].token())
 
     out: list[ClosureArrow] = []
-    for token, copies in groupby(sorted(sources, key=Prop.token), key=Prop.token):
-        s = index.get(token)
-        if s is None:
-            continue
+    for s in by_token:
         best: list[Optional[int]] = [None] * n
         chains: list[tuple[str, ...]] = [()] * n
         best[s] = 0
@@ -482,11 +477,11 @@ def _closure(
                     chains[succ] = chain + (label,)
                     counter += 1
                     heappush(heap, (new_cost, counter, succ))
-        copies = list(copies)
-        for t in by_token:
-            if t != s and best[t] is not None:
-                target, chain = atoms[t], chains[t]
-                out.extend(ClosureArrow(src, target, chain) for src in copies)
+        out.extend(
+            ClosureArrow(atoms[s], atoms[t], chains[t])
+            for t in by_token
+            if t != s and best[t] is not None
+        )
     return out
 
 
@@ -520,11 +515,15 @@ def _run_engine(
             licensed.append((a, b, spec.theorem_id))
 
     scopes = ("all", "basic") if scope == "basic" else ("all",)
-    arrows = [*_structural_arrows(tuple(notions), scopes), *licensed]
-    atoms = {p.token(): p for a, b, _ in arrows for p in (a, b)}.values()
-    closure = _closure(arrows, atoms)
-    conclusions = _closure(arrows, list(assertions))
-    return verdicts, closure, conclusions
+    closure = _closure([*_structural_arrows(tuple(notions), scopes), *licensed])
+    return verdicts, closure, _conclusions(closure, assertions)
+
+
+def _conclusions(closure: list[ClosureArrow], assertions: Sequence[Prop]) -> list[ClosureArrow]:
+    """The closure arrows from the asserted atoms, in closure order, each
+    once per time its source is asserted."""
+    repeats = Counter(p.token() for p in assertions)
+    return [c for c in closure for _ in range(repeats[c.source.token()])]
 
 
 def analyze(

@@ -517,23 +517,25 @@ class Policy:
         non-simultaneous strategy: by descent where the policy has a descent
         rule, which must pick what choosing from the list of every admissible
         move would, otherwise by enumerating every admissible move and
-        deferring to ``pick_redex``. An index rule picks what ``pick_redex``
-        and ``pick_group`` pick; only the Monte-Carlo samplers
-        (``runsim.run_full_by_index``, ``runsim.run_simultaneous``) use
-        one."""
+        deferring to ``pick_redex``. The Monte-Carlo samplers take the index
+        rule's pick without listing the moves (``runsim.run_by_index``,
+        ``runsim.run_innermost_first`` under ``li``,
+        ``runsim.run_simultaneous``)."""
         rule = self.descent(strategy)
         if rule is not None:
             return descend(system, t, rule)
         return self.pick_redex(t, admissible_moves(system, t, strategy))
 
     def pick_redex(self, t: Term, moves: Sequence[Redex]) -> Redex:
-        raise NotImplementedError
+        """The move the index rule picks from the list of every one."""
+        return moves[self.index_rule()(len(moves))]
 
     def pick_group(
         self, t: Term, groups: Sequence[Group]
     ) -> tuple[Group, Optional[tuple[Position, ...]]]:
-        """A group of t and the positions of it to rewrite, None for all."""
-        raise NotImplementedError
+        """A group of t and the positions of it to rewrite, None for all: by
+        default the group the index rule picks, whole."""
+        return groups[self.index_rule()(len(groups))], None
 
     def clone_for_run(self, run_seed: object) -> "Policy":
         """Fresh, independently seeded copy for one Monte-Carlo run.
@@ -552,14 +554,8 @@ class FirstMove(Policy):
         return None if strategy.simultaneous else _leftmost_innermost
 
     def index_rule(self) -> Optional[IndexPick]:
+        # redexes and simultaneous_groups list by (first position, rule index)
         return _first_index
-
-    def pick_redex(self, t: Term, moves: Sequence[Redex]) -> Redex:
-        return moves[0]
-
-    def pick_group(self, t, groups):
-        # simultaneous_groups lists groups by (first position, rule index)
-        return groups[0], None
 
 
 class RightmostFirst(Policy):
@@ -583,14 +579,7 @@ class RandomSeeded(Policy):
         self.name = f"random:{seed}"
 
     def index_rule(self) -> Optional[IndexPick]:
-        # the same draw as pick_redex and pick_group
         return self.rng.randrange
-
-    def pick_redex(self, t: Term, moves: Sequence[Redex]) -> Redex:
-        return moves[self.rng.randrange(len(moves))]
-
-    def pick_group(self, t, groups):
-        return groups[self.rng.randrange(len(groups))], None
 
     def clone_for_run(self, run_seed: object) -> "RandomSeeded":
         return RandomSeeded(run_seed)

@@ -1,10 +1,7 @@
-"""Sampled runs: as zippers under an innermost descent rule, and under full
-rewriting for a policy that picks a redex by its index; and under
-``par``/``ipar`` from a move table of whole terms. Which (strategy, policy)
-pairs run here is ``semantics.mc_runs``'s choice: ``first`` under ``i``/``li``
-and ``rightmost`` under ``full``/``i``/``li`` on the innermost zipper,
-``first`` and ``random`` under ``full`` on the index zipper, and ``first``,
-``rightmost`` and ``random`` under ``par``/``ipar`` on the simultaneous table.
+"""Sampled runs: as zippers under an innermost descent rule and under a
+policy that picks a redex by its index, and under ``par``/``ipar`` from a
+move table of whole terms. ``semantics.mc_runs`` picks the sampler, here
+for every policy but ``script``.
 
 A run keeps the hash-consed term open at its current redex (Huet, "The
 Zipper", JFP 1997): a frame ``(parent, k, ...)`` per ancestor, the open
@@ -46,25 +43,30 @@ their draws; the owed draws are paid, in bounded chunks, just before the next
 draw whose value picks a branch, so every such draw reads the generator in the
 same state as before. A run that ends while owing pays nothing.
 
-**Full rewriting by redex index** (``run_full_by_index``). A policy whose
-pick is an index into the term's redexes in ``rewriting.redexes`` order
-(``first`` takes 0, ``random`` a uniform draw) needs only the redex counts
-of the subterms: a node's own root matches come first, then each child's
-redexes, children left to right, so the frames carry the order statistic
-(CLRS, ch. 14, OS-SELECT). A frame also holds the index of its parent's
-first redex in the whole term and the parent's count minus its open child's,
-and the run keeps the whole term's count. A step closes frames until the
-open subterm holds the picked index, goes down by the cached child counts,
-contracts, and adds the change of the open subterm's count to the total.
-An ancestor's own matches can change only when the contraction is at a
-non-variable position of one of its symbol's left-hand sides, or when one
-of those is not left-linear (it compares whole arguments); exactly those
-ancestors are closed and recounted at once. So a step costs its contractum
-plus the cursor's move from the last redex to the next one, up to their
-common ancestor and down again, with one interned parent per level climbed
-out of a changed subterm. The move is measured, not constant: ``first``'s
-next redex is mostly near the last one, but a ``random`` pick lands anywhere,
-so on a chain such as ``g(g(...))`` its move grows with the depth.
+Under ``li`` a policy's index rule picks among the root matches at the
+leftmost innermost redex, all kept in the move table. Each pick is a draw of
+the policy's own stream, so no segment holding one is memoised.
+
+**Rewriting by redex index** (``run_by_index``). A policy whose pick is an
+index into the term's redexes in ``rewriting.redexes`` order, or under
+``i`` in ``innermost_redexes`` order (``first`` takes 0, ``random`` a
+uniform draw), needs only the subterms' redex counts (``RedexCounts``): a
+node's own root matches come first, then each child's redexes, children
+left to right, so the frames carry the order statistic (CLRS, ch. 14,
+OS-SELECT). A frame also holds the index of its parent's first redex in the
+whole term and the parent's count minus its open child's, and the run keeps
+the whole term's count. A step closes frames until the open subterm holds
+the picked index, goes down by the cached child counts, contracts, and adds
+the change of the open subterm's count to the total. Then it recounts the
+ancestors whose own matches may have changed: under ``full`` those with a
+left-hand side that has a non-variable position on the path to the step
+or that is not left-linear (it compares whole arguments), under ``i`` those
+left with no redex below. So a step costs its contractum plus the cursor's
+move from the last redex to the next one, up to their common ancestor and
+down again, with one interned parent per level climbed out of a changed
+subterm. The move is measured, not constant: ``first``'s next redex is
+mostly near the last one, but a ``random`` pick lands anywhere, so on a
+chain such as ``g(g(...))`` its move grows with the depth.
 
 **Simultaneous rewriting** (``run_simultaneous``). A ``par``/``ipar`` step
 replaces every occurrence of an instance, anywhere in the term, so the run
@@ -90,9 +92,10 @@ from .terms import Position, Substitution, Term, Var, app
 
 Memo = dict[Term, tuple[Term, int]]
 # A term's move under one descent rule: 0 for a normal form, k > 0 for the
-# child the rule enters, or the redex's (rule index, σ, contracta by branch),
-# each contractum built the first time a draw picks it
-Entry = Union[int, tuple[int, Substitution, list[Optional[Term]]]]
+# child the rule enters, or the redex's moves (every root match for a pick,
+# else the rule's), each as (rule index, σ, contracta by branch), each
+# contractum built the first time a draw picks it
+Entry = Union[int, tuple[tuple[int, Substitution, list[Optional[Term]]], ...]]
 Moves = dict[Term, Entry]
 
 # owed draws paid per getrandbits call: 64 bits are the two 32-bit words one
@@ -117,15 +120,16 @@ def _plug(parent: Term, k: int, u: Term) -> Term:
     return app(parent.symbol, args[: k - 1] + (u,) + args[k:])
 
 
-def _entry(system: Ptrs, rule: Descent, u: Term) -> Entry:
+def _entry(system: Ptrs, rule: Descent, u: Term, every: bool) -> Entry:
     """u's move-table entry under the descent rule."""
     if system.is_normal_form(u):
         return 0
     found = rule(system, u)
     if isinstance(found, int):
         return found
-    idx, sigma = found
-    return idx, sigma, [None] * len(system.rules[idx].rhs.terms)
+    weights = system.branch_weights
+    matches = system.root_matches(u) if every else (found,)
+    return tuple((idx, sigma, [None] * len(weights[idx])) for idx, sigma in matches)
 
 
 def run_innermost_first(
@@ -136,12 +140,14 @@ def run_innermost_first(
     step_cap: int,
     memo: Optional[Memo] = None,
     moves: Optional[Moves] = None,
+    pick: Optional[IndexPick] = None,
 ) -> tuple[bool, int]:
-    """Simulate one run; returns (reached normal form, steps taken).
+    """Simulate one run; returns (reached normal form, steps taken). At the
+    rule's redex, ``pick(n)`` chooses among its n root matches, if given.
 
     ``memo`` carries deterministic segments and ``moves`` the move table
     from run to run; each must come from runs on the same system under the
-    same rule."""
+    same rule, with a pick or without."""
     if memo is None:
         memo = {}
     hit = memo.get(start)
@@ -159,7 +165,7 @@ def run_innermost_first(
     while True:
         e = get(u)
         if e is None:
-            e = moves[u] = _entry(system, rule, u)
+            e = moves[u] = _entry(system, rule, u, pick is not None)
         if not e:  # a normal form: close its frame
             if not frames:
                 if not draws:
@@ -186,7 +192,11 @@ def run_innermost_first(
         else:
             if steps == step_cap:
                 return False, step_cap
-            idx, sigma, built = e
+            if pick is None:
+                idx, sigma, built = e[0]
+            else:  # the policy's draw: no segment holding this step is memoised
+                idx, sigma, built = e[pick(len(e))]
+                draws += 1
             if len(built) == 1:
                 owed += 1
                 b = 0
@@ -235,17 +245,55 @@ def _rematch_sites(system: Ptrs) -> tuple[dict[SymbolKey, set[Position]], int, s
     return sites, longest, nonlinear
 
 
-def run_full_by_index(
-    system: Ptrs, start: Term, pick: IndexPick, rng: random.Random, step_cap: int
+class RedexCounts:
+    """Each term's number of redexes, or with ``innermost`` of innermost
+    redexes (a node's own root matches count only when no argument has one),
+    kept in ``known`` for the runs of one estimate."""
+
+    __slots__ = ("system", "innermost", "known")
+
+    def __init__(self, system: Ptrs, innermost: bool):
+        self.system = system
+        self.innermost = innermost
+        self.known: dict[Term, int] = {}
+
+    def count(self, t: Term) -> int:
+        known = self.known
+        got = known.get(t)
+        if got is not None:
+            return got
+        nf = self.system.is_normal_form
+        if nf(t):
+            return 0
+        stack = [t]
+        while stack:
+            u = stack[-1]
+            if u in known:
+                stack.pop()
+                continue
+            pending = [a for a in u.args if a not in known and not nf(a)]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            below = sum([known.get(a, 0) for a in u.args])
+            own = 0 if self.innermost and below else len(self.system.root_matches(u))
+            known[u] = own + below
+        return known[t]
+
+
+def run_by_index(
+    system: Ptrs, start: Term, pick: IndexPick, rng: random.Random, step_cap: int, counts: RedexCounts
 ) -> tuple[bool, int]:
-    """Simulate one run under full rewriting; returns (reached normal form,
-    steps taken). Each step takes the redex ``pick(n)`` among the term's n
-    redexes, in ``rewriting.redexes`` order, and draws its branch with one
+    """Simulate one run under full, or with innermost ``counts`` innermost,
+    rewriting; returns (reached normal form, steps taken). Each step takes
+    the redex ``pick(n)`` among the term's n redexes, in ``redexes`` (or
+    ``innermost_redexes``) order, and draws its branch with one
     ``rng.random()``."""
-    count, known, note = system.redex_count, system.known_count, system.note_count
+    count, known, innermost = counts.count, counts.known, counts.innermost
     root_matches = system.root_matches
     contract, rules = system.contract, system.rules
-    sites, longest, nonlinear = _rematch_sites(system)
+    sites, longest, nonlinear = ({}, 0, set()) if innermost else _rematch_sites(system)
     # (parent, k, the index of parent's first redex in the whole term,
     # parent's count minus its k-th argument's)
     frames: list[tuple[Term, int, int, int]] = []
@@ -260,7 +308,7 @@ def run_full_by_index(
             parent, k, lo, rest = frames.pop()
             n += rest
             u = _plug(parent, k, u)
-            note(u, n)
+            known[u] = n
         # down to the subterm whose own matches hold r, by the children's
         # counts, right to left: each child's redexes end where the next
         # one's begin. Every frame of a symbol in nonlinear is closed after
@@ -285,7 +333,8 @@ def run_full_by_index(
         c = count(u)
         total += c - n
         n = c
-        # close and recount every ancestor whose own matches may have changed
+        # close and recount every ancestor whose own matches may have
+        # changed; under innermost rewriting, each one left with no redex below
         close = len(frames) - pinned if pinned >= 0 else 0
         path: Position = ()
         for d in range(1, min(longest, len(frames)) + 1):
@@ -293,14 +342,14 @@ def run_full_by_index(
             path = (k,) + path
             if path in sites.get((parent.symbol.name, parent.symbol.arity), ()):
                 close = max(close, d)
-        for _ in range(close):
+        while close > 0 or innermost and not n and frames and not frames[-1][3]:
+            close -= 1
             parent, k, lo, rest = frames.pop()
             u = _plug(parent, k, u)
-            c = known(u)
+            c = known.get(u)
             if c is None:
-                # noted, so an empty match list need not be kept as well
-                c = len(root_matches(u, False)) + sum(map(count, u.args))
-                note(u, c)
+                # an empty match list is not kept: most parents are counted once
+                c = known[u] = len(root_matches(u, False)) + sum(map(count, u.args))
             total += c - (n + rest)
             n = c
     return not total, step_cap

@@ -27,6 +27,7 @@ from .rewriting import (
     SimTable,
     Strategy,
     SuccessorTable,
+    _leftmost_innermost,
     coalesce,
     lift_step,
     sample_step,
@@ -232,46 +233,46 @@ def mc_runs(
     - a descent rule in ``INNERMOST_DESCENTS`` (``first`` under ``i``/``li``,
       ``rightmost`` under ``full``/``i``/``li``): the innermost zipper,
       ``runsim.run_innermost_first``;
-    - an index rule (``first`` and ``random`` under ``full``): the index
-      zipper, ``runsim.run_full_by_index``;
     - under ``par``/``ipar``, a descent rule under the plain strategy
       (``first``, ``rightmost``) or an index rule (``random``): the
       simultaneous move table, ``runsim.run_simultaneous``;
-    - otherwise (``random`` under ``i``/``li``, whose moves no sampler
-      counts, and ``script``): ``sample_step`` from the root.
+    - an index rule under ``li`` (``random``): the innermost zipper, picking
+      among the root matches at the leftmost innermost redex;
+    - an index rule under ``full``/``i`` (``first`` under ``full``,
+      ``random``): the index zipper, ``runsim.run_by_index``;
+    - otherwise (``script``): ``sample_step`` from the root.
 
-    Every run of one returned function shares its tables: the innermost
-    zipper's deterministic segments and move table, and under
-    ``par``/``ipar`` one ``SimTable`` and one simultaneous move table. They
-    hold only terms the runs met, and live as long as the function."""
+    Every run of one returned function shares its sampler's tables (the
+    zippers' segments, move table and redex counts, or one ``SimTable`` and
+    one simultaneous move table). They hold only terms the runs met, and
+    live as long as the function."""
     rule = policy.descent(strategy)
-    if rule in INNERMOST_DESCENTS:
-        memo: runsim.Memo = {}
-        moves: runsim.Moves = {}
-
-        def one_run(i: int) -> tuple[bool, int]:
-            rng = random.Random(f"{seed}:{i}")
-            return runsim.run_innermost_first(system, start, rule, rng, step_cap, memo, moves)
-
-        return one_run
     table = SimTable(system, strategy) if strategy.simultaneous else None
-    plain = policy.descent(strategy.plain) if strategy.simultaneous else None
-    counted = strategy is Strategy.FULL or table is not None
+    plain = policy.descent(strategy.plain) if table is not None else None
+    memo: runsim.Memo = {}
+    moves: runsim.Moves = {}
+    counts = runsim.RedexCounts(system, strategy is Strategy.INNERMOST)
     sim_moves: runsim.SimMoves = {}
 
     def one_run(i: int) -> tuple[bool, int]:
         rng = random.Random(f"{seed}:{i}")
+        if rule in INNERMOST_DESCENTS:
+            return runsim.run_innermost_first(system, start, rule, rng, step_cap, memo, moves)
         if plain is not None:
             return runsim.run_simultaneous(
                 system, start, table, plain, None, rng, step_cap, sim_moves
             )
         own = policy.clone_for_run(f"{seed}:{i}:policy")
-        index = own.index_rule() if counted else None
+        index = own.index_rule()
         if index is None:
             return _run_generic(system, start, strategy, own, rng, step_cap, table)
-        if table is None:
-            return runsim.run_full_by_index(system, start, index, rng, step_cap)
-        return runsim.run_simultaneous(system, start, table, None, index, rng, step_cap, sim_moves)
+        if table is not None:
+            return runsim.run_simultaneous(system, start, table, None, index, rng, step_cap, sim_moves)
+        if strategy is Strategy.LEFTMOST_INNERMOST:
+            return runsim.run_innermost_first(
+                system, start, _leftmost_innermost, rng, step_cap, memo, moves, index
+            )
+        return runsim.run_by_index(system, start, index, rng, step_cap, counts)
 
     return one_run
 

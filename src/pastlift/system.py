@@ -211,7 +211,6 @@ class Ptrs:
             for rule in self.rules
         )
         self._nf_cache: dict[Term, bool] = {}
-        self._count_cache: dict[Term, int] = {}
         self._defined_cache: dict[Term, bool] = {}
         self._match_cache: dict[Term, tuple[tuple[int, Substitution], ...]] = {}
         self._contracta: dict[tuple, Term] = {}
@@ -336,47 +335,6 @@ class Ptrs:
             else:
                 cache[u] = not self.root_matches(u)
         return cache[t]
-
-    def redex_count(self, t: Term) -> int:
-        """Number of redexes of t, one per (position, matching rule). Cached
-        per system for terms that are not normal forms (those count 0)."""
-        cache = self._count_cache
-        got = cache.get(t)
-        if got is not None:
-            return got
-        if self.is_normal_form(t):
-            return 0
-        nf = self._nf_cache  # now holds every subterm of t
-        stack = [t]
-        while stack:
-            u = stack[-1]
-            if u in cache:
-                stack.pop()
-                continue
-            pending = [a for a in u.args if not nf[a] and a not in cache]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            cache[u] = len(self.root_matches(u)) + sum(
-                cache[a] for a in u.args if not nf[a]
-            )
-        return cache[t]
-
-    def known_count(self, t: Term) -> Optional[int]:
-        """t's redex count if it is cached, else None."""
-        got = self._count_cache.get(t)
-        if got is None and self._nf_cache.get(t):
-            return 0
-        return got
-
-    def note_count(self, t: Term, n: int) -> None:
-        """Cache n as t's redex count, for a caller that counted t from its
-        own root matches and its arguments' counts, all of which must be
-        cached already; t is a normal form exactly when n is 0."""
-        self._nf_cache[t] = not n
-        if n:
-            self._count_cache[t] = n
 
     def is_basic(self, t: Term) -> bool:
         """Defined root symbol applied to constructor-only arguments. Whether

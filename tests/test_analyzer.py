@@ -12,6 +12,7 @@ from pastlift.analyzer import (
     PROB_THEOREMS,
     Prop,
     _closure,
+    _conclusions,
     _structural_arrows,
     analyze,
     analyze_nonprob,
@@ -213,35 +214,42 @@ ASSERTION_SETS = (
 )
 
 
+def atoms_of(arrows):
+    return {p.token(): p for a, b, _ in arrows for p in (a, b)}.values()
+
+
 def test_closure_matches_the_reference_on_the_corpus(monkeypatch):
+    """Each engine run asks for the closure once, from every atom, and its
+    conclusions are the reference closure from the assertions."""
     calls = []
 
-    def recording(arrows, sources):
-        sources = list(sources)
-        got = _closure(arrows, sources)
-        calls.append((arrows, sources, got))
+    def recording(arrows):
+        got = _closure(arrows)
+        calls.append((arrows, got))
         return got
 
     monkeypatch.setattr(analyzer, "_closure", recording)
+    concluded = 0
     for name in CORPUS_STARTS:
         system = load_system(name)
         for tokens in ASSERTION_SETS:
             props = [parse_prop_token(token) for token in tokens]
             prob = [p for p in props if p.notion != "SN"]
-            for scope in ("all", "basic"):
-                analyze(system, scope, prob)
+            runs = [(analyze(system, scope, prob), prob) for scope in ("all", "basic")]
             if system.is_trivial:
-                analyze_nonprob(system, [p for p in props if p.notion == "SN"])
+                sn = [p for p in props if p.notion == "SN"]
+                runs.append((analyze_nonprob(system, sn), sn))
+            assert len(calls) % len(runs) == 0
+            for (report, asserted), (arrows, _) in zip(runs, calls[-len(runs):]):
+                assert report.conclusions == reference_closure(arrows, asserted)
+                concluded += len(report.conclusions) > 0
     graphs = {}
-    for arrows, sources, got in calls:
-        assert got == reference_closure(arrows, sources)
+    for arrows, got in calls:
+        assert got == reference_closure(arrows, atoms_of(arrows))
         graphs.setdefault(tuple(arrows), got)
     for arrows, got in graphs.items():
         assert_chains_are_cheapest(arrows, got)
-    # each engine run asks for the closure from every atom, then from the
-    # assertions
-    conclusions = sum(len(got) > 0 for _, _, got in calls[1::2])
-    assert len(graphs) > 10 and conclusions > 50
+    assert len(graphs) > 10 and concluded > 50
 
 
 def test_closure_matches_the_reference_on_random_arrows():
@@ -263,10 +271,10 @@ def test_closure_matches_the_reference_on_random_arrows():
         sources = rng.sample(atoms, rng.randint(0, min(8, len(atoms))))
         sources += rng.choices(atoms, k=rng.randint(0, 3))
         sources.append(Prop("AST", "f", True, "basic"))  # not an atom of the SN arrows
-        for srcs in (atoms, sources):
-            got = _closure(arrows, srcs)
-            assert got == reference_closure(arrows, srcs), round_
-        assert_chains_are_cheapest(arrows, _closure(arrows, atoms))
+        closure = _closure(arrows)
+        assert closure == reference_closure(arrows, atoms), round_
+        assert _conclusions(closure, sources) == reference_closure(arrows, sources), round_
+        assert_chains_are_cheapest(arrows, closure)
 
 
 def test_precondition_toggle_flips_verdicts():

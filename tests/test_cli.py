@@ -86,6 +86,27 @@ def test_analyze_with_assertion(capsys):
     assert "asserted iAST yields fAST" in out
 
 
+def test_analyze_repeats_conclusions_of_a_repeated_assertion(capsys):
+    """An atom asserted twice yields each conclusion twice, side by side; an
+    asserted atom that no arrow mentions (basic scope under ``--scope all``)
+    yields none, in the text and in the JSON."""
+    once = ["analyze", path("srw"), "--assert", "iAST"]
+    twice = once + ["--assert", "fAST@basic", "--assert", "iAST"]
+    lines = {}
+    for argv in (once, twice):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        lines[len(argv)] = [line for line in out.splitlines() if "yields" in line]
+    assert lines[len(once)] and lines[len(twice)] == [
+        line for line in lines[len(once)] for _ in range(2)
+    ]
+    single, double = (
+        run_json(capsys, *argv, "--json")["sections"][0]["conclusions"] for argv in (once, twice)
+    )
+    assert double == [arrow for arrow in single for _ in range(2)]
+    assert not any(arrow["from"] == "fAST@basic" for arrow in double)
+
+
 CORPUS_FILES = sorted(SYSTEMS_DIR.glob("*.ptrs"))
 ANALYZE_VARIANTS = [
     (scope, asserted) for scope in ("all", "basic") for asserted in ((), ("--assert", "iAST"))

@@ -19,6 +19,7 @@ from conftest import (
     tree_walk_groups,
 )
 from pastlift.fmt import parse_term
+from pastlift.runsim import RedexCounts
 from pastlift.rewriting import (
     FirstMove,
     InvalidGroup,
@@ -563,17 +564,29 @@ def test_choose_agrees_with_picking_from_all_moves():
 
 
 def test_redex_count_memo_matches_enumeration_on_every_subterm():
-    rng, own = random.Random(43), random.Random(44)
-    counted = g0 = 0
-    for _ in range(1500):
-        system = random_system(rng)
-        for term in random_ground_terms(rng, own, system, 5):
+    """``runsim.RedexCounts`` counts every redex, and innermost ones only,
+    as listing them does, on every subterm: the default draws, then systems
+    and terms over the whole signature from a stream of their own."""
+    rng, own, whole = random.Random(43), random.Random(44), random.Random(45)
+    counted = innermost = g0 = 0
+    for case in range(2000):
+        if case < 1500:
+            system = random_system(rng)
+            drawn = random_ground_terms(rng, own, system, 5)
+        else:
+            system = random_system(whole, symbols=SIGNATURE_SYMBOLS)
+            drawn = [random_term(whole, 5, vars_=(), symbols=SIGNATURE_SYMBOLS)]
+        every, inner = RedexCounts(system, False), RedexCounts(system, True)
+        for term in drawn:
             for pos in positions(term):
                 u = subterm_at(term, pos)
-                assert system.redex_count(u) == len(redexes(system, u))
-                counted += system.redex_count(u) > 0
+                n = every.count(u)
+                assert n == len(redexes(system, u))
+                assert inner.count(u) == len(innermost_redexes(system, u))
+                counted += n > 0
+                innermost += 0 < inner.count(u) < n
             g0 += fires_g0(system, term)
-    assert counted > 150 and g0 > 100
+    assert counted > 150 and innermost > 40 and g0 > 100
 
 
 def test_cut_points_pick_the_same_branch_as_fraction_sums():

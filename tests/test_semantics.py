@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -18,6 +19,8 @@ from conftest import (
     random_system,
     random_term,
     sim_step,
+    tree_walk_groups,
+    tree_walk_redexes,
 )
 from pastlift import rewriting, runsim, semantics, terms
 from pastlift.fmt import parse_file, parse_term
@@ -290,6 +293,77 @@ def test_memoised_unfolding_matches_stepping_every_entry_on_random_systems():
         compared += 1
         g0 += fires_g0(system, start)
     assert compared > 250 and g0 > 80
+
+
+def tree_walk_nf_masses(system, start, strategy, spec, depth):
+    """``unfold_exact``'s normal-form masses from an unfolding that shares
+    no code with the engine's steps: each state's moves are listed by the
+    conftest tree walk (``tree_walk_redexes``, or ``tree_walk_groups`` under
+    ``par``/``ipar``), the policy's pick is made from that list, and each
+    branch is built with ``apply_subst`` and ``replace_at`` at every
+    position of the move. Returns the masses, the states as lists of
+    (probability, term), and the number of steps that contracted a rule
+    headed by g0."""
+    simultaneous = strategy in (Strategy.SIMULTANEOUS, Strategy.INNERMOST_SIMULTANEOUS)
+    innermost = strategy not in (Strategy.FULL, Strategy.SIMULTANEOUS)
+    rng = random.Random(int(spec.split(":")[1])) if spec.startswith("random:") else None
+
+    def moves_of(u):
+        """(positions, rule index, σ) by (first position, rule index)."""
+        if simultaneous:
+            return [(g.positions, g.rule_index, g.subst)
+                    for g in tree_walk_groups(system, u, innermost)]
+        found = sorted(((pos,), idx, sigma) for pos, _, idx, sigma
+                       in tree_walk_redexes(system, u, innermost))
+        if strategy is Strategy.LEFTMOST_INNERMOST:
+            found = [m for m in found if m[0] == found[0][0]]
+        return found
+
+    state = [(Fraction(1), start, moves_of(start))]
+    states = [state]
+    fired = 0
+    for _ in range(depth):
+        following = []
+        for p, u, moves in state:
+            if not moves:
+                following.append((p, u, moves))
+                continue
+            if spec == "first":
+                positions_, idx, sigma = moves[0]
+            elif spec == "rightmost":  # greatest position, lowest rule there
+                positions_, idx, sigma = max(moves, key=lambda m: (max(m[0]), -m[1]))
+            else:
+                positions_, idx, sigma = moves[rng.randrange(len(moves))]
+            rule = system.rules[idx]
+            fired += rule.lhs.symbol.name == "g0"
+            for q, rhs in rule.rhs.entries:
+                v = u
+                for pos in positions_:
+                    v = replace_at(v, pos, apply_subst(rhs, sigma))
+                following.append((p * q, v, moves_of(v)))
+        state = following
+        states.append(state)
+    masses = [sum((p for p, _, moves in state if not moves), Fraction(0)) for state in states]
+    return masses, [[(p, u) for p, u, _ in state] for state in states], fired
+
+
+def test_exact_masses_match_the_tree_walk_unfolding_on_random_systems():
+    compared = strict = g0 = 0
+    for case, (rng, system, start) in enumerate(random_start_draws(73, 200, 4, 200)):
+        depth = rng.randint(2, 6)
+        for strategy in Strategy:
+            for spec in ("first", "rightmost", f"random:{case}"):
+                want, states, fired = tree_walk_nf_masses(system, start, strategy, spec, depth)
+                trace = unfold_exact(system, start, strategy, make_policy(spec), depth)
+                where = (term_to_str(start), strategy, spec, depth)
+                assert trace.nf_masses == want, where
+                # and the states, as multisets of (probability, term)
+                for got_mu, want_mu in zip(trace.states, states):
+                    assert Counter(got_mu.entries) == Counter(want_mu), where
+                compared += 1
+                strict += 0 < want[-1] < 1
+                g0 += fired > 0
+    assert compared == 400 * 5 * 3 and strict > 400 and g0 > 1500
 
 
 def reference_adversary(system, start, strategy, depth):
@@ -600,7 +674,8 @@ def test_mc_estimate_tracks_extinction_probability():
 
 
 def test_mc_fast_and_generic_paths_agree():
-    """The cursor engine and the generic stepper sample identical runs."""
+    """The innermost zipper under ``first`` and under ``random``'s pick
+    among the root matches (``li``) sample identical runs."""
     s1 = load_system("s1")
     g = t("s1", "g")
     fast = mc_estimate(s1, g, Strategy.INNERMOST, first, 80, 500, seed=3)
@@ -742,8 +817,23 @@ def random_systems_and_starts():
             yield case, system, start
 
 
+def index_zipper_run(system, start, strategy, index, rng, step_cap, counts=None):
+    """One run of a policy with an index rule, on the zipper ``mc_runs``
+    gives it: under ``li`` the innermost zipper picking among the root
+    matches at the leftmost innermost redex, under ``full``/``i`` the index
+    zipper, counting into ``counts`` or into counts of its own."""
+    if strategy is Strategy.LEFTMOST_INNERMOST:
+        return runsim.run_innermost_first(
+            system, start, rewriting._leftmost_innermost, rng, step_cap, pick=index
+        )
+    if counts is None:
+        counts = runsim.RedexCounts(system, strategy is Strategy.INNERMOST)
+    return runsim.run_by_index(system, start, index, rng, step_cap, counts)
+
+
 def test_sampled_runs_match_the_reference_sampler_on_random_systems():
-    compared = zipped = indexed = g0 = 0
+    compared = zipped = g0 = 0
+    indexed = dict.fromkeys(("full", "i", "li"), 0)
     for case, system, start in random_systems_and_starts():
         g0 += fires_g0(system, start)
         for strategy in Strategy:
@@ -774,19 +864,20 @@ def test_sampled_runs_match_the_reference_sampler_on_random_systems():
                         assert fast == expected, (case, strategy, spec, i)
                         zipped += 1
                     index = policy.clone_for_run(run_seed + ":policy").index_rule()
-                    full = strategy is Strategy.FULL
-                    if full and index is not None and rule not in INNERMOST_DESCENTS:
-                        fast = runsim.run_full_by_index(
-                            system, start, index, random.Random(run_seed), 25
+                    sequential = not strategy.simultaneous
+                    if sequential and index is not None and rule not in INNERMOST_DESCENTS:
+                        fast = index_zipper_run(
+                            system, start, strategy, index, random.Random(run_seed), 25
                         )
                         assert fast == expected, (case, strategy, spec, i)
-                        indexed += 1
+                        indexed[strategy.value] += 1
                     compared += 1
     assert compared > 6000
     # first under i/li and rightmost under full/i/li
     assert zipped > 2000
-    # first and random under full
-    assert indexed > 800
+    # first and random under full, random under i and li
+    assert indexed["full"] > 800
+    assert indexed["i"] > 1000 and indexed["li"] > 1000
     assert g0 > 150
 
 
@@ -798,8 +889,10 @@ CORPUS_RUNS = [
 
 
 def test_innermost_runs_match_the_generic_sampler_on_the_corpus():
+    """Runs on the innermost zipper, and ``random`` under ``i``/``li`` on
+    its zipper and through ``mc_runs``, are ``_run_generic``'s."""
     deepest = 0
-    pairs = 0
+    pairs = indexed = 0
     for name, text in CORPUS_RUNS:
         system = load_system(name)
         start = t(name, text)
@@ -819,8 +912,25 @@ def test_innermost_runs_match_the_generic_sampler_on_the_corpus():
                     )
                     assert fast == expected, (name, strategy, policy.name, i)
                     deepest = max(deepest, expected[1])
+        for strategy in (Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST):
+            policy = RandomSeeded(7)
+            shared = mc_runs(system, start, strategy, policy, 300, 7)
+            for i in range(20):
+                own = f"7:{i}:policy"
+                expected = _run_generic(
+                    system, start, strategy, policy.clone_for_run(own),
+                    random.Random(f"7:{i}"), 300,
+                )
+                fast = index_zipper_run(
+                    system, start, strategy, policy.clone_for_run(own).index_rule(),
+                    random.Random(f"7:{i}"), 300,
+                )
+                assert fast == expected == shared(i), (name, strategy, i)
+                deepest = max(deepest, expected[1])
+                indexed += 1
     # first under i/li and rightmost under full/i/li, on every corpus start
     assert pairs == 5 * len(CORPUS_RUNS)
+    assert indexed == 2 * 20 * len(CORPUS_RUNS)
     assert deepest == 300
 
 
@@ -971,16 +1081,17 @@ def test_mc_estimates_lie_near_exact_masses_on_random_systems():
     assert compared > 600 and strict > 150 and g0 > 50
 
 
-def full_index_runs(system, start, spec, run_seed, step_cap):
-    """One full-rewriting run under a policy with an index rule, from the
-    same seeds by ``_run_generic`` and by ``runsim.run_full_by_index``."""
+def full_index_runs(system, start, spec, run_seed, step_cap, strategy=Strategy.FULL, counts=None):
+    """One run under a policy with an index rule, by default under full
+    rewriting, from the same seeds by ``_run_generic`` and by
+    ``runsim.run_by_index``, which counts into ``counts`` when given."""
     policy = make_policy(spec)
     expected = _run_generic(
-        system, start, Strategy.FULL, policy.clone_for_run(run_seed + ":policy"),
+        system, start, strategy, policy.clone_for_run(run_seed + ":policy"),
         random.Random(run_seed), step_cap,
     )
     index = policy.clone_for_run(run_seed + ":policy").index_rule()
-    got = runsim.run_full_by_index(system, start, index, random.Random(run_seed), step_cap)
+    got = index_zipper_run(system, start, strategy, index, random.Random(run_seed), step_cap, counts)
     return expected, got
 
 
@@ -1006,11 +1117,16 @@ def test_full_index_runs_match_the_generic_sampler_on_the_corpus():
     for name, text in CORPUS_RUNS + NONLINEAR_RUNS:
         system = load_system(name)
         start = t(name, text)
-        for spec in ("first", "random:4"):
-            for i in range(6):
-                expected, got = full_index_runs(system, start, spec, f"{name}:{i}", 250)
-                assert got == expected, (name, spec, i)
-                deepest[name] = max(deepest.get(name, 0), expected[1])
+        for strategy in (Strategy.FULL, Strategy.INNERMOST):
+            # shared by every run, as by the runs of one estimate
+            counts = runsim.RedexCounts(system, strategy is Strategy.INNERMOST)
+            for spec in ("first", "random:4"):
+                for i in range(6):
+                    expected, got = full_index_runs(
+                        system, start, spec, f"{name}:{i}", 250, strategy, counts
+                    )
+                    assert got == expected, (name, strategy, spec, i)
+                    deepest[name] = max(deepest.get(name, 0), expected[1])
     assert max(deepest.values()) == 250
     assert all(deepest[name] == 250 for name, _ in NONLINEAR_RUNS)
     deep = parse_file(DEEP_LHS).system
@@ -1081,16 +1197,20 @@ def fresh_system(name):
     return parse_file((SYSTEMS_DIR / f"{name}.ptrs").read_text()).system
 
 
-def check_caches_against_a_fresh_system(system, label):
-    """Every normal-form verdict, redex count, root match and contractum in
-    the system's caches is what a system with empty caches computes for the
-    same term, the matches and contracta by plain ``terms.match`` and
-    ``terms.apply_subst``. Returns how many matches and contracta it checked."""
+def check_caches_against_a_fresh_system(system, label, counts=()):
+    """Every normal-form verdict, root match and contractum in the system's
+    caches, and every redex count in ``counts`` (``runsim.RedexCounts``), is
+    what a system with empty caches computes for the same term: the counts by
+    listing the redexes, the matches and contracta by plain ``terms.match``
+    and ``terms.apply_subst``. Returns how many matches and contracta it
+    checked."""
     fresh = Ptrs(system.rules, system.extra_constructors)
     for u, verdict in system._nf_cache.items():
         assert fresh.is_normal_form(u) == verdict, (label, term_to_str(u))
-    for u, n in system._count_cache.items():
-        assert fresh.redex_count(u) == n, (label, term_to_str(u))
+    for counted in counts:
+        listed = innermost_redexes if counted.innermost else rewriting.redexes
+        for u, n in counted.known.items():
+            assert len(listed(fresh, u)) == n, (label, counted.innermost, term_to_str(u))
     for u, found in system._match_cache.items():
         pairs = [(idx, match(rule.lhs, u)) for idx, rule in fresh.rules_at_root(u)]
         want = [(idx, sigma) for idx, sigma in pairs if sigma is not None]
@@ -1102,38 +1222,32 @@ def check_caches_against_a_fresh_system(system, label):
     return len(system._match_cache), len(system._contracta)
 
 
-def test_full_index_runs_cache_what_a_fresh_system_computes(monkeypatch):
-    """Every redex count and normal-form verdict the index sampler leaves in
-    the system's caches, and every count it notes there, is the one a
-    system with empty caches computes for the same term. So is every root
-    match and contractum cached by the MC runs under ``i``, ``li`` and
-    ``full``, by an exact unfolding and by the spareness falsifier."""
-    noted = []
-    real = Ptrs.note_count
-
-    def spy(system, u, n):
-        noted.append((u, n))
-        real(system, u, n)
-
-    monkeypatch.setattr(Ptrs, "note_count", spy)
+def test_full_index_runs_cache_what_a_fresh_system_computes():
+    """Every redex count the index sampler's runs of one estimate share,
+    under ``full`` and under ``i``, and every normal-form verdict it leaves
+    in the system's caches, is the one a system with empty caches computes
+    for the same term. So is every root match and contractum cached by the
+    MC runs under ``i``, ``li`` and ``full``, by an exact unfolding and by
+    the spareness falsifier."""
     checked = matches = contracta = empty = 0
     for name, text in CORPUS_RUNS + NONLINEAR_RUNS:
         system = fresh_system(name)
         start = parse_term(text, system)
-        noted.clear()
-        for spec in ("first", "random:5"):
-            mc_estimate(system, start, Strategy.FULL, make_policy(spec), 6, 250, seed=6)
-        fresh = Ptrs(system.rules, system.extra_constructors)
-        for u, n in noted:
-            assert fresh.redex_count(u) == n, (name, term_to_str(u))
-            empty += system._match_cache.get(u) == ()
-        checked += len(noted)
+        shared = []
+        for strategy in (Strategy.FULL, Strategy.INNERMOST):
+            counts = runsim.RedexCounts(system, strategy is Strategy.INNERMOST)
+            for spec in ("first", "random:5"):
+                for i in range(6):
+                    index = make_policy(spec).clone_for_run(f"6:{i}:policy").index_rule()
+                    runsim.run_by_index(system, start, index, random.Random(f"6:{i}"), 250, counts)
+            shared.append(counts)
+            checked += len(counts.known)
+            empty += sum(system._match_cache.get(u) == () for u in counts.known)
         for strategy in (Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST):
             for spec in ("first", "rightmost", "random:5"):
                 mc_estimate(system, start, strategy, make_policy(spec), 6, 250, seed=6)
-        got = check_caches_against_a_fresh_system(system, name)
+        got = check_caches_against_a_fresh_system(system, name, shared)
         matches, contracta = matches + got[0], contracta + got[1]
-    # parents closed by count; those re-matched are counted afresh instead
     assert checked > 1000
     assert matches > 100 and contracta > 60
     # the sampler counts a parent's own matches without keeping an empty list
@@ -1141,19 +1255,26 @@ def test_full_index_runs_cache_what_a_fresh_system_computes(monkeypatch):
 
     # random systems, whose left-hand sides may have several variables
     rng = random.Random(67)
-    matches = contracta = several = 0
+    matches = contracta = several = counted = 0
     for case in range(1000):
         system = random_system(rng)
         starts = (random_start(rng, system, 4),
                   random_term(rng, 4, vars_=(), symbols=SIGNATURE_SYMBOLS))
+        shared = [runsim.RedexCounts(system, innermost) for innermost in (False, True)]
         for start in starts:
             for strategy in (Strategy.FULL, Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST):
                 for policy in (FirstMove(), RandomSeeded(case)):
                     mc_estimate(system, start, strategy, policy, 3, 25, seed=case)
-        got = check_caches_against_a_fresh_system(system, f"random {case}")
+            for counts in shared:
+                for i in range(3):
+                    index = RandomSeeded(f"{case}:{i}:policy").index_rule()
+                    runsim.run_by_index(system, start, index, random.Random(f"{case}:{i}"), 25,
+                                        counts)
+        got = check_caches_against_a_fresh_system(system, f"random {case}", shared)
         matches, contracta = matches + got[0], contracta + got[1]
         several += sum(len(key) > 3 for key in system._contracta)
-    assert matches > 1500 and contracta > 1500 and several > 100
+        counted += sum(len(counts.known) for counts in shared)
+    assert matches > 1500 and contracta > 1500 and several > 100 and counted > 1500
 
     for name, text in (("s4", "f(a,b)"), ("s6", "g")):
         system = fresh_system(name)
@@ -1169,25 +1290,20 @@ class GenericReached(Exception):
 
 
 def test_only_policies_without_a_fast_path_reach_the_generic_sampler(monkeypatch):
-    """``script`` under every strategy and ``random`` under ``i``/``li``
-    take ``_run_generic``; every other pair has a table or a zipper."""
+    """Only ``script`` takes ``_run_generic``, under every strategy; every
+    other pair has a table or a zipper."""
     def refuse(*args):
         raise GenericReached
 
     monkeypatch.setattr(semantics, "_run_generic", refuse)
     srw = load_system("srw")
     g = t("srw", "g")
-    simultaneous = (Strategy.SIMULTANEOUS, Strategy.INNERMOST_SIMULTANEOUS)
-    for strategy in (Strategy.FULL,) + simultaneous:
+    script = Scripted([ScriptEntry(g, 0, ((),))])
+    for strategy in Strategy:
         for policy in (FirstMove(), RightmostFirst(), RandomSeeded(1)):
             mc_estimate(srw, g, strategy, policy, 20, 300, seed=1)
-    script = Scripted([ScriptEntry(g, 0, ((),))])
-    generic = [(strategy, script) for strategy in Strategy]
-    generic += [(strategy, RandomSeeded(1)) for strategy in (Strategy.INNERMOST,
-                                                              Strategy.LEFTMOST_INNERMOST)]
-    for strategy, policy in generic:
         with pytest.raises(GenericReached):
-            mc_estimate(srw, g, strategy, policy, 1, 300, seed=1)
+            mc_estimate(srw, g, strategy, script, 1, 300, seed=1)
 
 
 def memo_free_zipper_run(system, start, rule, rng, step_cap):
@@ -1386,29 +1502,46 @@ def test_skipped_segments_pay_their_draws_before_the_next_draw(monkeypatch):
 def test_zipper_runs_sharing_a_move_table_ask_each_term_once(monkeypatch):
     """Runs that share a move table ask the descent rule about each
     distinct term once and build each contractum once, in any run; each run
-    is still the memo-free zipper's."""
+    is still the memo-free zipper's, or under ``li`` with ``random``'s pick
+    among the root matches, ``_run_generic``'s, with no segment memoised."""
     counter = count_contractions(monkeypatch)
     for name, text in (("srw", "g"), ("srw2", "g(0)"), ("s6", "g"), ("s8", "f(g)")):
         system = load_system(name)
         start = t(name, text)
-        for strategy, policy, rule in innermost_rules():
+        li = (Strategy.LEFTMOST_INNERMOST, "random:8", rewriting._leftmost_innermost)
+        for strategy, policy, rule in innermost_rules() + [li]:
             asked = []
 
             def counted(system, u, rule=rule):
                 asked.append(u)
                 return rule(system, u)
 
+            seeds = [f"{name}:{i}" for i in range(40)]
+            if policy == "random:8":
+                expected = [
+                    _run_generic(system, start, strategy, RandomSeeded(f"8:{i}"),
+                                 random.Random(seed), 300)
+                    for i, seed in enumerate(seeds)
+                ]
+                picks = [RandomSeeded(f"8:{i}").index_rule() for i in range(40)]
+            else:
+                expected = [
+                    memo_free_zipper_run(system, start, rule, random.Random(seed), 300)
+                    for seed in seeds
+                ]
+                picks = [None] * 40
             memo, moves = {}, {}
             counter["calls"] = steps = 0
-            for i in range(40):
-                run_seed = f"{name}:{i}"
-                expected = memo_free_zipper_run(system, start, rule, random.Random(run_seed), 300)
+            for seed, pick, want in zip(seeds, picks, expected):
                 got = runsim.run_innermost_first(
-                    system, start, counted, random.Random(run_seed), 300, memo, moves
+                    system, start, counted, random.Random(seed), 300, memo, moves, pick
                 )
-                assert got == expected, (name, strategy, policy, i)
+                assert got == want, (name, strategy, policy, seed)
                 steps += got[1]
+            assert not (memo and picks[0]), name
             assert len(asked) == len(set(asked)), (name, strategy, policy)
-            branches = sum(len(e[2]) for e in moves.values() if isinstance(e, tuple))
+            branches = sum(
+                len(built) for e in moves.values() if isinstance(e, tuple) for _, _, built in e
+            )
             assert counter["calls"] <= branches, (name, strategy, policy)
             assert steps > 2 * counter["calls"], (name, strategy, policy)
