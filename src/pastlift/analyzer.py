@@ -42,6 +42,10 @@ FALSIFY_ARG_DEPTH = 3
 FALSIFY_START_CAP = 500
 
 
+# the name of each strategy's non-probabilistic notion
+_SN_NAMES = {"f": "SN", "i": "iSN", "li": "liSN", "w": "WN"}
+
+
 @dataclass(frozen=True)
 class Prop:
     """A termination property atom: notion x strategy x relation x scope.
@@ -58,10 +62,7 @@ class Prop:
     scope: str = "all"
 
     def display(self) -> str:
-        if self.notion == "SN":
-            name = {"f": "SN", "i": "iSN", "li": "liSN", "w": "WN"}[self.strategy]
-        else:
-            name = f"{self.strategy}{self.notion}"
+        name = self._name
         if self.par:
             name += " w.r.t. ∥"
         if self.scope == "basic":
@@ -71,12 +72,15 @@ class Prop:
     def token(self) -> str:
         return self._token
 
+    @property
+    def _name(self) -> str:
+        if self.notion == "SN":
+            return _SN_NAMES[self.strategy]
+        return f"{self.strategy}{self.notion}"
+
     @functools.cached_property
     def _token(self) -> str:
-        if self.notion == "SN":
-            base = {"f": "SN", "i": "iSN", "li": "liSN", "w": "WN"}[self.strategy]
-        else:
-            base = f"{self.strategy}{self.notion}"
+        base = self._name
         if self.par:
             base += "-par"
         if self.scope == "basic":
@@ -84,8 +88,9 @@ class Prop:
         return base
 
 
+_SN_STRATEGIES = {name: strategy for strategy, name in _SN_NAMES.items()}
 _TOKEN_RE = re.compile(
-    r"^(?:(?P<strat>f|i|li|w)?(?P<notion>AST|PAST|SAST)|(?P<sn>SN|iSN|liSN|WN))"
+    rf"^(?:(?P<strat>f|i|li|w)?(?P<notion>AST|PAST|SAST)|(?P<sn>{'|'.join(_SN_STRATEGIES)}))"
     r"(?P<par>-par)?(?P<basic>@basic)?$"
 )
 
@@ -95,7 +100,7 @@ def parse_prop_token(token: str) -> Prop:
     if not m:
         raise ValueError(f"cannot parse property token {token!r}")
     if m.group("sn"):
-        strat = {"SN": "f", "iSN": "i", "liSN": "li", "WN": "w"}[m.group("sn")]
+        strat = _SN_STRATEGIES[m.group("sn")]
         notion = "SN"
     else:
         strat = m.group("strat") or "f"

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on usage errors, 2 on parse or validation
-diagnostics, 3 when a size cap is exceeded.
+diagnostics, 3 when a size cap is exceeded or memory runs out.
 """
 
 from __future__ import annotations
@@ -368,6 +368,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_PARSE
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print("cap exceeded: out of memory", file=sys.stderr)
         return EXIT_CAP
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

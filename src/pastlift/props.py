@@ -193,8 +193,8 @@ def bounded_wcr(system: Ptrs, join_depth: int = 10) -> WcrOutcome:
     YES if every critical pair joins within join_depth steps from each side,
     NO if some pair consists of two distinct normal forms, UNKNOWN otherwise.
     UNKNOWN is a genuine verdict and is never coerced. One full-rewriting
-    ``SuccessorTable`` serves every pair's search, so a term's moves are
-    built once.
+    ``SuccessorTable`` serves every pair's search, so a term's successors
+    are built once.
     """
     if not system.is_trivial:
         raise ValueError("bounded_wcr requires a trivial-probability system")
@@ -217,7 +217,7 @@ def _joinable(table: SuccessorTable, left: Term, right: Term, depth: int) -> boo
         for _ in range(depth):
             nxt: set[Term] = set()
             for u in frontier:
-                for _, _, dist in table.moves(u):
+                for dist in table.successors(u):
                     for v in dist.terms:
                         if v not in seen:
                             seen.add(v)

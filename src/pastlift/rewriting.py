@@ -198,45 +198,37 @@ def leftmost_innermost_moves(system: Ptrs, t: Term) -> list[Redex]:
     return [Redex(pos, idx, sigma) for idx, sigma in system.root_matches(subterm_at(t, pos))]
 
 
-# A move listed by a successor table: (rule index, σ, the step's successor
-# distribution, as ``step`` gives it).
-TableMove = tuple[int, Substitution, MultiDistribution]
-
-
 class SuccessorTable:
-    """The moves of the terms one call asks about under ``full``, ``i`` or
-    ``li``, memoised by distinct subterm for the table's lifetime (one call
-    of the analysis that builds it), in two views: ``moves``, every
-    admissible move, and ``pick``, one descent rule's move.
+    """The successors of the terms one call asks about under ``full``, ``i``
+    or ``li``, memoised by distinct subterm for the table's lifetime (one
+    call of the analysis that builds it), in two views: ``successors``, the
+    distinct successor distributions of the admissible moves, and ``pick``,
+    one descent rule's move.
 
-    A subterm's moves are its own root matches in rule order, followed by the
-    moves of its non-normal children, children left to right, lifted under
-    the subterm. Under ``full`` every non-normal child is lifted and the
-    root matches always count, which gives ``redexes``. Under ``i`` the
-    root matches count only when no child is lifted, which gives
-    ``innermost_redexes``; under ``li`` only the leftmost non-normal child
-    is lifted, and only its moves are built, which gives
-    ``leftmost_innermost_moves``. Lifting a child's move builds one parent
-    node per branch, so a subterm's moves cost its own matches plus one node
-    per lifted branch, however deep it is.
+    A subterm's successors come from its own root matches in rule order,
+    then from its non-normal children, left to right, lifted under the
+    subterm. Under ``full`` every non-normal child is lifted and the root
+    matches always count, as in ``redexes``; under ``i`` the root matches
+    count only when no child is lifted, as in ``innermost_redexes``; under
+    ``li`` only the leftmost non-normal child is lifted and built, as in
+    ``leftmost_innermost_moves``. Equal distributions are listed once, so
+    each distinct one of a child is lifted once: a chain ``g^k(t)`` whose
+    moves all step alike holds one distribution per term, not k(k+1)/2.
+    Nothing of a move is kept but its successors."""
 
-    A move keeps no position: each move is listed again under every
-    ancestor, so kept positions would make a chain of depth k hold O(k³)
-    entries. Under ``full``, ``redexes`` lists the same moves in the same
-    order, with their positions."""
-
-    __slots__ = ("system", "strategy", "_moves", "_picks")
+    __slots__ = ("system", "strategy", "_successors", "_picks")
 
     def __init__(self, system: Ptrs, strategy: Strategy):
         self.system = system
         self.strategy = strategy
-        self._moves: dict[Term, list[TableMove]] = {}
+        self._successors: dict[Term, list[MultiDistribution]] = {}
         self._picks: dict[Term, MultiDistribution] = {}
 
-    def moves(self, t: Term) -> list[TableMove]:
-        """The admissible moves of t, in the order ``admissible_moves``
-        lists them, without their positions."""
-        table = self._moves
+    def successors(self, t: Term) -> list[MultiDistribution]:
+        """The distinct successor distributions of t's admissible moves, as
+        ``step`` gives them, in the order of each one's first move in
+        ``admissible_moves``."""
+        table = self._successors
         got = table.get(t)
         if got is not None:
             return got
@@ -261,16 +253,15 @@ class SuccessorTable:
             table[u] = self._build(u, lifted)
         return table[t]
 
-    def _build(self, u: Term, lifted: list[tuple[int, Term]]) -> list[TableMove]:
-        system, table = self.system, self._moves
-        found: list[TableMove] = []
+    def _build(self, u: Term, lifted: list[tuple[int, Term]]) -> list[MultiDistribution]:
+        system, table = self.system, self._successors
+        found: list[MultiDistribution] = []
         if self.strategy is Strategy.FULL or not lifted:
-            for at_root in system.root_matches(u):
-                found.append((*at_root, _contract_at(system, u, at_root)))
+            found = [_contract_at(system, u, at_root) for at_root in system.root_matches(u)]
         for k, a in lifted:
-            for idx, sigma, dist in table[a]:
-                found.append((idx, sigma, lift_under(u, k, dist)))
-        return found
+            found.extend([lift_under(u, k, dist) for dist in table[a]])
+        # equal keys are equal distributions: every step is over branch_den
+        return list({(dist.weights, dist.terms): dist for dist in found}.values())
 
     def pick(self, t: Term, rule: Descent) -> MultiDistribution:
         """``entry_step`` for a policy whose pick follows a descent rule: the
@@ -512,20 +503,6 @@ class Policy:
         (a group taken whole), or None when the pick is not made that way."""
         return None
 
-    def choose(self, system: Ptrs, t: Term, strategy: Strategy) -> Redex:
-        """The move this policy takes on a non-normal-form term under a
-        non-simultaneous strategy: by descent where the policy has a descent
-        rule, which must pick what choosing from the list of every admissible
-        move would, otherwise by enumerating every admissible move and
-        deferring to ``pick_redex``. The Monte-Carlo samplers take the index
-        rule's pick without listing the moves (``runsim.run_by_index``,
-        ``runsim.run_innermost_first`` under ``li``,
-        ``runsim.run_simultaneous``)."""
-        rule = self.descent(strategy)
-        if rule is not None:
-            return descend(system, t, rule)
-        return self.pick_redex(t, admissible_moves(system, t, strategy))
-
     def pick_redex(self, t: Term, moves: Sequence[Redex]) -> Redex:
         """The move the index rule picks from the list of every one."""
         return moves[self.index_rule()(len(moves))]
@@ -644,8 +621,10 @@ def entry_step(
     policy: Policy,
     table: Optional[SimTable] = None,
 ) -> MultiDistribution:
-    """One policy-resolved step on a single non-normal-form term. A
-    simultaneous step goes through ``table`` when one is given."""
+    """One policy-resolved step on a single non-normal-form term. Under
+    ``full``/``i``/``li`` the policy must have a list pick (``pick_redex``),
+    which ``rightmost`` lacks. A simultaneous step goes through ``table``
+    when one is given."""
     return _contract(system, _move(system, t, strategy, policy, table))
 
 
@@ -667,9 +646,11 @@ def _move(
 ) -> Move:
     """The policy's move on a non-normal-form term t.
 
-    Under ``full``/``i``/``li`` it is the redex ``policy.choose`` picks,
-    placed at its position. Under ``par``/``ipar`` it is a group: every
-    occurrence of one redex instance, or the occurrences a script row names.
+    Under ``full``/``i``/``li`` it is the redex ``policy.pick_redex`` picks
+    from every admissible move, placed at its position (``lift_step`` takes
+    a descent rule's pick from ``SuccessorTable.pick``). Under
+    ``par``/``ipar`` it is a group: every occurrence of one redex instance,
+    or the occurrences a script row names.
     A policy with a descent rule under the plain strategy finds the instance
     along one path, because that rule's redex belongs to the group the
     policy picks: ``first``'s least (first position, rule index) of any group
@@ -679,7 +660,7 @@ def _move(
     list of all groups. Picks, group lists and rebuilds go through ``table``,
     or through a table of this call alone."""
     if not strategy.simultaneous:
-        redex = policy.choose(system, t, strategy)
+        redex = policy.pick_redex(t, admissible_moves(system, t, strategy))
         return redex.rule_index, redex.subst, partial(replace_at, t, redex.position)
     if table is None:
         table = SimTable(system, strategy)

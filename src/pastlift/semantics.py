@@ -117,15 +117,15 @@ def adversarial_lower_bound(
 
     Backward induction (Puterman, *Markov Decision Processes*, 1994, ch. 4).
     A forward pass lists, for each k < depth, the distinct non-normal terms
-    reachable in exactly k steps. Every term's moves, as successor
-    distributions, come from one ``SuccessorTable`` of the strategy for the
-    whole call, which builds them once: a term's moves are its non-normal
-    children's (under ``li`` the leftmost one's) lifted under its root, so a
-    chain like g^j(0) costs a few nodes per term instead of a walk down its
-    spine.
+    reachable in exactly k steps. Every term's distinct successor
+    distributions come from one ``SuccessorTable`` of the strategy for the
+    whole call, which builds them once from its non-normal children's (under
+    ``li`` the leftmost one's) lifted under its root, so a chain like
+    g^j(0) costs a few nodes per term instead of a walk down its spine.
     A backward pass then computes, layer by layer from the deepest,
-    V_n(t) = min over admissible moves of the branch-weighted V_{n-1}, where
-    a normal form is worth 1 and V_0 is 0 on every other term. A rewrite
+    V_n(t) = min over those distributions of the branch-weighted V_{n-1}
+    (moves with equal distributions have equal values), where a normal form
+    is worth 1 and V_0 is 0 on every other term. A rewrite
     step's weights are integers over L = ``system.branch_den``, so V_n is
     kept as an integer numerator over L^n and only two layers of values are
     live. The bound is monotone in depth, and 0 exactly when an adversary
@@ -157,7 +157,7 @@ def adversarial_lower_bound(
         layers.append(layer)
         following: set[Term] = set()
         for t in layer:
-            for _, _, mu in table.moves(t):
+            for mu in table.successors(t):
                 following.update(s for s in mu.terms if not nf(s))
         layer = following
 
@@ -170,7 +170,7 @@ def adversarial_lower_bound(
                     w * (scale if nf(s) else values[s])
                     for w, s in zip(mu.weights, mu.terms)
                 )
-                for _, _, mu in table.moves(t)
+                for mu in table.successors(t)
             )
             for t in layer
         }

@@ -8,16 +8,18 @@ argument positions and, in the other direction, a bounded search for a
 reachable non-spare step.
 
 The search decides each start by components: whether a step is spare
-depends only on its rule and substitution, and a term whose root symbol
-heads no left-hand side never becomes a root redex, so such a term is
-searched as its non-normal arguments, each with the same budget of steps.
+depends only on its rule and substitution, and a step of an argument is a
+step of the term with the same rule and substitution. So each term checks
+only its root matches, and its non-normal arguments are searched with the
+same budget of steps; a term whose root symbol heads no left-hand side
+never becomes a root redex, so its successors need no search of their own.
 One table per call records the greatest budget each term has been searched
 clean for, and it is shared by all starts, so a component met again is not
-searched again. Moves come from one successor table per call, keyed by
-distinct subterm; they carry no positions. Only the first start that this
-search does not clear is searched again breadth first with traces, to report
-the counterexample, and that search takes the positions of its trace steps
-from ``redexes``, which lists the table's moves in the same order.
+searched again. Successors come from one successor table per call, keyed by
+distinct subterm, which lists each distinct successor distribution once.
+Only the first start that this search does not clear is searched again
+breadth first with traces, to report the counterexample; that search walks
+``redexes`` and ``step``.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .props import duplicated_vars
-from .rewriting import Strategy, SuccessorTable, redexes
+from .rewriting import Strategy, SuccessorTable, redexes, step
 from .system import Ptrs
-from .terms import Position, Symbol, Term, Var, app, pos_to_str, term_to_str
+from .terms import Position, Substitution, Symbol, Term, Var, app, pos_to_str, term_to_str
 
 ArgSlot = tuple[Symbol, int]  # (defined symbol, 0-based argument index)
 
@@ -162,10 +164,10 @@ def falsify_spare(
     first start it does not clear is searched again, breadth first with
     traces (``_falsify_from``), which gives the same start, trace and
     duplicated variable as searching every start breadth first. One
-    full-rewriting ``SuccessorTable`` serves both searches and all starts,
-    so a term's moves are built once, and each rule's duplicated variables
-    are found once. The table keeps no positions; the search with traces
-    pairs its moves with ``redexes``.
+    full-rewriting ``SuccessorTable`` serves every start's component search,
+    so a term's successors are built once, and each rule's duplicated
+    variables are found once. The search with traces reads positions, rules
+    and substitutions from ``redexes``, and successors from ``step``.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -183,7 +185,7 @@ def falsify_spare(
     clean: dict[Term, int] = {}
     for start in starts:
         if not _clears(system, table, dups, clean, depth, start):
-            return _falsify_from(system, table, dups, depth, start)
+            return _falsify_from(system, dups, depth, start)
     return None
 
 
@@ -197,66 +199,70 @@ def _clears(
 ) -> bool:
     """No non-spare step is among the first ``depth`` steps from start.
 
-    Whether a step is spare depends only on its rule and substitution, and a
-    term whose root symbol heads no left-hand side never becomes a root
-    redex; so such a term has a non-spare step within ``r`` steps exactly
-    when one of its non-normal arguments has. The search goes level by
-    level, one level per remaining budget: such a term is replaced by its
-    arguments on its own level, any other term's moves are checked and its
-    successors make the next level. ``clean`` maps each term met to the
-    greatest budget it was met with, and a term met again with no larger
-    budget is passed over. When the search returns True every entry is
-    clean for its budget; after False the table is no longer valid.
+    Whether a step is spare depends only on its rule and σ, and a step of an
+    argument is a step of the term with the same rule and σ. The search goes
+    level by level, one level per remaining budget: every term checks its
+    root matches and adds its arguments to its own level, and a term whose
+    root symbol heads a left-hand side adds its successors to the next (no
+    other term ever becomes a root redex, so each of its steps is one of an
+    argument). ``clean`` maps each term met to the greatest budget it was
+    met with, and a term met again with no larger budget is passed over.
+    When the search returns True every entry is clean for its budget; after
+    False the table is no longer valid.
     """
     nf = system.is_normal_form
-    rooted = system.rules_at_root
     level = [start]
     for budget in range(depth, 0, -1):
         successors: list[Term] = []
-        # the level grows while it is walked: a constructor root adds its args
+        # the level grows while it is walked: every term adds its arguments
         for t in level:
             if clean.get(t, 0) >= budget or nf(t):
                 continue
             clean[t] = budget
-            if not rooted(t):
-                level.extend(t.args)
-                continue
-            for idx, sigma, dist in table.moves(t):
-                for name in dups[idx]:
-                    image = sigma.get(name)
-                    if image is not None and not nf(image):
-                        return False
-                successors.extend(dist.terms)
+            level.extend(t.args)
+            for idx, sigma in system.root_matches(t):
+                if _duplicated(system, dups, idx, sigma) is not None:
+                    return False
+            if system.rules_at_root(t):
+                for dist in table.successors(t):
+                    successors.extend(dist.terms)
         level = successors
         if not level:
             break
     return True
 
 
+def _duplicated(system: Ptrs, dups: list[list[str]], idx: int, sigma: Substitution):
+    """The first variable, in name order, that rule ``idx`` duplicates and σ
+    binds to a non-normal term, or None when the step is spare."""
+    for name in dups[idx]:
+        image = sigma.get(name)
+        if image is not None and not system.is_normal_form(image):
+            return name
+    return None
+
+
 def _falsify_from(
-    system: Ptrs, table: SuccessorTable, dups: list[list[str]], depth: int, start: Term
+    system: Ptrs, dups: list[list[str]], depth: int, start: Term
 ) -> Optional[SparenessCounterexample]:
-    nf = system.is_normal_form
     # queue entries carry the trace of steps that led to the term
     queue: list[tuple[Term, list[TraceStep]]] = [(start, [])]
     seen = {start}
     for _ in range(depth):
         next_queue: list[tuple[Term, list[TraceStep]]] = []
         for t, trace in queue:
-            # the table lists redexes(t) in order, without their positions
-            listed = [r.position for r in redexes(system, t)]
-            for pos, (idx, sigma, dist) in zip(listed, table.moves(t), strict=True):
-                for name in dups[idx]:
-                    image = sigma.get(name)
-                    if image is not None and not nf(image):
-                        full = trace + [TraceStep(t, pos, idx, 0)]
-                        return SparenessCounterexample(
-                            start_term=start,
-                            step_trace=full,
-                            violating_step=len(full) - 1,
-                            duplicated_variable=name,
-                        )
-                for branch_index, successor in enumerate(dist.terms):
+            for redex in redexes(system, t):
+                pos, idx = redex.position, redex.rule_index
+                name = _duplicated(system, dups, idx, redex.subst)
+                if name is not None:
+                    full = trace + [TraceStep(t, pos, idx, 0)]
+                    return SparenessCounterexample(
+                        start_term=start,
+                        step_trace=full,
+                        violating_step=len(full) - 1,
+                        duplicated_variable=name,
+                    )
+                for branch_index, successor in enumerate(step(system, t, redex).terms):
                     if successor not in seen:
                         seen.add(successor)
                         next_queue.append(

@@ -336,14 +336,15 @@ def test_adversary_deeper_than_the_recursion_limit(capsys):
     assert bounds["li"] >= Fraction(99, 100)
 
 
-def run_module(*argv):
-    """``python -m pastlift`` from this checkout, in its own process."""
+def run_module(*argv, preexec_fn=None):
+    """``python -m pastlift`` from this checkout, in its own process, which
+    calls ``preexec_fn`` first when one is given."""
     src = str(SYSTEMS_DIR.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "pastlift", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=preexec_fn,
     )
 
 
@@ -358,6 +359,25 @@ def test_runs_as_a_module_from_a_checkout():
     assert doc["lower_bound"] == "8191/8192"
     proc = run_module("simulate")
     assert proc.returncode == 1 and "usage error" in proc.stderr
+
+
+def test_running_out_of_memory_exits_like_a_cap_hit():
+    """An exact unfolding whose support outgrows the child's 96 MiB of
+    address space, under a support cap it never reaches, exits 3 with one
+    stderr line and no traceback. The limit is set in the child alone."""
+    resource = pytest.importorskip("resource")
+    limit = 96 * 2**20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = run_module(
+        "simulate", path("srw"), "--term", "g", "--depth", "40",
+        "--support-cap", "100000000", preexec_fn=cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "cap exceeded: out of memory\n"
+    )
 
 
 def test_main_reuses_its_parser_without_carrying_state(capsys):

@@ -33,6 +33,7 @@ from pastlift.rewriting import (
     SuccessorTable,
     admissible_moves,
     coalesce,
+    descend,
     first_move_redex,
     innermost_redexes,
     leftmost_innermost_moves,
@@ -153,12 +154,13 @@ def branches_of(dist):
     return dist.weights, dist.terms, dist.den
 
 
-def test_successor_table_lists_every_admissible_move_with_its_step():
-    """Under full, i and li, a table's moves of a term are the redexes
-    ``admissible_moves`` lists, in order and without their positions, each
-    with the step it takes. One table per system and strategy serves every
-    term drawn for the system, so most moves are lifted from children the
-    table built for other terms.
+def test_successor_table_lists_the_distinct_successors_of_the_admissible_moves():
+    """Under full, i and li, a table's successors of a term are the steps of
+    the redexes ``admissible_moves`` lists, each distinct distribution once,
+    in the order of its first move. One table per system and strategy serves
+    every term drawn for the system, so most successors are lifted from
+    children the table built for other terms. Some terms have moves that
+    step alike and collapse.
     Terms come from the corpus and random systems, then from a second
     stream over the whole signature, g0 included."""
     own = random.Random(38)
@@ -167,20 +169,35 @@ def test_successor_table_lists_every_admissible_move_with_its_step():
         for system in (random_system(own, symbols=SIGNATURE_SYMBOLS) for _ in range(1500))
     )
     tables = {}
-    listed = g0 = 0
+    listed = collapsed = g0 = 0
     for system, term in itertools.chain(corpus_and_random_terms(), second):
         for strategy in (Strategy.FULL, Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST):
             # the table holds the system, so its id is not reused while kept
             table = tables.setdefault((id(system), strategy), SuccessorTable(system, strategy))
-            got = [(*move[:2], *branches_of(move[2])) for move in table.moves(term)]
-            want = []
-            for r in admissible_moves(system, term, strategy):
-                dist = step(system, term, r)
-                want.append((r.rule_index, r.subst, *branches_of(dist)))
+            got = [branches_of(dist) for dist in table.successors(term)]
+            moves = admissible_moves(system, term, strategy)
+            want = list(dict.fromkeys(branches_of(step(system, term, r)) for r in moves))
             assert got == want, (term, strategy)
-            listed += len(want) > 1
-            g0 += any(system.rules[m[0]].lhs.symbol.name == "g0" for m in got)
-    assert listed > 500 and g0 > 1500
+            listed += len(moves) > 1
+            collapsed += len(want) < len(moves)
+            g0 += any(system.rules[r.rule_index].lhs.symbol.name == "g0" for r in moves)
+    assert listed > 500 and collapsed > 20 and g0 > 1500
+
+
+def test_successor_table_holds_one_distribution_per_term_of_a_chain():
+    """Every move of ``g^k(0)`` in srw2, at the root or lifted from inside,
+    steps to ``g^(k+1)(0)`` or ``g^(k-1)(0)`` with one half each. The table
+    lists that distribution once per term: 1,000 for ``g^1000(0)`` and its
+    subterms, where listing every move would hold 500,500."""
+    srw2 = load_system("srw2")
+    g = next(s for s in srw2.defined_symbols if s.name == "g")
+    chain = [t("srw2", "0")]
+    for _ in range(1001):
+        chain.append(app(g, [chain[-1]]))
+    table = SuccessorTable(srw2, Strategy.FULL)
+    assert [dist.terms for dist in table.successors(chain[1000])] == [(chain[1001], chain[999])]
+    assert len(table._successors) == 1000
+    assert sum(len(found) for found in table._successors.values()) == 1000
 
 
 def test_step_examples():
@@ -534,6 +551,8 @@ def test_coalesce_preserves_mass():
 
 
 def test_choose_agrees_with_picking_from_all_moves():
+    """A policy's descent rule picks, under full, i and li, the move it
+    would pick from the list of every admissible move."""
     rng, own = random.Random(37), random.Random(38)
     strategies = [Strategy.FULL, Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST]
     checked = g0 = 0
@@ -545,20 +564,14 @@ def test_choose_agrees_with_picking_from_all_moves():
             g0 += fires_g0(system, term)
             for strategy in strategies:
                 moves = admissible_moves(system, term, strategy)
-                pairs = [
-                    (FirstMove(), FirstMove()),
-                    (RightmostFirst(), RightmostFirst()),
-                    (RandomSeeded(case), RandomSeeded(case)),
-                ]
-                for chooser, picker in pairs:
-                    for _ in range(3):  # random copies must stay in lockstep
-                        fast = chooser.choose(system, term, strategy)
-                        slow = pick_redex(picker, term, moves)
-                        assert (fast.position, fast.rule_index, fast.subst) == (
-                            slow.position,
-                            slow.rule_index,
-                            slow.subst,
-                        ), (case, strategy, chooser.name)
+                for policy in (FirstMove(), RightmostFirst()):
+                    fast = descend(system, term, policy.descent(strategy))
+                    slow = pick_redex(policy, term, moves)
+                    assert (fast.position, fast.rule_index, fast.subst) == (
+                        slow.position,
+                        slow.rule_index,
+                        slow.subst,
+                    ), (case, strategy, policy.name)
                 checked += 1
     assert checked > 100 and g0 > 100
 

@@ -35,7 +35,7 @@ from pastlift.rewriting import (
     Strategy,
     admissible_moves,
     coalesce,
-    entry_step,
+    descend,
     innermost_redexes,
     leftmost_innermost_moves,
     lift_step,
@@ -191,8 +191,9 @@ def test_unfold_depth_two_of_argument_walk():
 
 
 def reference_unfold(system, start, strategy, policy, depth, coalesce_states):
-    """The unfolding the long way: ``entry_step`` on every entry that is not
-    a normal form, entry by entry in order, with no memo."""
+    """The unfolding the long way: every entry that is not a normal form
+    stepped by the move the policy picks from the list of every admissible
+    move, entry by entry in order, with no memo."""
     mu = singleton(start)
     states = [mu]
     for _ in range(depth):
@@ -201,7 +202,8 @@ def reference_unfold(system, start, strategy, policy, depth, coalesce_states):
             if system.is_normal_form(u):
                 entries.append((p, u))
             else:
-                branches = entry_step(system, u, strategy, policy)
+                moves = admissible_moves(system, u, strategy)
+                branches = step(system, u, pick_redex(policy, u, moves))
                 entries.extend((p * q, v) for q, v in branches.entries)
         mu = MultiDistribution(entries)
         if coalesce_states:
@@ -849,12 +851,15 @@ def test_sampled_runs_match_the_reference_sampler_on_random_systems():
                         policy.clone_for_run(run_seed + ":policy"),
                         random.Random(run_seed), 25,
                     )
-                    got = _run_generic(
-                        system, start, strategy,
-                        policy.clone_for_run(run_seed + ":policy"),
-                        random.Random(run_seed), 25,
-                    )
-                    assert got == expected, (case, strategy, spec, i)
+                    # rightmost has no list pick: under full, i and li only
+                    # its descent rule steps it
+                    if strategy.simultaneous or policy.index_rule() is not None:
+                        got = _run_generic(
+                            system, start, strategy,
+                            policy.clone_for_run(run_seed + ":policy"),
+                            random.Random(run_seed), 25,
+                        )
+                        assert got == expected, (case, strategy, spec, i)
                     assert shared(i) == expected, (case, strategy, spec, i)
                     rule = policy.descent(strategy)
                     if rule in INNERMOST_DESCENTS:
@@ -881,6 +886,20 @@ def test_sampled_runs_match_the_reference_sampler_on_random_systems():
     assert g0 > 150
 
 
+def descent_run(system, start, rule, rng, step_cap):
+    """One run the plain way: every step descends from the root by the
+    descent rule, draws, and builds only the drawn branch in place."""
+    term = start
+    for steps in range(step_cap):
+        if system.is_normal_form(term):
+            return True, steps
+        redex = descend(system, term, rule)
+        branch = system.rules[redex.rule_index].pick_branch(rng.random())
+        contractum = system.contract(redex.rule_index, branch, redex.subst)
+        term = replace_at(term, redex.position, contractum)
+    return system.is_normal_form(term), step_cap
+
+
 # corpus runs long enough to open deep frames in runsim's zipper, which the
 # 25-step random systems above never reach
 CORPUS_RUNS = [
@@ -889,8 +908,9 @@ CORPUS_RUNS = [
 
 
 def test_innermost_runs_match_the_generic_sampler_on_the_corpus():
-    """Runs on the innermost zipper, and ``random`` under ``i``/``li`` on
-    its zipper and through ``mc_runs``, are ``_run_generic``'s."""
+    """Runs on the innermost zipper are the plain descent's, and ``random``
+    under ``i``/``li`` on its zipper and through ``mc_runs`` are
+    ``_run_generic``'s."""
     deepest = 0
     pairs = indexed = 0
     for name, text in CORPUS_RUNS:
@@ -904,8 +924,8 @@ def test_innermost_runs_match_the_generic_sampler_on_the_corpus():
                 pairs += 1
                 for i in range(20):
                     run_seed = f"{name}:{i}"
-                    expected = _run_generic(
-                        system, start, strategy, policy, random.Random(run_seed), 300
+                    expected = descent_run(
+                        system, start, rule, random.Random(run_seed), 300
                     )
                     fast = runsim.run_innermost_first(
                         system, start, rule, random.Random(run_seed), 300

@@ -353,7 +353,7 @@ def component_search_agrees(system, depth, starts):
     tables = [{}]
     for start in starts:
         cleared = _clears(system, table, dups, tables[-1], depth, start)
-        assert cleared == (_falsify_from(system, table, dups, depth, start) is None), (
+        assert cleared == (_falsify_from(system, dups, depth, start) is None), (
             term_to_str(start), depth)
         if not cleared:
             tables.append({})
@@ -420,9 +420,8 @@ def test_falsifier_recurses_neither_on_term_depth_nor_on_depth():
     for _ in range(tall):
         arg = app(Symbol("s", 1), [arg])
     start = app(Symbol("f", 1), [arg])
-    table = SuccessorTable(system, Strategy.FULL)
     dups = rule_dups(system)
-    want = {depth: _falsify_from(system, table, dups, depth, start) for depth in (tall + 1, tall + 2)}
+    want = {depth: _falsify_from(system, dups, depth, start) for depth in (tall + 1, tall + 2)}
     assert want[tall + 1] is None and want[tall + 2].violating_step == tall + 1
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(120)
@@ -458,10 +457,11 @@ def test_falsifier_without_duplicating_rules_searches_nothing(monkeypatch):
 
 
 def test_falsifier_memory_on_a_deep_chain_stays_small():
-    """From ``g(0)``, srw2 reaches ``g^k(0)``, whose k moves are listed again
-    under every ancestor. Moves that kept their positions would hold O(k³)
-    position entries: about 15 MB at depth 200, against about 4 MB without
-    them. An unreachable duplicating rule makes the falsifier search."""
+    """From ``g(0)``, srw2 reaches ``g^k(0)``, whose k moves all step
+    alike. Every move listed again under every ancestor peaks at about 4 MB
+    at depth 200, and about 15 MB if the moves keep their positions; one
+    distribution per term peaks at about 0.2 MB. An unreachable duplicating
+    rule makes the falsifier search."""
     srw2 = with_unreachable_duplication("g(x) -> {1/2: g(g(x)), 1/2: x}", "(CONSTRUCTORS 0/0)")
     start = parse_term("g(0)", srw2)
     tracemalloc.start()
@@ -470,7 +470,7 @@ def test_falsifier_memory_on_a_deep_chain_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < 2**20
 
 
 def test_falsifier_work_on_srw_stays_small(monkeypatch):
@@ -489,4 +489,4 @@ def test_falsifier_work_on_srw_stays_small(monkeypatch):
     monkeypatch.setattr(spareness, "SuccessorTable", Recorded)
     srw = with_unreachable_duplication("g -> {1/2: c(g,g), 1/2: bot}")
     assert falsify_spare(srw, 12, default_basic_starts(srw, 3)) is None
-    assert len(tables) == 1 and len(tables[0]._moves) < 5
+    assert len(tables) == 1 and len(tables[0]._successors) < 5
