@@ -527,6 +527,8 @@ def _run_engine(
 def _conclusions(closure: list[ClosureArrow], assertions: Sequence[Prop]) -> list[ClosureArrow]:
     """The closure arrows from the asserted atoms, in closure order, each
     once per time its source is asserted."""
+    if not assertions:
+        return []
     repeats = Counter(p.token() for p in assertions)
     return [c for c in closure for _ in range(repeats[c.source.token()])]
 

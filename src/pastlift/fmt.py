@@ -401,8 +401,9 @@ def parse_script(text: str, system: Ptrs) -> list[ScriptEntry]:
 
         pattern => rule INDEX at POS[,POS...]
 
-    POS is 'e' for the root or a dotted path like '1.2'. Patterns may use the
-    system's rule variables. Lines starting with ';' are comments.
+    POS is 'e' for the root or a dotted path of argument indices from 1,
+    like '1.2'; any other POS is a diagnostic on its line. Patterns may use
+    the system's rule variables. Lines starting with ';' are comments.
     """
     entries: list[ScriptEntry] = []
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -423,6 +424,9 @@ def parse_script(text: str, system: Ptrs) -> list[ScriptEntry]:
         rule_index = int(parts[1])
         if not 0 <= rule_index < len(system.rules):
             raise ParseError([Diagnostic(lineno, 1, f"no rule {rule_index}")])
-        positions = tuple(pos_from_str(p) for p in parts[3].split(","))
+        try:
+            positions = tuple(pos_from_str(p) for p in parts[3].split(","))
+        except ValueError as exc:
+            raise ParseError([Diagnostic(lineno, 1, str(exc))]) from None
         entries.append(ScriptEntry(pattern, rule_index, positions))
     return entries

@@ -398,7 +398,7 @@ def _group_placement(
 class SimTable:
     """The work of simultaneous steps, memoised by distinct subterm for one
     call (one exact unfolding, or all the runs of one Monte-Carlo estimate,
-    whose move table ``runsim.run_simultaneous`` fills from this one) on one
+    whose shared move table ``runsim._sim_entry`` fills from this one) on one
     system under ``par`` or ``ipar`` and one policy:
 
     - descent picks: a node whose descent enters child k has that child's

@@ -1,7 +1,7 @@
-"""Sampled runs: as zippers under an innermost descent rule and under a
-policy that picks a redex by its index, and under ``par``/``ipar`` from a
-move table of whole terms. ``semantics.mc_runs`` picks the sampler, here
-for every policy but ``script``.
+"""Sampled runs: as zippers under an innermost descent rule or the groups
+of ``par``/``ipar``, and under a policy that picks a redex by its index.
+``semantics.mc_runs`` picks the sampler, here for every policy but
+``script``.
 
 A run keeps the hash-consed term open at its current redex (Huet, "The
 Zipper", JFP 1997): a frame ``(parent, k, ...)`` per ancestor, the open
@@ -12,30 +12,40 @@ the root or rebuilds the path to it on every step.
 A contraction is two table lookups on the system, ``Ptrs.root_matches`` and
 ``Ptrs.contract``, so a redex met again in any run is matched and built once.
 
-**Innermost descent rules** (``run_innermost_first``). Going down follows the
-descent rule. While the open subterm is a normal form, its frame is popped
-and the same rule is asked from the parent, never from the root. For a rule
-in ``rewriting.INNERMOST_DESCENTS`` every frame left on the stack still picks
-its child, so a step costs its contractum plus one interned parent per
-argument that becomes normal, not the term's depth.
+**Move tables** (``run_innermost_first``). The walk asks an entry builder
+what to do at each distinct term the cursor reaches, and keeps the answer in
+a move table: a normal form, the child to enter, or the term's moves, each
+a rule, σ, its successors by branch, each built the first time a draw
+picks it, and a placement. The runs of one estimate share the table, so a
+step on a term met before, in any run, is one lookup plus the draw. The
+entry has two sources:
 
-What the rule says about a term is kept in a move table, one entry per
-distinct term the cursor reaches: a normal form, the child to enter, or a
-redex with its rule, σ and its contracta by branch, each contractum built the
-first time a draw picks it. The runs of one estimate share the table, so a
-step on a term met before, in any run, is one lookup plus the draw.
+- ``_entry``, an innermost descent rule. Going down follows the rule. While
+  the open subterm is a normal form, its frame is popped and the same rule
+  is asked from the parent, never from the root. For a rule in
+  ``rewriting.INNERMOST_DESCENTS`` every frame left on the stack still
+  picks its child, so a step costs its contractum plus one interned parent
+  per argument that becomes normal, not the term's depth. A successor is
+  the contractum; there is no placement.
+- ``_sim_entry``, the ``par``/``ipar`` groups of a ``SimTable``: the descent
+  rule's pick, or every group for a policy that picks one by its index. A
+  simultaneous step replaces every occurrence of an instance, anywhere in
+  the term, so the entry never names a child and the cursor stays at the
+  root. The placement rebuilds the whole term around the contractum
+  (``SimTable.rebuild``), once per successor.
 
-The same property makes the normalisation of a slot (the start term, or an
+The zipper makes the normalisation of a slot (the start term, or an
 argument the run descends into) one contiguous segment of the run, fixed by
-the slot's subterm and the draws it takes. When no step of the segment used a
-rule with more than one branch, the draws do not matter either, and the
+the slot's subterm and the draws it takes. When no step of the segment used
+a rule with more than one branch, the draws do not matter either, and the
 segment is memoised as ``memo[subterm] = (normal form, steps)``. A run that
 descends into a memoised subterm jumps over the segment with one dictionary
-lookup. So a run costs one contraction per step outside memoised segments and
-one lookup per repeated deterministic subterm, not its length: a duplicating
-rule such as ``f(s(x)) -> c(f(x), f(x))`` normalises ``f(s^k(0))`` in 2^k - 1
-steps but k contractions. The memo holds completed segments only and may be
-shared by runs of one system under one descent rule.
+lookup. So a run costs one contraction per step outside memoised segments
+and one lookup per repeated deterministic subterm, not its length: a
+duplicating rule such as ``f(s(x)) -> c(f(x), f(x))`` normalises
+``f(s^k(0))`` in 2^k - 1 steps but k contractions. Under ``par``/``ipar``
+the only slot is the start. The memo holds completed segments only and may
+be shared by runs of one system under one entry builder.
 
 Seeded results stay bit-for-bit those of a run that draws once per step. A
 step by a single-branch rule, and a skipped segment, draw nothing but owe
@@ -43,9 +53,10 @@ their draws; the owed draws are paid, in bounded chunks, just before the next
 draw whose value picks a branch, so every such draw reads the generator in the
 same state as before. A run that ends while owing pays nothing.
 
-Under ``li`` a policy's index rule picks among the root matches at the
-leftmost innermost redex, all kept in the move table. Each pick is a draw of
-the policy's own stream, so no segment holding one is memoised.
+With a pick, a policy's index rule picks among the entry's moves: under
+``li`` the root matches at the leftmost innermost redex, under
+``par``/``ipar`` the groups. Each pick is a draw of the policy's own stream,
+so no segment holding one is memoised.
 
 **Rewriting by redex index** (``run_by_index``). A policy whose pick is an
 index into the term's redexes in ``rewriting.redexes`` order, or under
@@ -67,35 +78,26 @@ down again, with one interned parent per level climbed out of a changed
 subterm. The move is measured, not constant: ``first``'s next redex is
 mostly near the last one, but a ``random`` pick lands anywhere, so on a
 chain such as ``g(g(...))`` its move grows with the depth.
-
-**Simultaneous rewriting** (``run_simultaneous``). A ``par``/``ipar`` step
-replaces every occurrence of an instance, anywhere in the term, so the run
-keeps no cursor: its state is the whole term. The runs of one estimate share
-a move table with one entry per distinct term they reach: no move for a
-normal form; the descent rule's pick (``SimTable.pick``) for a policy with
-one; otherwise every group (``SimTable.groups``), in list order, for a policy
-that picks a group by its index. A move is a group, (rule index, σ,
-instance), with its successors by branch, each successor rebuilt
-(``SimTable.rebuild``) the first time a draw picks it. So a step on a term
-met before, in any run, is one lookup, the branch draw and, for an index
-pick, the policy's draw.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Optional, Union
+from functools import partial
+from typing import Callable, Optional, Union
 
 from .rewriting import Descent, IndexPick, SimTable
 from .system import Ptrs
 from .terms import Position, Substitution, Term, Var, app
 
 Memo = dict[Term, tuple[Term, int]]
-# A term's move under one descent rule: 0 for a normal form, k > 0 for the
-# child the rule enters, or the redex's moves (every root match for a pick,
-# else the rule's), each as (rule index, σ, contracta by branch), each
-# contractum built the first time a draw picks it
-Entry = Union[int, tuple[tuple[int, Substitution, list[Optional[Term]]], ...]]
+# A move: (rule index, σ, successors by branch, placement). A successor is
+# built the first time a draw picks it: the contractum, passed through the
+# placement if there is one
+Move = tuple[int, Substitution, list[Optional[Term]], Optional[Callable[[Term], Term]]]
+# A term's move-table entry: 0 for a normal form, k > 0 for the child the
+# walk enters, else the moves a pick chooses among (the first without one)
+Entry = Union[int, tuple[Move, ...]]
 Moves = dict[Term, Entry]
 
 # owed draws paid per getrandbits call: 64 bits are the two 32-bit words one
@@ -120,8 +122,9 @@ def _plug(parent: Term, k: int, u: Term) -> Term:
     return app(parent.symbol, args[: k - 1] + (u,) + args[k:])
 
 
-def _entry(system: Ptrs, rule: Descent, u: Term, every: bool) -> Entry:
-    """u's move-table entry under the descent rule."""
+def _entry(system: Ptrs, rule: Descent, every: bool, u: Term) -> Entry:
+    """u's entry under the descent rule; at its redex, every root match
+    with ``every``, else the rule's."""
     if system.is_normal_form(u):
         return 0
     found = rule(system, u)
@@ -129,25 +132,40 @@ def _entry(system: Ptrs, rule: Descent, u: Term, every: bool) -> Entry:
         return found
     weights = system.branch_weights
     matches = system.root_matches(u) if every else (found,)
-    return tuple((idx, sigma, [None] * len(weights[idx])) for idx, sigma in matches)
+    return tuple((idx, sigma, [None] * len(weights[idx]), None) for idx, sigma in matches)
+
+
+def _sim_entry(system: Ptrs, table: SimTable, rule: Optional[Descent], u: Term) -> Entry:
+    """u's entry under the table's ``par`` or ``ipar``: the descent rule's
+    group alone, or without a rule every group, in list order."""
+    if system.is_normal_form(u):
+        return 0
+    found = table.groups(u) if rule is None else [table.pick(u, rule)]
+    weights = system.branch_weights
+    return tuple(
+        (idx, sigma, [None] * len(weights[idx]), partial(table.rebuild, u, instance))
+        for idx, sigma, instance in found
+    )
 
 
 def run_innermost_first(
     system: Ptrs,
     start: Term,
-    rule: Descent,
+    entry: Callable[[Term], Entry],
     rng: random.Random,
     step_cap: int,
     memo: Optional[Memo] = None,
     moves: Optional[Moves] = None,
     pick: Optional[IndexPick] = None,
 ) -> tuple[bool, int]:
-    """Simulate one run; returns (reached normal form, steps taken). At the
-    rule's redex, ``pick(n)`` chooses among its n root matches, if given.
+    """Simulate one run on the move table ``entry`` fills (``_entry`` or
+    ``_sim_entry`` with all but the term bound); returns (reached normal
+    form, steps taken). Each step takes the entry's first move, or ``pick(n)``
+    among its n moves if given, and draws the move's branch.
 
     ``memo`` carries deterministic segments and ``moves`` the move table
-    from run to run; each must come from runs on the same system under the
-    same rule, with a pick or without."""
+    from run to run; each must come from runs on the same system with the
+    same entry builder, with a pick or without."""
     if memo is None:
         memo = {}
     hit = memo.get(start)
@@ -165,7 +183,7 @@ def run_innermost_first(
     while True:
         e = get(u)
         if e is None:
-            e = moves[u] = _entry(system, rule, u, pick is not None)
+            e = moves[u] = entry(u)
         if not e:  # a normal form: close its frame
             if not frames:
                 if not draws:
@@ -193,9 +211,9 @@ def run_innermost_first(
             if steps == step_cap:
                 return False, step_cap
             if pick is None:
-                idx, sigma, built = e[0]
+                idx, sigma, built, place = e[0]
             else:  # the policy's draw: no segment holding this step is memoised
-                idx, sigma, built = e[pick(len(e))]
+                idx, sigma, built, place = e[pick(len(e))]
                 draws += 1
             if len(built) == 1:
                 owed += 1
@@ -208,7 +226,10 @@ def run_innermost_first(
                 b = rules[idx].pick_branch(rng.random())
             u = built[b]
             if u is None:
-                u = built[b] = system.contract(idx, b, sigma)
+                u = system.contract(idx, b, sigma)
+                if place is not None:
+                    u = place(u)
+                built[b] = u
             steps += 1
 
 
@@ -248,14 +269,16 @@ def _rematch_sites(system: Ptrs) -> tuple[dict[SymbolKey, set[Position]], int, s
 class RedexCounts:
     """Each term's number of redexes, or with ``innermost`` of innermost
     redexes (a node's own root matches count only when no argument has one),
-    kept in ``known`` for the runs of one estimate."""
+    kept in ``known`` for the runs of one estimate. Counting every redex, it
+    also holds the system's ``_rematch_sites``; innermost counts need none."""
 
-    __slots__ = ("system", "innermost", "known")
+    __slots__ = ("system", "innermost", "known", "sites")
 
     def __init__(self, system: Ptrs, innermost: bool):
         self.system = system
         self.innermost = innermost
         self.known: dict[Term, int] = {}
+        self.sites = ({}, 0, set()) if innermost else _rematch_sites(system)
 
     def count(self, t: Term) -> int:
         known = self.known
@@ -293,7 +316,7 @@ def run_by_index(
     count, known, innermost = counts.count, counts.known, counts.innermost
     root_matches = system.root_matches
     contract, rules = system.contract, system.rules
-    sites, longest, nonlinear = ({}, 0, set()) if innermost else _rematch_sites(system)
+    sites, longest, nonlinear = counts.sites
     # (parent, k, the index of parent's first redex in the whole term,
     # parent's count minus its k-th argument's)
     frames: list[tuple[Term, int, int, int]] = []
@@ -353,60 +376,3 @@ def run_by_index(
             total += c - (n + rest)
             n = c
     return not total, step_cap
-
-
-# A term's moves under par/ipar: () for a normal form, else the moves a
-# policy picks among, each as (rule index, σ, instance, successors by branch),
-# each successor built the first time a draw picks it
-SimMove = tuple[int, Substitution, Term, list[Optional[Term]]]
-SimMoves = dict[Term, tuple[SimMove, ...]]
-
-
-def _sim_entry(
-    system: Ptrs, table: SimTable, rule: Optional[Descent], u: Term
-) -> tuple[SimMove, ...]:
-    """u's move-table entry: the descent rule's pick alone, or every group."""
-    if system.is_normal_form(u):
-        return ()
-    found = table.groups(u) if rule is None else [table.pick(u, rule)]
-    weights = system.branch_weights
-    return tuple((idx, sigma, instance, [None] * len(weights[idx])) for idx, sigma, instance in found)
-
-
-def run_simultaneous(
-    system: Ptrs,
-    start: Term,
-    table: SimTable,
-    rule: Optional[Descent],
-    pick: Optional[IndexPick],
-    rng: random.Random,
-    step_cap: int,
-    moves: Optional[SimMoves] = None,
-) -> tuple[bool, int]:
-    """Simulate one run under the table's ``par`` or ``ipar``; returns
-    (reached normal form, steps taken). Each step draws its branch with one
-    ``rng.random()``, and takes the descent rule's group, or, without a
-    rule, the group ``pick(n)`` among the term's n groups.
-
-    ``table`` and ``moves`` carry the work from run to run; both must come
-    from runs on the same system and strategy with the same rule, or both
-    without one."""
-    if moves is None:
-        moves = {}
-    get = moves.get
-    rules, contract, rebuild = system.rules, system.contract, table.rebuild
-    u = start
-    for steps in range(step_cap):
-        e = get(u)
-        if e is None:
-            e = moves[u] = _sim_entry(system, table, rule, u)
-        if not e:
-            return True, steps
-        x = rng.random()
-        idx, sigma, instance, built = e[0] if pick is None else e[pick(len(e))]
-        b = rules[idx].pick_branch(x)
-        v = built[b]
-        if v is None:
-            v = built[b] = rebuild(u, instance, contract(idx, b, sigma))
-        u = v
-    return system.is_normal_form(u), step_cap

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -231,46 +232,49 @@ def mc_runs(
     by the strategy and the policy's hooks:
 
     - a descent rule in ``INNERMOST_DESCENTS`` (``first`` under ``i``/``li``,
-      ``rightmost`` under ``full``/``i``/``li``): the innermost zipper,
-      ``runsim.run_innermost_first``;
+      ``rightmost`` under ``full``/``i``/``li``): the move-table walk,
+      ``runsim.run_innermost_first``, on the rule's entries;
     - under ``par``/``ipar``, a descent rule under the plain strategy
-      (``first``, ``rightmost``) or an index rule (``random``): the
-      simultaneous move table, ``runsim.run_simultaneous``;
-    - an index rule under ``li`` (``random``): the innermost zipper, picking
-      among the root matches at the leftmost innermost redex;
+      (``first``, ``rightmost``) or an index rule (``random``): the same
+      walk on the ``SimTable``'s groups, the rule's or every one to pick
+      among by index;
+    - an index rule under ``li`` (``random``): the same walk, picking among
+      the root matches at the leftmost innermost redex;
     - an index rule under ``full``/``i`` (``first`` under ``full``,
       ``random``): the index zipper, ``runsim.run_by_index``;
     - otherwise (``script``): ``sample_step`` from the root.
 
-    Every run of one returned function shares its sampler's tables (the
-    zippers' segments, move table and redex counts, or one ``SimTable`` and
-    one simultaneous move table). They hold only terms the runs met, and
-    live as long as the function."""
-    rule = policy.descent(strategy)
-    table = SimTable(system, strategy) if strategy.simultaneous else None
-    plain = policy.descent(strategy.plain) if table is not None else None
+    The walk's entry builder is bound once here. Every run of one returned
+    function shares its sampler's tables (the walk's segments and move
+    table, and under ``par``/``ipar`` one ``SimTable``; or the index
+    zipper's redex counts). They hold only terms the runs met, and live as
+    long as the function."""
+    rule = policy.descent(strategy.plain)
+    table = None
+    if strategy.simultaneous:
+        table = SimTable(system, strategy)
+        entry = partial(runsim._sim_entry, system, table, rule)
+        walks = rule is not None
+    else:
+        walks = rule in INNERMOST_DESCENTS
+        # else an index rule under li picks among every root match at the
+        # leftmost innermost redex
+        entry = partial(runsim._entry, system, rule if walks else _leftmost_innermost, not walks)
     memo: runsim.Memo = {}
     moves: runsim.Moves = {}
     counts = runsim.RedexCounts(system, strategy is Strategy.INNERMOST)
-    sim_moves: runsim.SimMoves = {}
 
     def one_run(i: int) -> tuple[bool, int]:
         rng = random.Random(f"{seed}:{i}")
-        if rule in INNERMOST_DESCENTS:
-            return runsim.run_innermost_first(system, start, rule, rng, step_cap, memo, moves)
-        if plain is not None:
-            return runsim.run_simultaneous(
-                system, start, table, plain, None, rng, step_cap, sim_moves
-            )
+        if walks:
+            return runsim.run_innermost_first(system, start, entry, rng, step_cap, memo, moves)
         own = policy.clone_for_run(f"{seed}:{i}:policy")
         index = own.index_rule()
         if index is None:
             return _run_generic(system, start, strategy, own, rng, step_cap, table)
-        if table is not None:
-            return runsim.run_simultaneous(system, start, table, None, index, rng, step_cap, sim_moves)
-        if strategy is Strategy.LEFTMOST_INNERMOST:
+        if table is not None or strategy is Strategy.LEFTMOST_INNERMOST:
             return runsim.run_innermost_first(
-                system, start, _leftmost_innermost, rng, step_cap, memo, moves, index
+                system, start, entry, rng, step_cap, memo, moves, index
             )
         return runsim.run_by_index(system, start, index, rng, step_cap, counts)
 

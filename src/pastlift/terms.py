@@ -171,10 +171,15 @@ def pos_to_str(pos: Position) -> str:
 
 
 def pos_from_str(text: str) -> Position:
+    """'e' for the root, or a dotted path of argument indices from 1 such as
+    '1.2'; ValueError for anything else."""
     text = text.strip()
-    if text in ("e", "ε", ""):
+    if text in ("e", "ε"):
         return ROOT
-    return tuple(int(part) for part in text.split("."))
+    parts = text.split(".")
+    if not all(part.isdigit() and int(part) > 0 for part in parts):
+        raise ValueError(f"malformed position {text!r}: expected 'e' or argument indices from 1")
+    return tuple(map(int, parts))
 
 
 def match(pattern: Term, subject: Term) -> Optional[Substitution]:

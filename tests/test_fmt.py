@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import SYSTEMS_DIR, load_system
+from pastlift.cli import main
 from pastlift.fmt import (
     ParseError,
     parse,
@@ -120,6 +121,31 @@ def test_parse_script():
         parse_script("f(a,a) => rule 9 at e", s2)
     with pytest.raises(ParseError):
         parse_script("f(a,a) -> rule 0 at e", s2)
+
+
+def test_malformed_script_positions_are_line_numbered_diagnostics():
+    """A position component that is not a number, or is 0 or empty and so
+    addresses no subterm, is reported on its row's line, not as Python's
+    int() error nor as a row that silently never applies."""
+    srw = load_system("srw")
+    for position in ("1.a", "a", "0", "1.0", "1.", "e,0.2", "1,", ",1"):
+        with pytest.raises(ParseError) as exc:
+            parse_script(f"; comment\ng => rule 0 at e\nc(g,g) => rule 0 at {position}\n", srw)
+        [diag] = exc.value.diagnostics
+        assert diag.line == 3, position
+        assert "malformed position" in diag.message and "int()" not in diag.message
+
+
+def test_a_malformed_script_position_exits_2(tmp_path, capsys):
+    script = tmp_path / "rows.script"
+    for row in ("g => rule 0 at 1.a", "c(g,g) => rule 0 at 0"):
+        script.write_text(row + "\n")
+        code = main([
+            "simulate", str(SYSTEMS_DIR / "srw.ptrs"), "--term", "c(g,g)",
+            "--policy", f"script:{script}", "--mode", "mc", "--samples", "1", "--step-cap", "3",
+        ])
+        assert code == 2, row
+        assert capsys.readouterr().err.startswith("1:1: malformed position"), row
 
 
 def test_round_trip_random_systems():

@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from statistics import NormalDist
 
 import pytest
@@ -825,9 +826,8 @@ def index_zipper_run(system, start, strategy, index, rng, step_cap, counts=None)
     matches at the leftmost innermost redex, under ``full``/``i`` the index
     zipper, counting into ``counts`` or into counts of its own."""
     if strategy is Strategy.LEFTMOST_INNERMOST:
-        return runsim.run_innermost_first(
-            system, start, rewriting._leftmost_innermost, rng, step_cap, pick=index
-        )
+        entry = partial(runsim._entry, system, rewriting._leftmost_innermost, True)
+        return runsim.run_innermost_first(system, start, entry, rng, step_cap, pick=index)
     if counts is None:
         counts = runsim.RedexCounts(system, strategy is Strategy.INNERMOST)
     return runsim.run_by_index(system, start, index, rng, step_cap, counts)
@@ -864,7 +864,8 @@ def test_sampled_runs_match_the_reference_sampler_on_random_systems():
                     rule = policy.descent(strategy)
                     if rule in INNERMOST_DESCENTS:
                         fast = runsim.run_innermost_first(
-                            system, start, rule, random.Random(run_seed), 25
+                            system, start, partial(runsim._entry, system, rule, False),
+                            random.Random(run_seed), 25,
                         )
                         assert fast == expected, (case, strategy, spec, i)
                         zipped += 1
@@ -928,7 +929,8 @@ def test_innermost_runs_match_the_generic_sampler_on_the_corpus():
                         system, start, rule, random.Random(run_seed), 300
                     )
                     fast = runsim.run_innermost_first(
-                        system, start, rule, random.Random(run_seed), 300
+                        system, start, partial(runsim._entry, system, rule, False),
+                        random.Random(run_seed), 300,
                     )
                     assert fast == expected, (name, strategy, policy.name, i)
                     deepest = max(deepest, expected[1])
@@ -1054,6 +1056,64 @@ def test_simultaneous_runs_sharing_a_move_table_build_each_move_once(monkeypatch
         assert rebuilt and len(rebuilt) == len(set(rebuilt)), (name, strategy, spec)
         if name in ("s6", "srw2"):  # runs that meet the same terms again
             assert steps > 2 * len(rebuilt), (name, strategy, spec)
+
+
+def test_a_deterministic_simultaneous_start_is_memoised_as_one_segment(monkeypatch):
+    """Every r_d rule has one branch, so a ``par``/``ipar`` run from
+    d(s(s(s(0)))) draws nothing and its start is memoised as one segment:
+    a later run asks ``SimTable`` nothing, even on a fresh move table, and
+    is still ``_run_generic``'s."""
+    asked = []
+    for hook in ("pick", "groups", "rebuild"):
+
+        def counted(table, *args, real=getattr(SimTable, hook)):
+            asked.append(args)
+            return real(table, *args)
+
+        monkeypatch.setattr(SimTable, hook, counted)
+    system = load_system("r_d")
+    start = t("r_d", "d(s(s(s(0))))")
+    normal = t("r_d", "s(s(s(s(s(s(0))))))")
+    for strategy in (Strategy.SIMULTANEOUS, Strategy.INNERMOST_SIMULTANEOUS):
+        for spec in ("first", "rightmost"):
+            asked.clear()
+            one_run = mc_runs(system, start, strategy, make_policy(spec), 100, 5)
+            assert one_run(0) == (True, 4) and asked
+            asked.clear()
+            got = one_run(1)
+            assert not asked, (strategy, spec)
+            expected = _run_generic(system, start, strategy, make_policy(spec),
+                                    random.Random("5:1"), 100, SimTable(system, strategy))
+            assert got == expected == (True, 4), (strategy, spec)
+
+            rule = make_policy(spec).descent(strategy.plain)
+            entry = partial(runsim._sim_entry, system, SimTable(system, strategy), rule)
+            memo = {}
+            assert runsim.run_innermost_first(system, start, entry, random.Random(0), 100, memo) == (True, 4)
+            assert memo == {start: (normal, 4)}
+            asked.clear()
+            for cap, want in ((100, (True, 4)), (4, (True, 4)), (3, (False, 3))):
+                assert runsim.run_innermost_first(system, start, entry, random.Random(1), cap, memo) == want
+            assert not asked, (strategy, spec)
+
+
+def test_the_index_zipper_walks_the_left_hand_sides_once_per_estimate(monkeypatch):
+    """``RedexCounts`` finds the rematch sites once, for every run of one
+    estimate under ``full``; innermost counts need none."""
+    calls = []
+    real = runsim._rematch_sites
+
+    def counted(system):
+        calls.append(system)
+        return real(system)
+
+    monkeypatch.setattr(runsim, "_rematch_sites", counted)
+    system = load_system("s6")
+    for strategy, walks in ((Strategy.FULL, 1), (Strategy.INNERMOST, 0)):
+        calls.clear()
+        one_run = mc_runs(system, t("s6", "g"), strategy, make_policy("random:2"), 60, 1)
+        steps = sum(one_run(i)[1] for i in range(50))
+        assert steps > 50 and len(calls) == walks, strategy
 
 
 def wilson_interval(successes, n, z):
@@ -1394,7 +1454,8 @@ def test_memoised_runs_match_the_memo_free_zipper_on_the_corpus():
                 run_seed = f"{name}:{i}"
                 expected = memo_free_zipper_run(system, start, rule, random.Random(run_seed), 300)
                 got = runsim.run_innermost_first(
-                    system, start, rule, random.Random(run_seed), 300, memo
+                    system, start, partial(runsim._entry, system, rule, False),
+                    random.Random(run_seed), 300, memo,
                 )
                 assert got == expected, (name, text, strategy, policy, i)
             hits += memo.hits
@@ -1415,7 +1476,8 @@ def test_memoised_runs_match_the_memo_free_zipper_at_every_cap():
                     run_seed = f"{cap}:{i}"
                     expected = memo_free_zipper_run(s8, start, rule, random.Random(run_seed), cap)
                     got = runsim.run_innermost_first(
-                        s8, start, rule, random.Random(run_seed), cap, memo
+                        s8, start, partial(runsim._entry, s8, rule, False),
+                        random.Random(run_seed), cap, memo,
                     )
                     assert got == expected, (text, strategy, policy, cap, i)
             assert memo.hits > 0
@@ -1448,7 +1510,8 @@ def test_memoised_runs_match_the_memo_free_zipper_on_random_systems():
                 run_seed = f"{case}:{i}"
                 expected = memo_free_zipper_run(system, start, rule, random.Random(run_seed), cap)
                 got = runsim.run_innermost_first(
-                    system, start, rule, random.Random(run_seed), cap, memo
+                    system, start, partial(runsim._entry, system, rule, False),
+                    random.Random(run_seed), cap, memo,
                 )
                 assert got == expected, (case, strategy, policy, i, cap)
                 compared += 1
@@ -1484,19 +1547,20 @@ def test_duplicated_subterms_cost_one_contraction_each(monkeypatch):
     start = s8_tower(k)
     counter = count_contractions(monkeypatch)
     for rule in INNERMOST_DESCENTS:
+        entry = partial(runsim._entry, s8, rule, False)
         counter["calls"] = 0
-        got = runsim.run_innermost_first(s8, start, rule, random.Random(1), 2**21)
+        got = runsim.run_innermost_first(s8, start, entry, random.Random(1), 2**21)
         assert got == (True, 2**k - 1)
         assert counter["calls"] <= 2 * k
         counter["calls"] = 0
-        got = runsim.run_innermost_first(s8, start, rule, random.Random(1), 2**k - 2)
+        got = runsim.run_innermost_first(s8, start, entry, random.Random(1), 2**k - 2)
         assert got == (False, 2**k - 2)
         assert counter["calls"] <= 2 * k
 
 
 def test_skipped_segments_pay_their_draws_before_the_next_draw(monkeypatch):
     s8 = load_system("s8")
-    leftmost = first.descent(Strategy.INNERMOST)
+    leftmost = partial(runsim._entry, s8, first.descent(Strategy.INNERMOST), False)
     k = 12
     n = 2**k - 1  # more owed draws than one chunk pays
     memo = {}
@@ -1520,48 +1584,70 @@ def test_skipped_segments_pay_their_draws_before_the_next_draw(monkeypatch):
 
 
 def test_zipper_runs_sharing_a_move_table_ask_each_term_once(monkeypatch):
-    """Runs that share a move table ask the descent rule about each
-    distinct term once and build each contractum once, in any run; each run
-    is still the memo-free zipper's, or under ``li`` with ``random``'s pick
-    among the root matches, ``_run_generic``'s, with no segment memoised."""
+    """Runs that share a move table build each distinct term's entry once
+    and each successor once, in any run; each run is still the memo-free
+    zipper's, or under ``li`` with ``random``'s pick among the root matches,
+    and under ``par``/``ipar``, ``_run_generic``'s, with no segment memoised
+    under a pick."""
     counter = count_contractions(monkeypatch)
-    for name, text in (("srw", "g"), ("srw2", "g(0)"), ("s6", "g"), ("s8", "f(g)")):
+    li = (Strategy.LEFTMOST_INNERMOST, "random:8", rewriting._leftmost_innermost)
+    rows = [
+        (name, text, *row)
+        for name, text in (("srw", "g"), ("srw2", "g(0)"), ("s6", "g"), ("s8", "f(g)"))
+        for row in innermost_rules() + [li]
+    ] + [
+        ("s6", "g", Strategy(strategy), policy, None)
+        for strategy in ("par", "ipar") for policy in ("first", "random:3")
+    ]
+    for name, text, strategy, policy, rule in rows:
         system = load_system(name)
         start = t(name, text)
-        li = (Strategy.LEFTMOST_INNERMOST, "random:8", rewriting._leftmost_innermost)
-        for strategy, policy, rule in innermost_rules() + [li]:
-            asked = []
+        table = SimTable(system, strategy) if strategy.simultaneous else None
+        if table is None:
+            entry = partial(runsim._entry, system, rule, policy == "random:8")
+        else:
+            plain = make_policy(policy).descent(strategy.plain)
+            entry = partial(runsim._sim_entry, system, table, plain)
+        asked = []
 
-            def counted(system, u, rule=rule):
-                asked.append(u)
-                return rule(system, u)
+        def counted(u, entry=entry):
+            asked.append(u)
+            return entry(u)
 
-            seeds = [f"{name}:{i}" for i in range(40)]
-            if policy == "random:8":
-                expected = [
-                    _run_generic(system, start, strategy, RandomSeeded(f"8:{i}"),
-                                 random.Random(seed), 300)
-                    for i, seed in enumerate(seeds)
-                ]
-                picks = [RandomSeeded(f"8:{i}").index_rule() for i in range(40)]
-            else:
-                expected = [
-                    memo_free_zipper_run(system, start, rule, random.Random(seed), 300)
-                    for seed in seeds
-                ]
-                picks = [None] * 40
-            memo, moves = {}, {}
-            counter["calls"] = steps = 0
-            for seed, pick, want in zip(seeds, picks, expected):
-                got = runsim.run_innermost_first(
-                    system, start, counted, random.Random(seed), 300, memo, moves, pick
-                )
-                assert got == want, (name, strategy, policy, seed)
-                steps += got[1]
-            assert not (memo and picks[0]), name
-            assert len(asked) == len(set(asked)), (name, strategy, policy)
-            branches = sum(
-                len(built) for e in moves.values() if isinstance(e, tuple) for _, _, built in e
+        seeds = [f"{name}:{i}" for i in range(40)]
+        if policy.startswith("random:"):
+            own = [RandomSeeded(f"{policy[7:]}:{i}") for i in range(40)]
+            expected = [
+                _run_generic(system, start, strategy, own[i], random.Random(seed), 300,
+                             SimTable(system, strategy) if table else None)
+                for i, seed in enumerate(seeds)
+            ]
+            picks = [RandomSeeded(f"{policy[7:]}:{i}").index_rule() for i in range(40)]
+        elif table is not None:
+            expected = [
+                _run_generic(system, start, strategy, make_policy(policy),
+                             random.Random(seed), 300, SimTable(system, strategy))
+                for seed in seeds
+            ]
+            picks = [None] * 40
+        else:
+            expected = [
+                memo_free_zipper_run(system, start, rule, random.Random(seed), 300)
+                for seed in seeds
+            ]
+            picks = [None] * 40
+        memo, moves = {}, {}
+        counter["calls"] = steps = 0
+        for seed, pick, want in zip(seeds, picks, expected):
+            got = runsim.run_innermost_first(
+                system, start, counted, random.Random(seed), 300, memo, moves, pick
             )
-            assert counter["calls"] <= branches, (name, strategy, policy)
-            assert steps > 2 * counter["calls"], (name, strategy, policy)
+            assert got == want, (name, strategy, policy, seed)
+            steps += got[1]
+        assert not (memo and picks[0]), name
+        assert len(asked) == len(set(asked)), (name, strategy, policy)
+        branches = sum(
+            len(built) for e in moves.values() if isinstance(e, tuple) for _, _, built, _ in e
+        )
+        assert counter["calls"] <= branches, (name, strategy, policy)
+        assert steps > 2 * counter["calls"], (name, strategy, policy)
