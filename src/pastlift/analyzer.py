@@ -11,6 +11,7 @@ by an Applies verdict; Unknown preconditions block, they never upgrade.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -45,6 +46,19 @@ FALSIFY_START_CAP = 500
 # the name of each strategy's non-probabilistic notion
 _SN_NAMES = {"f": "SN", "i": "iSN", "li": "liSN", "w": "WN"}
 
+# the probabilistic notions, strongest first: SAST ⇒ PAST ⇒ AST by definition
+_PROB_NOTIONS = ("SAST", "PAST", "AST")
+
+
+def _strategies(notion: str, par: bool) -> tuple[str, ...]:
+    """The strategies that form an atom with ``notion`` under ∥ (``par``) or
+    the ordinary relation, strongest first and ``w`` last: there is no weak
+    SAST, and ∥ has no leftmost-innermost variant and no SN."""
+    if notion not in _PROB_NOTIONS + ("SN",) or (par and notion == "SN"):
+        return ()
+    strategies = ("f", "i") if par else ("f", "i", "li")
+    return strategies if notion == "SAST" else strategies + ("w",)
+
 
 @dataclass(frozen=True)
 class Prop:
@@ -54,12 +68,26 @@ class Prop:
     strategy: f (full) | i (innermost) | li (leftmost innermost) | w (weak)
     par:      True for the simultaneous rewrite relation
     scope:    all | basic (start terms)
+
+    Only the strategies ``_strategies`` lists for the notion and relation form
+    an atom; any other combination raises ValueError.
     """
 
     notion: str
     strategy: str
     par: bool = False
     scope: str = "all"
+
+    def __post_init__(self) -> None:
+        if self.strategy in _strategies(self.notion, self.par) and self.scope in ("all", "basic"):
+            return
+        if self.notion == "SAST" and self.strategy == "w":
+            raise ValueError("weak SAST is not a defined notion")
+        if self.par and self.strategy == "li":
+            raise ValueError("no simultaneous variant of leftmost-innermost rewriting")
+        if self.par and self.notion == "SN":
+            raise ValueError("no simultaneous variant of the non-probabilistic notions")
+        raise ValueError(f"no property atom {self.notion} x {self.strategy} x {self.scope}")
 
     def display(self) -> str:
         name = self._name
@@ -100,21 +128,10 @@ def parse_prop_token(token: str) -> Prop:
     if not m:
         raise ValueError(f"cannot parse property token {token!r}")
     if m.group("sn"):
-        strat = _SN_STRATEGIES[m.group("sn")]
-        notion = "SN"
+        strat, notion = _SN_STRATEGIES[m.group("sn")], "SN"
     else:
-        strat = m.group("strat") or "f"
-        notion = m.group("notion")
-    par = bool(m.group("par"))
-    scope = "basic" if m.group("basic") else "all"
-    prop = Prop(notion, strat, par, scope)
-    if notion == "SAST" and strat == "w":
-        raise ValueError("weak SAST is not a defined notion")
-    if par and strat == "li":
-        raise ValueError("no simultaneous variant of leftmost-innermost rewriting")
-    if par and notion == "SN":
-        raise ValueError("no simultaneous variant of the non-probabilistic notions")
-    return prop
+        strat, notion = m.group("strat") or "f", m.group("notion")
+    return Prop(notion, strat, bool(m.group("par")), "basic" if m.group("basic") else "all")
 
 
 @dataclass
@@ -170,42 +187,38 @@ def _iff(a: Prop, b: Prop) -> tuple[tuple[Prop, Prop], ...]:
     return ((a, b), (b, a))
 
 
-def _p(notion: str, strat: str, par: bool = False, scope: str = "all") -> Prop:
-    return Prop(notion, strat, par, scope)
-
-
 PROB_THEOREMS: tuple[TheoremSpec, ...] = (
     TheoremSpec(
         "Thm 6",
         "innermost and full coincide for non-overlapping linear systems",
         ("non-overlapping", "left-linear", "right-linear"),
-        _iff(_p("AST", "i"), _p("AST", "f"))
-        + _iff(_p("PAST", "i"), _p("PAST", "f"))
-        + _iff(_p("SAST", "i"), _p("SAST", "f")),
+        _iff(Prop("AST", "i"), Prop("AST", "f"))
+        + _iff(Prop("PAST", "i"), Prop("PAST", "f"))
+        + _iff(Prop("SAST", "i"), Prop("SAST", "f")),
     ),
     TheoremSpec(
         "Thm 8",
         "weak and full coincide for non-overlapping linear non-erasing systems",
         ("non-overlapping", "left-linear", "right-linear", "non-erasing"),
-        _iff(_p("AST", "w"), _p("AST", "f")) + _iff(_p("PAST", "w"), _p("PAST", "f")),
+        _iff(Prop("AST", "w"), Prop("AST", "f")) + _iff(Prop("PAST", "w"), Prop("PAST", "f")),
     ),
     TheoremSpec(
         "Thm 9",
         "leftmost-innermost and innermost coincide for non-overlapping systems",
         ("non-overlapping",),
-        _iff(_p("AST", "li"), _p("AST", "i"))
-        + _iff(_p("PAST", "li"), _p("PAST", "i"))
-        + _iff(_p("SAST", "li"), _p("SAST", "i")),
+        _iff(Prop("AST", "li"), Prop("AST", "i"))
+        + _iff(Prop("PAST", "li"), Prop("PAST", "i"))
+        + _iff(Prop("SAST", "li"), Prop("SAST", "i")),
     ),
     TheoremSpec(
         "Cor 11",
         "simultaneous-relation termination implies ordinary termination",
         (),
         (
-            (_p("AST", "f", par=True), _p("AST", "f")),
-            (_p("AST", "i", par=True), _p("AST", "i")),
-            (_p("PAST", "f", par=True), _p("PAST", "f")),
-            (_p("PAST", "i", par=True), _p("PAST", "i")),
+            (Prop("AST", "f", par=True), Prop("AST", "f")),
+            (Prop("AST", "i", par=True), Prop("AST", "i")),
+            (Prop("PAST", "f", par=True), Prop("PAST", "f")),
+            (Prop("PAST", "i", par=True), Prop("PAST", "i")),
         ),
     ),
     TheoremSpec(
@@ -214,9 +227,9 @@ PROB_THEOREMS: tuple[TheoremSpec, ...] = (
         "non-overlapping right-linear systems",
         ("non-overlapping", "right-linear"),
         (
-            (_p("AST", "i", par=True), _p("AST", "f")),
-            (_p("PAST", "i", par=True), _p("PAST", "f")),
-            (_p("SAST", "i", par=True), _p("SAST", "f")),
+            (Prop("AST", "i", par=True), Prop("AST", "f")),
+            (Prop("PAST", "i", par=True), Prop("PAST", "f")),
+            (Prop("SAST", "i", par=True), Prop("SAST", "f")),
         ),
     ),
     TheoremSpec(
@@ -224,17 +237,17 @@ PROB_THEOREMS: tuple[TheoremSpec, ...] = (
         "weak termination transfers to the simultaneous relation",
         (),
         (
-            (_p("AST", "w"), _p("AST", "w", par=True)),
-            (_p("PAST", "w"), _p("PAST", "w", par=True)),
+            (Prop("AST", "w"), Prop("AST", "w", par=True)),
+            (Prop("PAST", "w"), Prop("PAST", "w", par=True)),
         ),
     ),
     TheoremSpec(
         "Thm 20",
         "innermost and full coincide on basic terms for orthogonal spare systems",
         ("non-overlapping", "left-linear", "spare"),
-        _iff(_p("AST", "i", scope="basic"), _p("AST", "f", scope="basic"))
-        + _iff(_p("PAST", "i", scope="basic"), _p("PAST", "f", scope="basic"))
-        + _iff(_p("SAST", "i", scope="basic"), _p("SAST", "f", scope="basic")),
+        _iff(Prop("AST", "i", scope="basic"), Prop("AST", "f", scope="basic"))
+        + _iff(Prop("PAST", "i", scope="basic"), Prop("PAST", "f", scope="basic"))
+        + _iff(Prop("SAST", "i", scope="basic"), Prop("SAST", "f", scope="basic")),
         basic_only=True,
     ),
     TheoremSpec(
@@ -243,9 +256,9 @@ PROB_THEOREMS: tuple[TheoremSpec, ...] = (
         "terms for non-overlapping spare systems",
         ("non-overlapping", "spare"),
         (
-            (_p("AST", "i", par=True, scope="basic"), _p("AST", "f", scope="basic")),
-            (_p("PAST", "i", par=True, scope="basic"), _p("PAST", "f", scope="basic")),
-            (_p("SAST", "i", par=True, scope="basic"), _p("SAST", "f", scope="basic")),
+            (Prop("AST", "i", par=True, scope="basic"), Prop("AST", "f", scope="basic")),
+            (Prop("PAST", "i", par=True, scope="basic"), Prop("PAST", "f", scope="basic")),
+            (Prop("SAST", "i", par=True, scope="basic"), Prop("SAST", "f", scope="basic")),
         ),
         basic_only=True,
     ),
@@ -256,33 +269,33 @@ NONPROB_THEOREMS: tuple[TheoremSpec, ...] = (
         "Thm 1",
         "termination and innermost termination coincide for orthogonal systems",
         ("non-overlapping", "left-linear"),
-        _iff(_p("SN", "i"), _p("SN", "f")),
+        _iff(Prop("SN", "i"), Prop("SN", "f")),
     ),
     TheoremSpec(
         "Thm 2",
         "termination and innermost termination coincide for non-overlapping systems",
         ("non-overlapping",),
-        _iff(_p("SN", "i"), _p("SN", "f")),
+        _iff(Prop("SN", "i"), Prop("SN", "f")),
     ),
     TheoremSpec(
         "Thm 3",
         "termination and innermost termination coincide for locally confluent "
         "overlay systems",
         ("overlay", "locally-confluent"),
-        _iff(_p("SN", "i"), _p("SN", "f")),
+        _iff(Prop("SN", "i"), Prop("SN", "f")),
     ),
     TheoremSpec(
         "Thm 4",
         "termination and weak normalization coincide for non-overlapping "
         "non-erasing systems",
         ("non-overlapping", "non-erasing"),
-        _iff(_p("SN", "w"), _p("SN", "f")),
+        _iff(Prop("SN", "w"), Prop("SN", "f")),
     ),
     TheoremSpec(
         "Thm 5",
         "innermost and leftmost-innermost termination always coincide",
         (),
-        _iff(_p("SN", "i"), _p("SN", "li")),
+        _iff(Prop("SN", "i"), Prop("SN", "li")),
     ),
 )
 
@@ -291,48 +304,30 @@ NONPROB_THEOREMS: tuple[TheoremSpec, ...] = (
 def _structural_arrows(
     notions: tuple[str, ...], scopes: tuple[str, ...]
 ) -> tuple[tuple[Prop, Prop, str], ...]:
-    """Implications that hold by definition: restricting the set of rewrite
-    sequences (full > innermost > leftmost-innermost), existential weakening
-    (any strategy implies weak), notion weakening (SAST > PAST > AST), and
-    scope restriction (all terms > basic terms). Built once per (notions,
-    scopes)."""
+    """Implications that hold by definition, each once, between the atoms of
+    ``_strategies``, under ∥ as under the ordinary relation: strategy
+    restriction (f ⇒ i ⇒ li), any strategy ⇒ w, and SAST ⇒ PAST ⇒ AST, all
+    labelled "definition", and all terms ⇒ basic terms, labelled
+    "restriction". Built once per (notions, scopes)."""
     arrows: list[tuple[Prop, Prop, str]] = []
-
-    def add(a: Prop, b: Prop) -> None:
-        arrows.append((a, b, "definition"))
-
-    for scope in scopes:
+    chain = [n for n in _PROB_NOTIONS if n in notions]
+    for scope, par in itertools.product(scopes, (False, True)):
+        pairs = []
         for notion in notions:
-            for par in (False, True):
-                if par and notion == "SN":
-                    continue
-                strategies = ["f", "i"] if par else ["f", "i", "li"]
-                for hi, lo in zip(strategies, strategies[1:]):
-                    add(_p(notion, hi, par, scope), _p(notion, lo, par, scope))
-                if notion != "SAST":
-                    for s in strategies:
-                        add(_p(notion, s, par, scope), _p(notion, "w", par, scope))
-            if notion != "SN":
-                pairs = [("SAST", "PAST"), ("PAST", "AST")]
-                for strong, weak in pairs:
-                    for par in (False, True):
-                        strategies = ["f", "i"] if par else ["f", "i", "li", "w"]
-                        for s in strategies:
-                            if s == "w" and strong == "SAST":
-                                continue
-                            add(_p(strong, s, par, scope), _p(weak, s, par, scope))
+            strategies = _strategies(notion, par)
+            strict = [s for s in strategies if s != "w"]
+            pairs += [(notion, hi, notion, lo) for hi, lo in zip(strict, strict[1:])]
+            pairs += [(notion, s, notion, "w") for s in strict if "w" in strategies]
+        for strong, weak in zip(chain, chain[1:]):
+            pairs += [(strong, s, weak, s) for s in _strategies(strong, par)]
+        arrows += [
+            (Prop(a, s, par, scope), Prop(b, t, par, scope), "definition") for a, s, b, t in pairs
+        ]
     if "basic" in scopes:
-        for notion in notions:
-            for par in (False, True):
-                if par and notion == "SN":
-                    continue
-                strategies = ["f", "i"] if par else ["f", "i", "li", "w"]
-                for s in strategies:
-                    if s == "w" and notion == "SAST":
-                        continue
-                    arrows.append(
-                        (_p(notion, s, par, "all"), _p(notion, s, par, "basic"), "restriction")
-                    )
+        arrows += [
+            (Prop(n, s, par, "all"), Prop(n, s, par, "basic"), "restriction")
+            for n in notions for par in (False, True) for s in _strategies(n, par)
+        ]
     return tuple(arrows)
 
 

@@ -302,6 +302,8 @@ def parse_file(text: str) -> ParsedFile:
     extras = [Symbol(name, arity) for name, arity, _ in constructor_decls]
     system = Ptrs(rules, extras)
     for violation in system.validate():
+        if "but declared with arity" in violation:
+            continue  # the builder reported it where the symbol is used
         line, col = 1, 1
         if violation.startswith("rule "):
             idx = int(violation.split()[1].rstrip(":"))

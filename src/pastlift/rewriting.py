@@ -490,6 +490,7 @@ class Policy:
     """Deterministic choice among admissible moves."""
 
     name = "policy"
+    seed: object = None  # a random policy's seed: ``clone_for_run(seed)`` restarts its draws
 
     def descent(self, strategy: Strategy) -> Optional[Descent]:
         """The rule that makes this policy's pick node by node under a

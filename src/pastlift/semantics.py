@@ -82,11 +82,13 @@ def unfold_exact(
     support_cap: int = DEFAULT_SUPPORT_CAP,
     coalesce_states: bool = False,
 ) -> SemanticsTrace:
-    """Iterate the lifting for ``depth`` steps with exact rationals."""
+    """Iterate the lifting for ``depth`` steps with exact rationals, on a fresh
+    copy of the policy: a random one gives the same trace on every call."""
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if support_cap < 0:
         raise ValueError("support cap must be non-negative")
+    policy = policy.clone_for_run(policy.seed)
     mu = singleton(start)
     states = [mu]
     masses = [system.nf_mass(mu)]

@@ -267,9 +267,14 @@ def random_probs(rng: random.Random, k: int) -> list[Fraction]:
     return [Fraction(w, total) for w in weights]
 
 
-def random_system(rng: random.Random, max_rules: int = 3, symbols=DEFAULT_SYMBOLS) -> Ptrs:
-    """A small valid PTRS: non-variable left-hand sides, right-hand side
-    variables contained in the left, probabilities summing to one.
+# the rules of a random system, unbuilt: each left-hand side with its
+# (probability, right-hand side) branches
+DrawnRules = list[tuple[Term, list[tuple[Fraction, Term]]]]
+
+
+def draw_rules(rng: random.Random, max_rules: int = 3, symbols=DEFAULT_SYMBOLS) -> DrawnRules:
+    """The rules of a small valid PTRS: non-variable left-hand sides, right-hand
+    side variables contained in the left, probabilities summing to one.
     Right-hand sides are drawn over ``symbols``."""
     defined = [Symbol("f", 2), Symbol("h", 1), Symbol("g0", 0)]
     rules = []
@@ -286,7 +291,18 @@ def random_system(rng: random.Random, max_rules: int = 3, symbols=DEFAULT_SYMBOL
             if not rhs.vars <= lhs.vars:  # drop loose variables, keep it valid
                 rhs = app(Symbol("a", 0))
             branches.append((p, rhs))
-        rules.append(ProbRule(lhs, MultiDistribution(branches)))
-    system = Ptrs(rules)
+        rules.append((lhs, branches))
+    return rules
+
+
+def build_system(rules: DrawnRules) -> Ptrs:
+    """The system of drawn rules; drawing takes every random choice, so
+    building one or not leaves the stream where it was."""
+    system = Ptrs([ProbRule(lhs, MultiDistribution(branches)) for lhs, branches in rules])
     assert system.validate() == []
     return system
+
+
+def random_system(rng: random.Random, max_rules: int = 3, symbols=DEFAULT_SYMBOLS) -> Ptrs:
+    """A small valid PTRS, drawn by ``draw_rules`` and built."""
+    return build_system(draw_rules(rng, max_rules, symbols))

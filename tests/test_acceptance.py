@@ -16,6 +16,8 @@ import pytest
 from conftest import (
     DEFAULT_SYMBOLS,
     SIGNATURE_SYMBOLS,
+    build_system,
+    draw_rules,
     fires_g0,
     load_system,
     random_system,
@@ -59,7 +61,7 @@ from pastlift.spareness import (
     prove_spare,
 )
 from pastlift.system import singleton
-from pastlift.terms import Var, app, match, apply_subst, unify, var
+from pastlift.terms import Symbol, Term, Var, app, match, apply_subst, unify, var
 from pastlift.transform import bv, cv, dv, union_with_generators
 
 first = FirstMove()
@@ -306,14 +308,29 @@ def _suite_inclusion(rng, symbols=DEFAULT_SYMBOLS, checks=CHECKS_PER_SUITE) -> i
     return g0
 
 
+def _symbols_of(t: Term) -> set[Symbol]:
+    """The function symbols of a ground term."""
+    found, stack = set(), [t]
+    while stack:
+        u = stack.pop()
+        found.add(u.symbol)
+        stack.extend(u.args)
+    return found
+
+
 def _suite_singleton_sim(rng, symbols=DEFAULT_SYMBOLS, checks=CHECKS_PER_SUITE) -> int:
     """One position of a group, drawn from the group's positions left to
     right as the tree walk lists them, rewritten alone."""
     done = g0 = 0
     while done < checks:
-        system = random_system(rng, symbols=symbols)
+        rules = draw_rules(rng, symbols=symbols)
         term = random_term(rng, 4, vars_=(), symbols=symbols)
         innermost = bool(rng.getrandbits(1))
+        # with no symbol heading a left-hand side the term has no group:
+        # skip the draw without building its system
+        if _symbols_of(term).isdisjoint(lhs.symbol for lhs, _ in rules):
+            continue
+        system = build_system(rules)
         groups = simultaneous_groups(system, term, innermost_only=innermost)
         if not groups:
             continue

@@ -40,6 +40,76 @@ def test_prop_tokens():
             parse_prop_token(bad)
 
 
+def test_prop_refuses_what_is_no_atom():
+    """Checked in this order: weak SAST, then li under ∥, then SN under ∥."""
+    weak_sast = "weak SAST is not a defined notion"
+    par_li = "no simultaneous variant of leftmost-innermost rewriting"
+    par_sn = "no simultaneous variant of the non-probabilistic notions"
+    for args, message in (
+        (("SAST", "w"), weak_sast),
+        (("AST", "li", True), par_li),
+        (("SN", "f", True), par_sn),
+        (("SAST", "w", True), weak_sast),
+        (("SN", "li", True), par_li),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Prop(*args)
+    for args in (("AST", "x"), ("XAST", "f"), ("AST", "f", False, "some")):
+        with pytest.raises(ValueError):
+            Prop(*args)
+
+
+def test_structural_arrows_are_the_definitional_order():
+    """Reachability over the structural arrows is, atom for atom, the order
+    the definitions give, and no arrow is listed twice."""
+    atoms = set()
+    for strategy in ("", "f", "i", "li", "w"):
+        for name in [strategy + n for n in ("AST", "PAST", "SAST")] + ["SN", "iSN", "liSN", "WN"]:
+            for par in ("", "-par"):
+                for scope in ("", "@basic"):
+                    try:
+                        atoms.add(parse_prop_token(name + par + scope))
+                    except ValueError:
+                        pass
+    # per scope: AST, PAST, SAST plainly (4 + 4 + 3) and under ∥ (3 + 3 + 2), and SN
+    assert len(atoms) == 2 * (4 + 4 + 3 + 3 + 3 + 2 + 4)
+    strength = {"SAST": 2, "PAST": 1, "AST": 0}
+
+    def follows(a, b):
+        if a == b or a.par != b.par or (a.scope, b.scope) == ("basic", "all"):
+            return False
+        if (a.notion == "SN") != (b.notion == "SN"):
+            return False
+        if a.notion != "SN" and strength[a.notion] < strength[b.notion]:
+            return False
+        order = ("f", "i", "li")
+        return b.strategy == "w" or (
+            a.strategy in order and order.index(a.strategy) <= order.index(b.strategy)
+        )
+
+    for notions in (("AST", "PAST", "SAST"), ("SN",)):
+        for scopes in (("all",), ("all", "basic")):
+            arrows = _structural_arrows(notions, scopes)
+            assert len(set(arrows)) == len(arrows), (notions, scopes)
+            for a, b, label in arrows:
+                assert label == ("restriction" if a.scope != b.scope else "definition")
+            these = {p for p in atoms if p.notion in notions and p.scope in scopes}
+            successors = {}
+            for a, b, _ in arrows:
+                successors.setdefault(a, set()).add(b)
+            reached = set()
+            for a in these:
+                seen, stack = set(), [a]
+                while stack:
+                    for b in successors.get(stack.pop(), ()):
+                        if b not in seen:
+                            seen.add(b)
+                            stack.append(b)
+                reached |= {(a, b) for b in seen if b != a}
+            expected = {(a, b) for a in these for b in these if follows(a, b)}
+            assert reached == expected, (notions, scopes, expected ^ reached)
+
+
 def test_srw_all_three_theorems_apply():
     report = analyze(load_system("srw"))
     for tid in ("Thm 6", "Thm 8", "Thm 9"):

@@ -12,7 +12,8 @@ from pastlift.fmt import (
     parse_term,
     serialize,
 )
-from pastlift.terms import term_to_str
+from pastlift.system import MultiDistribution, ProbRule, Ptrs
+from pastlift.terms import Symbol, app, term_to_str, var
 
 
 def test_parse_srw():
@@ -47,6 +48,25 @@ def test_arity_conflict_diagnostic():
     with pytest.raises(ParseError) as exc:
         parse("(RULES f(a) -> {1: f(a,a)})")
     assert any("arity" in d.message for d in exc.value.diagnostics)
+
+
+def test_an_arity_conflict_in_a_file_is_reported_once(tmp_path, capsys):
+    """The builder reports the conflict where the symbol is used; the
+    system's own check does not report it a second time, and every other
+    diagnostic stays."""
+    path = tmp_path / "conflict.ptrs"
+    path.write_text("(VAR x)\n(RULES\n  f(x) -> {1: f(x, x)}\n  g -> {1/2: a}\n)\n")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "3:15: symbol f used with arity 2, previously 1",
+        "4:5: rule 1: probabilities sum to 1/2",
+    ]
+
+
+def test_validate_reports_an_arity_conflict_in_a_system_built_in_code():
+    x = var("x")
+    rule = ProbRule(app(Symbol("f", 1), [x]), MultiDistribution([(1, app(Symbol("f", 2), [x, x]))]))
+    assert Ptrs([rule]).validate() == ["rule 0: symbol f used with arity 2 but declared with arity 1"]
 
 
 def test_variable_with_arguments_diagnostic():

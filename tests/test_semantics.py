@@ -105,6 +105,18 @@ def test_unfold_scripted_root_loop_never_terminates():
     assert trace.states[-1] == MultiDistribution([(Fraction(1), faa)])
 
 
+def test_unfold_with_a_reused_random_policy_is_repeatable():
+    """A lifted sequence is a function of the policy's seed: two unfoldings
+    with one random policy object give the trace a fresh object gives."""
+    s1 = load_system("s1")
+    start = t("s1", "d(d(g))")
+    policy = RandomSeeded(3)
+    first_call, second_call, fresh = (
+        unfold_exact(s1, start, Strategy.FULL, p, 6) for p in (policy, policy, RandomSeeded(3))
+    )
+    assert first_call == second_call == fresh
+
+
 def test_unfold_normal_form_is_fixed_point():
     srw = load_system("srw")
     trace = unfold_exact(srw, t("srw", "bot"), Strategy.LEFTMOST_INNERMOST, first, 5)
