@@ -26,6 +26,7 @@ from .semantics import (
     DEFAULT_MEMO_CAP,
     DEFAULT_SUPPORT_CAP,
     CapExceeded,
+    SemanticsTrace,
     adversarial_lower_bound,
     mc_estimate,
     unfold_exact,
@@ -233,6 +234,11 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _print_steps(trace: SemanticsTrace) -> None:
+    for n, (mu, mass) in enumerate(zip(trace.states, trace.nf_masses)):
+        print(f"step {n}: support {len(mu)}, nf_mass {mass}")
+
+
 def _cmd_simulate(args) -> int:
     loaded = _load(args.file)
     system = loaded.system
@@ -251,15 +257,16 @@ def _cmd_simulate(args) -> int:
                 coalesce_states=args.coalesce,
             )
         except CapExceeded as exc:
+            # the states finished before the cap; main still exits 3
             if args.json:
-                # the states finished before the cap; main still exits 3
                 _emit(reportmod.exact_trace_doc(system, exc.partial, partial=True))
+            else:
+                _print_steps(exc.partial)
             raise
         if args.json:
             _emit(reportmod.exact_trace_doc(system, trace))
             return EXIT_OK
-        for n, (mu, mass) in enumerate(zip(trace.states, trace.nf_masses)):
-            print(f"step {n}: support {len(mu)}, nf_mass {mass}")
+        _print_steps(trace)
         print(f"convergence probability in [{trace.lower_bound}, 1]")
         print(f"partial edl after {trace.depth} steps: {trace.partial_edl} "
               f"(~{float(trace.partial_edl):.6g})")

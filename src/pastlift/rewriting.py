@@ -202,7 +202,7 @@ class SuccessorTable:
     """The successors of the terms one call asks about under ``full``, ``i``
     or ``li``, memoised by distinct subterm for the table's lifetime (one
     call of the analysis that builds it), in two views: ``successors``, the
-    distinct successor distributions of the admissible moves, and ``pick``,
+    distinct successor distributions of the admissible moves, and ``step``,
     one descent rule's move.
 
     A subterm's successors come from its own root matches in rule order,
@@ -214,15 +214,20 @@ class SuccessorTable:
     ``leftmost_innermost_moves``. Equal distributions are listed once, so
     each distinct one of a child is lifted once: a chain ``g^k(t)`` whose
     moves all step alike holds one distribution per term, not k(k+1)/2.
-    Nothing of a move is kept but its successors."""
+    Nothing of a move is kept but its successors.
 
-    __slots__ = ("system", "strategy", "_successors", "_picks")
+    Both views lift a child's distribution under its parent with ``_lift``,
+    which records each term it builds in the system's normal-form cache, so
+    nothing the table builds is walked again to learn whether it is
+    normal."""
+
+    __slots__ = ("system", "strategy", "_successors", "_steps")
 
     def __init__(self, system: Ptrs, strategy: Strategy):
         self.system = system
         self.strategy = strategy
         self._successors: dict[Term, list[MultiDistribution]] = {}
-        self._picks: dict[Term, MultiDistribution] = {}
+        self._steps: dict[Term, MultiDistribution] = {}
 
     def successors(self, t: Term) -> list[MultiDistribution]:
         """The distinct successor distributions of t's admissible moves, as
@@ -259,17 +264,35 @@ class SuccessorTable:
         if self.strategy is Strategy.FULL or not lifted:
             found = [_contract_at(system, u, at_root) for at_root in system.root_matches(u)]
         for k, a in lifted:
-            found.extend([lift_under(u, k, dist) for dist in table[a]])
+            found.extend([self._lift(u, k, dist) for dist in table[a]])
         # equal keys are equal distributions: every step is over branch_den
         return list({(dist.weights, dist.terms): dist for dist in found}.values())
 
-    def pick(self, t: Term, rule: Descent) -> MultiDistribution:
+    def step(self, t: Term, rule: Descent) -> MultiDistribution:
         """``entry_step`` for a policy whose pick follows a descent rule: the
         successor distribution of the redex ``descend`` finds in t. The
         rule's pick in a node that descends into child k is the pick in that
-        child, so the node's step is the child's lifted under it. Every pick
+        child, so the node's step is the child's lifted under it. Every step
         from one table must follow the same rule."""
-        return _memo_descent(self.system, t, rule, self._picks, _contract_at, lift_under)
+        return _memo_descent(self.system, t, rule, self._steps, _contract_at, self._lift)
+
+    def _lift(self, parent: Term, k: int, dist: MultiDistribution) -> MultiDistribution:
+        """A step of parent's k-th child as a step of parent: each branch put
+        in the child's place, with the same weights. A term built here that
+        the system has no status for gets one: it is normal exactly when its
+        siblings and the branch are and no rule matches at its root. The
+        siblings are looked up once for the whole distribution."""
+        system = self.system
+        cache, nf = system._nf_cache, system.is_normal_form
+        sym, head, tail = parent.symbol, parent.args[: k - 1], parent.args[k:]
+        siblings = all(map(nf, head)) and all(map(nf, tail))
+        terms = []
+        for s in dist.terms:
+            u = app(sym, head + (s,) + tail)
+            if u not in cache:
+                cache[u] = siblings and nf(s) and not system.root_matches(u)
+            terms.append(u)
+        return MultiDistribution.of_weights(dist.weights, tuple(terms), dist.den)
 
 
 def _memo_descent(
@@ -300,15 +323,6 @@ def _memo_descent(
 def _contract_at(system: Ptrs, u: Term, found: tuple[int, Substitution]) -> MultiDistribution:
     """The step at u's root by the rule and σ of ``found``."""
     return _contract(system, (*found, partial(replace_at, u, ())))
-
-
-def lift_under(parent: Term, k: int, dist: MultiDistribution) -> MultiDistribution:
-    """A step of parent's k-th child as a step of parent: each branch put in
-    the child's place, with the same weights."""
-    sym, head, tail = parent.symbol, parent.args[: k - 1], parent.args[k:]
-    return MultiDistribution.of_weights(
-        dist.weights, tuple([app(sym, head + (s,) + tail) for s in dist.terms]), dist.den
-    )
 
 
 def step(system: Ptrs, t: Term, redex: Redex) -> MultiDistribution:
@@ -404,6 +418,8 @@ class SimTable:
     - descent picks: a node whose descent enters child k has that child's
       pick, so only the part of a pick's path the table has not met is
       walked;
+    - descent steps by term: the successor distribution of the picked
+      group, so an entry that recurs in an unfolding is stepped once;
     - group lists by term, for policies without a descent rule;
     - one rebuild table per (instance, contractum), mapping each subterm
       rebuilt to its result, shared by every rebuild with that pair.
@@ -413,12 +429,13 @@ class SimTable:
     must not outlive its call: it holds terms an intern pool trimmed after
     the call would drop, and an equal term built later would not be them."""
 
-    __slots__ = ("system", "innermost", "_picks", "_groups", "_rebuilt")
+    __slots__ = ("system", "innermost", "_picks", "_steps", "_groups", "_rebuilt")
 
     def __init__(self, system: Ptrs, strategy: Strategy):
         self.system = system
         self.innermost = strategy is Strategy.INNERMOST_SIMULTANEOUS
         self._picks: dict[Term, Group] = {}
+        self._steps: dict[Term, MultiDistribution] = {}
         self._groups: dict[Term, list[Group]] = {}
         self._rebuilt: dict[tuple[Term, Term], dict[Term, Term]] = {}
 
@@ -426,6 +443,19 @@ class SimTable:
         """The group of the redex ``descend`` finds in t: (rule index, σ,
         the subterm it contracts)."""
         return _memo_descent(self.system, t, rule, self._picks, _redex_at, _same_redex)
+
+    def step(self, t: Term, rule: Descent) -> MultiDistribution:
+        """``entry_step`` for a policy whose pick follows a descent rule
+        under the plain strategy: the group ``pick`` finds in t, every
+        occurrence of its instance replaced by ``rebuild``. Every step from
+        one table must follow the same rule."""
+        got = self._steps.get(t)
+        if got is None:
+            idx, sigma, instance = self.pick(t, rule)
+            got = self._steps[t] = _contract(
+                self.system, (idx, sigma, partial(self.rebuild, t, instance))
+            )
+        return got
 
     def groups(self, t: Term) -> list[Group]:
         """``simultaneous_groups`` of t under the table's strategy."""
@@ -649,7 +679,7 @@ def _move(
 
     Under ``full``/``i``/``li`` it is the redex ``policy.pick_redex`` picks
     from every admissible move, placed at its position (``lift_step`` takes
-    a descent rule's pick from ``SuccessorTable.pick``). Under
+    a descent rule's step from ``SuccessorTable.step``). Under
     ``par``/``ipar`` it is a group: every occurrence of one redex instance,
     or the occurrences a script row names.
     A policy with a descent rule under the plain strategy finds the instance
@@ -679,6 +709,7 @@ def lift_step(
     strategy: Strategy,
     policy: Policy,
     table: Union[SuccessorTable, SimTable, None] = None,
+    nf_masses: Optional[list[Fraction]] = None,
 ) -> MultiDistribution:
     """One lifting step: normal forms are kept, every other entry takes the
     policy-chosen move and its branch distribution is spliced in place.
@@ -689,31 +720,48 @@ def lift_step(
     form. Its weights must sum to D*L, or ValueError is raised; the common
     factor is then divided out.
 
+    Each entry's status is one lookup in the system's normal-form cache,
+    which the table fills as it builds terms; only a term built elsewhere
+    (a contractum, a rebuilt ∥ term) is walked. The weight found normal is
+    summed on the way, and ``mu``'s normal-form mass appended to
+    ``nf_masses`` when one is given, so a caller that lifts repeatedly need
+    not read a state twice.
+
     Entries are stepped through ``table``: a ``SimTable`` under
-    ``par``/``ipar``, else a ``SuccessorTable``, whose ``pick`` serves a
-    policy with a descent rule. A fresh one is used when none is given, so a
-    caller that lifts repeatedly can pass one table to every step."""
-    rule = policy.descent(strategy)
+    ``par``/``ipar``, else a ``SuccessorTable``. A policy with a descent
+    rule under the plain strategy takes the table's per-term ``step``;
+    any other policy steps each entry with ``entry_step``. A fresh table is
+    used when none is given, so a caller that lifts repeatedly can pass one
+    table to every step."""
+    rule = policy.descent(strategy.plain)
     if table is None:
         table = (SimTable if strategy.simultaneous else SuccessorTable)(system, strategy)
+    cache, nf = system._nf_cache, system.is_normal_form
     branch_den = system.branch_den
     weights: list[int] = []
     terms: list[Term] = []
+    normal = 0
     for n, t in zip(mu.weights, mu.terms):
-        if system.is_normal_form(t):
+        known = cache.get(t)
+        if known is None:
+            known = nf(t)
+        if known:
+            normal += n
             weights.append(n * branch_den)
             terms.append(t)
             continue
         if rule is None:
             dist = entry_step(system, t, strategy, policy, table)
         else:
-            dist = table.pick(t, rule)
+            dist = table.step(t, rule)
         weights.extend([n * w for w in dist.weights])
         terms.extend(dist.terms)
     den = mu.den * branch_den
     total = sum(weights)
     if total != den:
         raise ValueError(f"probabilities sum to {Fraction(total, den)}, expected 1")
+    if nf_masses is not None:
+        nf_masses.append(Fraction(normal, mu.den))
     g = math.gcd(den, *weights)
     if g > 1:
         weights = [w // g for w in weights]

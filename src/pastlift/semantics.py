@@ -83,7 +83,12 @@ def unfold_exact(
     coalesce_states: bool = False,
 ) -> SemanticsTrace:
     """Iterate the lifting for ``depth`` steps with exact rationals, on a fresh
-    copy of the policy: a random one gives the same trace on every call."""
+    copy of the policy: a random one gives the same trace on every call.
+
+    Each state's normal-form mass is summed by the ``lift_step`` that steps
+    it; only the last state kept is read again, by ``nf_mass``. A state
+    over ``support_cap`` entries raises ``CapExceeded`` with the trace of
+    the states before it, which has one mass per state."""
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if support_cap < 0:
@@ -91,12 +96,12 @@ def unfold_exact(
     policy = policy.clone_for_run(policy.seed)
     mu = singleton(start)
     states = [mu]
-    masses = [system.nf_mass(mu)]
+    masses: list[Fraction] = []
     trace = SemanticsTrace(start, strategy, policy.name, states, masses)
     # successors, or simultaneous steps' work, for this call only
     table = (SimTable if strategy.simultaneous else SuccessorTable)(system, strategy)
     for _ in range(depth):
-        mu = lift_step(system, mu, strategy, policy, table)
+        mu = lift_step(system, mu, strategy, policy, table, masses)
         if coalesce_states:
             mu = coalesce(mu)
         if len(mu) > support_cap:
@@ -104,7 +109,7 @@ def unfold_exact(
                 f"distribution support exceeded {support_cap} entries", trace
             )
         states.append(mu)
-        masses.append(system.nf_mass(mu))
+    masses.append(system.nf_mass(mu))
     return trace
 
 

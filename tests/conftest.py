@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
+from weakref import WeakKeyDictionary
 
 import pytest
 
@@ -73,6 +74,22 @@ CORPUS_STARTS = {
 @pytest.fixture
 def corpus():
     return {name: load_system(name) for name in CORPUS}
+
+
+_twins: "WeakKeyDictionary[Ptrs, Ptrs]" = WeakKeyDictionary()
+
+
+def oracle_twin(system: Ptrs) -> Ptrs:
+    """A system of the same rules whose caches only the oracles fill. The
+    engine records normal-form statuses in its system's cache as it builds
+    terms, so an oracle that read the same cache would agree with a wrong
+    status; one that decides normality on the twin walks every term itself.
+    Building a twin draws nothing, and one is kept per system while the
+    system lives."""
+    twin = _twins.get(system)
+    if twin is None:
+        twin = _twins[system] = Ptrs(system.rules, system.extra_constructors)
+    return twin
 
 
 def sim_step(
@@ -138,16 +155,18 @@ def tree_walk_redexes(system, t: Term, innermost_only: bool):
     """Yield (position, node, rule index, substitution) for every redex.
 
     Normal-form subtrees are skipped wholesale (their status is cached on
-    the system), which keeps enumeration linear in the non-normal spine
-    even when the term is a huge shared DAG. The innermost filter inspects
-    the node's direct children, never re-walking from the root.
+    the system's ``oracle_twin``, never on the system the engine fills),
+    which keeps enumeration linear in the non-normal spine even when the
+    term is a huge shared DAG. The innermost filter inspects the node's
+    direct children, never re-walking from the root.
     """
+    nf = oracle_twin(system).is_normal_form
     stack: list[tuple[Term, Position]] = [(t, ())]
     while stack:
         u, pos = stack.pop()
-        if system.is_normal_form(u):
+        if nf(u):
             continue
-        if not innermost_only or all(system.is_normal_form(a) for a in u.args):
+        if not innermost_only or all(nf(a) for a in u.args):
             for idx, rule in system.rules_at_root(u):
                 sigma = match(rule.lhs, u)
                 if sigma is not None:

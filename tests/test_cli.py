@@ -505,11 +505,38 @@ def test_cap_hit_prints_a_partial_document(capsys):
     whole = run_json(capsys, "simulate", path("srw"), "--term", "g", "--depth", "4", "--json")
     assert "partial" not in whole
     assert dict(doc, partial=None) == dict(whole, partial=None)
-    # the text report still prints nothing on a cap hit
-    code, out, _ = run(
+    # the text report prints the step lines of the same finished states,
+    # as the whole run to depth 4 prints them, and nothing after them
+    code, out, err = run(
         capsys, "simulate", path("srw"), "--term", "g", "--depth", "60", "--support-cap", "10"
     )
-    assert code == 3 and out == ""
+    assert code == 3
+    assert err == "cap exceeded: distribution support exceeded 10 entries\n"
+    code, whole, _ = run(capsys, "simulate", path("srw"), "--term", "g", "--depth", "4")
+    assert code == 0
+    steps = [line for line in whole.splitlines(keepends=True) if line.startswith("step ")]
+    assert out == "".join(steps) and out.endswith("step 4: support 8, nf_mass 5/8\n")
+    # a cap of 0 stops before the first step: only the start's line is printed
+    code, out, _ = run(
+        capsys, "simulate", path("srw"), "--term", "g", "--depth", "3", "--support-cap", "0"
+    )
+    assert code == 3 and out == "step 0: support 1, nf_mass 0\n"
+
+
+def test_text_cap_hit_prints_the_finished_steps(capsys):
+    # srw's supports under full/first reach 79 at step 8 and pass 100 at step 9
+    argv = ("simulate", path("srw"), "--term", "g", "--depth", "30", "--support-cap", "100")
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err == "cap exceeded: distribution support exceeded 100 entries\n"
+    code, printed, _ = run(capsys, *argv, "--json")
+    doc = json.loads(printed)
+    assert code == 3 and doc["partial"] is True and doc["depth"] == 8
+    assert doc["support_sizes"] == [1, 2, 3, 5, 8, 14, 24, 44, 79]
+    assert out.splitlines() == [
+        f"step {n}: support {size}, nf_mass {mass}"
+        for n, (size, mass) in enumerate(zip(doc["support_sizes"], doc["nf_mass"]))
+    ]
 
 
 def test_exit_code_missing_file(capsys):
@@ -612,6 +639,11 @@ def assert_contract(argv, code, out, err, kind):
         jsonschema.validate(doc, SCHEMA)
         assert doc["kind"] == kind and doc["partial"] is True
         assert doc["depth"] < int(argv[argv.index("--depth") + 1])
+    elif code == 3 and kind == "simulate-exact":
+        # and the text report prints their step lines, and nothing else
+        lines = out.splitlines()
+        assert 0 < len(lines) <= int(argv[argv.index("--depth") + 1]), argv
+        assert all(line.startswith(f"step {n}: support ") for n, line in enumerate(lines)), argv
     elif code != 0:
         assert out == "", argv
 

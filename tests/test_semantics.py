@@ -14,6 +14,7 @@ from conftest import (
     SYSTEMS_DIR,
     fires_g0,
     load_system,
+    oracle_twin,
     pick_group,
     pick_redex,
     random_probs,
@@ -52,7 +53,7 @@ from pastlift.semantics import (
     unfold_exact,
 )
 from pastlift.props import duplicated_vars
-from pastlift.spareness import falsify_spare
+from pastlift.spareness import default_basic_starts, falsify_spare
 from pastlift.system import MultiDistribution, ProbRule, Ptrs, singleton
 from pastlift.terms import (
     Symbol,
@@ -206,17 +207,20 @@ def test_unfold_depth_two_of_argument_walk():
 def reference_unfold(system, start, strategy, policy, depth, coalesce_states):
     """The unfolding the long way: every entry that is not a normal form
     stepped by the move the policy picks from the list of every admissible
-    move, entry by entry in order, with no memo."""
+    move, entry by entry in order, with no memo. Normality, the moves and
+    the steps are taken on the system's ``oracle_twin``, whose caches the
+    engine never fills."""
+    oracle = oracle_twin(system)
     mu = singleton(start)
     states = [mu]
     for _ in range(depth):
         entries = []
         for p, u in mu.entries:
-            if system.is_normal_form(u):
+            if oracle.is_normal_form(u):
                 entries.append((p, u))
             else:
-                moves = admissible_moves(system, u, strategy)
-                branches = step(system, u, pick_redex(policy, u, moves))
+                moves = admissible_moves(oracle, u, strategy)
+                branches = step(oracle, u, pick_redex(policy, u, moves))
                 entries.extend((p * q, v) for q, v in branches.entries)
         mu = MultiDistribution(entries)
         if coalesce_states:
@@ -242,7 +246,7 @@ def assert_memo_unfolding_matches_reference(system, start, depth):
                     assert len(got_mu) == len(want_mu), where
                     for (p, u), (q, v) in zip(got_mu.entries, want_mu.entries):
                         assert u is v and p == q, where
-                assert trace.nf_masses == [system.nf_mass(mu) for mu in want], where
+                assert trace.nf_masses == [oracle_twin(system).nf_mass(mu) for mu in want], where
             # lift_step without a table of the caller's starts from an empty one
             one = lift_step(system, singleton(start), strategy, policy)
             assert one.entries == reference_unfold(
@@ -318,7 +322,8 @@ def tree_walk_nf_masses(system, start, strategy, spec, depth):
     branch is built with ``apply_subst`` and ``replace_at`` at every
     position of the move. Returns the masses, the states as lists of
     (probability, term), and the number of steps that contracted a rule
-    headed by g0."""
+    headed by g0. The tree walk decides normality on the system's
+    ``oracle_twin``, whose caches the engine never fills."""
     simultaneous = strategy in (Strategy.SIMULTANEOUS, Strategy.INNERMOST_SIMULTANEOUS)
     innermost = strategy not in (Strategy.FULL, Strategy.SIMULTANEOUS)
     rng = random.Random(int(spec.split(":")[1])) if spec.startswith("random:") else None
@@ -1375,6 +1380,102 @@ def test_full_index_runs_cache_what_a_fresh_system_computes():
     s1 = fresh_system("s1")
     assert falsify_spare(s1, 3, [parse_term("g", s1)]) is not None
     assert min(check_caches_against_a_fresh_system(s1, "falsify s1")) > 0
+
+
+def assert_statuses_and_masses_are_a_fresh_systems(system, start, depth, seed, label):
+    """Every exact unfolding of start, under each strategy and each of
+    ``first``, ``rightmost`` and ``random:seed``, with and without
+    coalescing, has the normal-form masses a system with empty caches reads
+    from its states, and so does the partial trace of each stopped at the
+    support cap, which holds one mass per finished state. Then the adversary
+    and the falsifier run, and every status left in the system's cache is
+    the one a system with empty caches computes. Returns how many statuses
+    were checked."""
+    fresh = Ptrs(system.rules, system.extra_constructors)
+    for strategy in Strategy:
+        for spec in ("first", "rightmost", f"random:{seed}"):
+            for coalesce_states in (False, True):
+                where = (label, term_to_str(start), strategy, spec, coalesce_states)
+                unfold = partial(unfold_exact, system, start, strategy, make_policy(spec), depth,
+                                 coalesce_states=coalesce_states)
+                trace = unfold()
+                assert trace.nf_masses == [fresh.nf_mass(mu) for mu in trace.states], where
+                cap = max(map(len, trace.states)) - 1
+                with pytest.raises(CapExceeded) as stopped:
+                    unfold(support_cap=cap)
+                got = stopped.value.partial
+                assert len(got.nf_masses) == len(got.states) < len(trace.states), where
+                assert got.nf_masses == [fresh.nf_mass(mu) for mu in got.states], where
+                assert got.nf_masses == trace.nf_masses[: len(got.states)], where
+    for strategy in (Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST):
+        adversarial_lower_bound(system, start, strategy, depth)
+    starts = [u for u in default_basic_starts(system, 1) if not fresh.is_normal_form(u)]
+    falsify_spare(system, depth, starts[:20])
+    for u, verdict in system._nf_cache.items():
+        assert fresh.is_normal_form(u) == verdict, (label, term_to_str(u))
+    return len(system._nf_cache)
+
+
+def test_recorded_statuses_and_stepped_masses_match_a_fresh_system():
+    """The successor table records each term's normal-form status as it
+    builds it, and ``lift_step`` sums each state's normal-form mass as it
+    steps it: both must be what a system with empty caches computes."""
+    checked = 0
+    for name, text in CORPUS_STARTS.items():
+        system = fresh_system(name)
+        checked += assert_statuses_and_masses_are_a_fresh_systems(
+            system, parse_term(text, system), 8, 7, name
+        )
+    assert checked > 500
+    rng = random.Random(83)
+    checked = g0 = 0
+    for case in range(500):
+        system = random_system(rng, symbols=SIGNATURE_SYMBOLS)
+        start = random_start(rng, system, 4, SIGNATURE_SYMBOLS)
+        depth = rng.randint(2, 6)
+        checked += assert_statuses_and_masses_are_a_fresh_systems(
+            system, start, depth, case, f"random {case}"
+        )
+        g0 += fires_g0(system, start)
+    assert checked > 7000 and g0 > 120
+
+
+def test_an_unfolding_walks_no_term_its_table_built(monkeypatch):
+    """A lifting step learns each entry's status with one lookup: the
+    successor table recorded it when it built the entry. So under ``full``,
+    ``i`` and ``li`` the only terms walked for their status are the start
+    and the contracta, however many entries the states hold; and each state
+    is read once, by the step that lifts it, so ``nf_mass`` reads only the
+    last."""
+    walked, read = [], []
+    real_nf, real_mass = Ptrs.is_normal_form, Ptrs.nf_mass
+
+    def spy_nf(system, u):
+        if u not in system._nf_cache:
+            walked.append(u)
+        return real_nf(system, u)
+
+    def spy_mass(system, mu):
+        read.append(mu)
+        return real_mass(system, mu)
+
+    monkeypatch.setattr(Ptrs, "is_normal_form", spy_nf)
+    monkeypatch.setattr(Ptrs, "nf_mass", spy_mass)
+    for name, text, strategy, policy, depth in (
+        ("srw", "g", Strategy.FULL, FirstMove(), 14),
+        ("srw", "g", Strategy.INNERMOST, RightmostFirst(), 12),
+        ("srw", "g", Strategy.LEFTMOST_INNERMOST, FirstMove(), 12),
+        ("s1", "g", Strategy.INNERMOST, FirstMove(), 100),
+    ):
+        system = fresh_system(name)
+        start = parse_term(text, system)
+        walked.clear()
+        read.clear()
+        trace = unfold_exact(system, start, strategy, policy, depth)
+        contracta = set(system._contracta.values())
+        assert sum(map(len, trace.states)) > 1000, name
+        assert all(u is start or u in contracta for u in walked), (name, strategy)
+        assert len(read) == 1 and read[0] is trace.states[-1], (name, strategy)
 
 
 class GenericReached(Exception):

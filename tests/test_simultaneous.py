@@ -10,6 +10,7 @@ from conftest import (
     SIGNATURE_SYMBOLS,
     fires_g0,
     load_system,
+    oracle_twin,
     pick_group,
     random_system,
     random_term,
@@ -271,13 +272,15 @@ def test_first_and_rightmost_pick_the_group_of_the_plain_descent_redex():
 
 def tree_walk_unfold(system, start, strategy, spec, depth, rng=None):
     """Exact unfolding with every entry stepped by the tree walk; a random
-    policy draws from ``rng``, entry by entry."""
+    policy draws from ``rng``, entry by entry. Normality is decided on the
+    system's ``oracle_twin``, whose caches the engine never fills."""
+    oracle = oracle_twin(system)
     mu = singleton(start)
     states = [mu]
     for _ in range(depth):
         entries = []
         for p, u in mu.entries:
-            if system.is_normal_form(u):
+            if oracle.is_normal_form(u):
                 entries.append((p, u))
                 continue
             group = tree_walk_pick(spec, tree_walk_groups(system, u, strategy is IPAR), rng)
@@ -402,6 +405,40 @@ def test_a_step_on_a_term_met_before_neither_lists_groups_nor_descends(monkeypat
                     assert not listed and not any(asked.values())
                     stepped += 1
     assert stepped > 500
+
+
+def test_a_descent_step_through_the_table_is_the_entry_step_and_memoised(monkeypatch):
+    """``SimTable.step`` under ``first`` and ``rightmost`` gives the
+    distribution ``entry_step`` gives, term for term, and a second step on
+    the same term is one lookup: no descent rule asked, no term built."""
+    listed, asked = count_picks_and_lists(monkeypatch)
+    built = {"app": 0}
+
+    def counted_app(symbol, args=()):
+        built["app"] += 1
+        return app(symbol, args)
+
+    monkeypatch.setattr(rewriting, "app", counted_app)
+    stepped = 0
+    for system, term in corpus_cases():
+        for strategy in (PAR, IPAR):
+            if not tree_walk_groups(system, term, strategy is IPAR):
+                continue
+            for spec in ("first", "rightmost"):
+                policy = make_policy(spec, 1)
+                want = entry_step(system, term, strategy, policy)
+                table = SimTable(system, strategy)
+                got = table.step(term, policy.descent(strategy.plain))
+                where = (term_to_str(term), strategy, spec)
+                assert got.weights == want.weights and got.den == want.den, where
+                assert all(u is v for u, v in zip(got.terms, want.terms, strict=True)), where
+                built["app"] = 0
+                for calls in asked.values():
+                    calls.clear()
+                assert table.step(term, policy.descent(strategy.plain)) is got, where
+                assert not built["app"] and not any(asked.values()), where
+                stepped += 1
+    assert not listed and stepped > 100
 
 
 def test_runs_sharing_a_table_list_and_pick_once_per_term(monkeypatch):
