@@ -104,7 +104,7 @@ def _build_argparser() -> _Parser:
     )
     p_adv.add_argument("file")
     p_adv.add_argument("--term", required=True)
-    p_adv.add_argument("--strategy", choices=["i", "li"], default="i")
+    p_adv.add_argument("--strategy", choices=[s.value for s in Strategy if not s.simultaneous], default="i")
     p_adv.add_argument("--depth", type=int, default=20)
     p_adv.add_argument("--memo-cap", type=int, default=DEFAULT_MEMO_CAP)
     p_adv.add_argument("--json", action="store_true")

@@ -471,7 +471,10 @@ class SimTable:
         and are kept as they are. The occurrences are parallel, so this is
         the term that replacing them one position at a time gives. What is
         rebuilt for one (instance, replacement) is kept for every later
-        rebuild with the pair, which stops at a subterm already done."""
+        rebuild with the pair, which stops at a subterm already done. A term
+        built here that the system has no status for gets one, as in
+        ``SuccessorTable._lift``: it is normal exactly when its arguments are
+        and no rule matches at its root."""
         key = (instance, replacement)
         done = self._rebuilt.get(key)
         if done is None:
@@ -479,7 +482,8 @@ class SimTable:
         got = done.get(t)
         if got is not None:
             return got
-        nf = self.system.is_normal_form
+        system = self.system
+        cache, nf = system._nf_cache, system.is_normal_form
         depth = instance.depth
         stack = [t]
         while stack:
@@ -497,7 +501,9 @@ class SimTable:
                 changed = changed or r is not a
             else:
                 stack.pop()
-                done[u] = app(u.symbol, args) if changed else u
+                v = done[u] = app(u.symbol, args) if changed else u
+                if changed and v not in cache:
+                    cache[v] = all(map(nf, args)) and not system.root_matches(v)
         return done[t]
 
 

@@ -1,5 +1,6 @@
 """Quantitative semantics: exact depth-bounded unfolding, adversarial lower
-bounds on bounded termination probability, and Monte-Carlo estimation.
+bounds on bounded termination probability (under ``full``, ``i`` and ``li``),
+and Monte-Carlo estimation.
 
 Every table a call keeps (the ``SuccessorTable`` of an unfolding under
 ``full``/``i``/``li`` or of the adversary, the ``SimTable`` of an unfolding
@@ -127,9 +128,15 @@ def adversarial_lower_bound(
     A forward pass lists, for each k < depth, the distinct non-normal terms
     reachable in exactly k steps. Every term's distinct successor
     distributions come from one ``SuccessorTable`` of the strategy for the
-    whole call, which builds them once from its non-normal children's (under
-    ``li`` the leftmost one's) lifted under its root, so a chain like
-    g^j(0) costs a few nodes per term instead of a walk down its spine.
+    whole call, which builds them once from its own root matches (under
+    ``i``/``li`` only when its children are normal) and its non-normal
+    children's (under ``li`` the leftmost one's) lifted under its root, so a
+    chain like g^j(0) costs a few nodes per term instead of a walk down its
+    spine. The table lists every move of ``full``, ``i`` and ``li``; a
+    ``par``/``ipar`` step may contract any non-empty subset of a group's
+    occurrences, which no table lists, so those strategies raise
+    ``ValueError``. li's moves are among i's and i's among full's, so the
+    bounds are ordered: V_full <= V_i <= V_li.
     A backward pass then computes, layer by layer from the deepest,
     V_n(t) = min over those distributions of the branch-weighted V_{n-1}
     (moves with equal distributions have equal values), where a normal form
@@ -140,14 +147,16 @@ def adversarial_lower_bound(
     can keep all mass away from normal forms.
 
     ``memo_cap`` bounds the number of (term, steps left) pairs, the summed
-    size of the layers; ``CapExceeded`` is raised once it is exceeded.
+    size of the layers; ``CapExceeded`` is raised once it is exceeded. It
+    does not bound memory: the terms of a layer can grow with the depth, as
+    under ``full`` on a duplicating rule.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if memo_cap < 0:
         raise ValueError("memo cap must be non-negative")
-    if strategy not in (Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST):
-        raise ValueError("adversarial bound supports innermost strategies only")
+    if strategy.simultaneous:
+        raise ValueError("par/ipar steps may contract any non-empty subset of a group's occurrences")
     nf = system.is_normal_form
     if nf(start):
         return Fraction(1)

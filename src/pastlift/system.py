@@ -311,8 +311,8 @@ class Ptrs:
 
     def is_normal_form(self, t: Term) -> bool:
         """No subterm of t matches any left-hand side. Cached per system; a
-        ``SuccessorTable`` also records here the status of each term it
-        builds, from the statuses of the term's arguments."""
+        ``SuccessorTable`` or a ``SimTable`` also records here the status of
+        each term it builds, from the statuses of the term's arguments."""
         cache = self._nf_cache
         got = cache.get(t)
         if got is not None:

@@ -318,6 +318,14 @@ def test_adversary_json(capsys):
         "--depth", "40", "--json",
     )
     assert doc["lower_bound"] == "8191/8192"
+    # s1, on which Thm 6 is blocked: full rewriting's worst case is below i's
+    for strategy, bound in (("full", "19/64"), ("i", "7/16")):
+        doc = run_json(
+            capsys,
+            "adversary", path("s1"), "--term", "g", "--strategy", strategy,
+            "--depth", "4", "--json",
+        )
+        assert doc["strategy"] == strategy and doc["lower_bound"] == bound
 
 
 def test_adversary_deeper_than_the_recursion_limit(capsys):
@@ -708,15 +716,14 @@ def test_exact_exit_code_contract_on_random_systems(
 def test_adversary_exit_code_contract_on_random_systems(
     system_seed, term_seed, strategy, depth, cap, as_json
 ):
-    """``adversary`` keeps it too; strategies other than i and li are usage
+    """``adversary`` keeps it too; par and ipar, and only they, are usage
     errors."""
     argv = [
         "adversary", "--strategy", strategy, "--depth", str(depth), "--memo-cap", str(cap),
     ] + (["--json"] if as_json else [])
     code, out, err = run_on_random_system(system_seed, term_seed, argv)
     assert_contract(argv, code, out, err, "adversary")
-    if strategy not in ("i", "li"):
-        assert code == 1, argv
+    assert (code == 1) == (strategy in ("par", "ipar")), argv
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -41,6 +41,7 @@ from pastlift.rewriting import (
     innermost_redexes,
     leftmost_innermost_moves,
     lift_step,
+    redexes,
     step,
 )
 from pastlift.semantics import (
@@ -386,13 +387,18 @@ def test_exact_masses_match_the_tree_walk_unfolding_on_random_systems():
     assert compared == 400 * 5 * 3 and strict > 400 and g0 > 1500
 
 
+ADVERSARY_STRATEGIES = (Strategy.FULL, Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST)
+
+
 def reference_adversary(system, start, strategy, depth):
     """The adversary as a recursive value iteration, recomputing each term's
     moves at every depth. Returns the bound and the number of (term, steps
     left) pairs in its memo."""
-    moves_of = (
-        innermost_redexes if strategy is Strategy.INNERMOST else leftmost_innermost_moves
-    )
+    moves_of = {
+        Strategy.FULL: redexes,
+        Strategy.INNERMOST: innermost_redexes,
+        Strategy.LEFTMOST_INNERMOST: leftmost_innermost_moves,
+    }[strategy]
     memo = {}
 
     def value(u, n):
@@ -433,10 +439,17 @@ def test_adversary_matches_the_recursive_reference_and_its_memo_cap():
     for name, text, depth in (("s1", "g", 8), ("s4", "f(a,b)", 12), ("s4", "f(a,b)", 0)):
         for strategy in (Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST):
             assert_adversary_matches_reference(load_system(name), t(name, text), strategy, depth)
+    # full rewriting's terms on s1 double in number with each step
+    for name, text, depth in (("s1", "g", 6), ("s4", "f(a,b)", 12), ("s4", "f(a,b)", 0)):
+        assert_adversary_matches_reference(load_system(name), t(name, text), Strategy.FULL, depth)
     compared = g0 = 0
     for rng, system, start in random_start_draws(67, 1000, 4, 300):
+        depths = {}
         for strategy in (Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST):
-            assert_adversary_matches_reference(system, start, strategy, rng.randint(0, 4))
+            depths[strategy] = rng.randint(0, 4)
+            assert_adversary_matches_reference(system, start, strategy, depths[strategy])
+        # at i's depth, so that the draws stay those of i and li alone
+        assert_adversary_matches_reference(system, start, Strategy.FULL, depths[Strategy.INNERMOST])
         compared += not system.is_normal_form(start)
         g0 += fires_g0(system, start)
     assert compared > 800 and g0 > 250
@@ -444,7 +457,7 @@ def test_adversary_matches_the_recursive_reference_and_its_memo_cap():
 
 def test_adversary_matches_the_recursive_reference_on_the_corpus():
     for name, text in CORPUS_STARTS.items():
-        for strategy in (Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST):
+        for strategy in ADVERSARY_STRATEGIES:
             for depth in (1, 6):
                 start = t(name, text)
                 bound, _ = reference_adversary(load_system(name), start, strategy, depth)
@@ -491,34 +504,38 @@ def test_innermost_adversary_builds_linearly_many_terms_along_a_chain(monkeypatc
         assert built[200] <= 2.1 * built[100] and built[400] <= 2.1 * built[200], strategy
 
 
-def naive_innermost_moves(system, term, leftmost):
-    """(position, rule index, substitution) of every innermost redex, from
-    the definitions alone: every position tried against every rule, and a
-    redex kept when no other redex lies strictly below it."""
+def naive_moves(system, term, strategy):
+    """(position, rule index, substitution) of every redex the strategy
+    admits, from the definitions alone: every position tried against every
+    rule, all kept under ``full``, and under ``i``/``li`` a redex kept when
+    no other redex lies strictly below it."""
     found = []
     for pos in positions(term):
         for idx, rule in enumerate(system.rules):
             sigma = match(rule.lhs, subterm_at(term, pos))
             if sigma is not None:
                 found.append((pos, idx, sigma))
+    if strategy is Strategy.FULL:
+        return found
     at = {pos for pos, _, _ in found}
     inner = [
         m for m in found
         if not any(q != m[0] and q[: len(m[0])] == m[0] for q in at)
     ]
-    if leftmost and inner:
+    if strategy is Strategy.LEFTMOST_INNERMOST and inner:
         # innermost positions are parallel, so tuple order is left to right
         best = min(pos for pos, _, _ in inner)
         inner = [m for m in inner if m[0] == best]
     return inner
 
 
-def achievable_masses(system, term, n, leftmost):
+def achievable_masses(system, term, n, strategy):
     """Every probability of reaching a normal form within n steps that some
-    policy achieves from term. A policy may choose differently after every
-    history, so the choices below different branches are independent and
-    each branch contributes any of its own achievable values."""
-    moves = naive_innermost_moves(system, term, leftmost)
+    policy of the strategy achieves from term. A policy may choose
+    differently after every history, so the choices below different branches
+    are independent and each branch contributes any of its own achievable
+    values."""
+    moves = naive_moves(system, term, strategy)
     if not moves:
         return {Fraction(1)}
     if n == 0:
@@ -528,19 +545,18 @@ def achievable_masses(system, term, n, leftmost):
         sums = {Fraction(0)}
         for p, rhs in system.rules[idx].rhs.entries:
             successor = replace_at(term, pos, apply_subst(rhs, sigma))
-            below = achievable_masses(system, successor, n - 1, leftmost)
+            below = achievable_masses(system, successor, n - 1, strategy)
             sums = {acc + p * v for acc in sums for v in below}
         out |= sums
     return out
 
 
 def assert_adversary_is_the_least_policy_value(system, start, depth):
-    """Returns how many of the two strategies let the policy change the
+    """Returns how many of the three strategies let the policy change the
     outcome."""
     choices = 0
-    for strategy in (Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST):
-        leftmost = strategy is Strategy.LEFTMOST_INNERMOST
-        values = achievable_masses(system, start, depth, leftmost)
+    for strategy in ADVERSARY_STRATEGIES:
+        values = achievable_masses(system, start, depth, strategy)
         bound = adversarial_lower_bound(system, start, strategy, depth)
         assert bound == min(values), (term_to_str(start), strategy, depth)
         choices += len(values) > 1
@@ -552,7 +568,8 @@ def test_adversary_equals_brute_force_over_policies():
     for depth in range(5):
         assert_adversary_is_the_least_policy_value(s4, t("s4", "f(a,b)"), depth)
     # the four-step horizon is the first where a single coin can end s4's cycle
-    assert min(achievable_masses(s4, t("s4", "f(a,b)"), 4, True)) == half
+    li = Strategy.LEFTMOST_INNERMOST
+    assert min(achievable_masses(s4, t("s4", "f(a,b)"), 4, li)) == half
     compared = choices = g0 = 0
     for rng, system, start in random_start_draws(71, 3000, 3, 1000):
         if system.is_normal_form(start):
@@ -590,10 +607,53 @@ def test_adversary_monotone_in_depth():
         previous = bound
 
 
-def test_adversary_rejects_full_strategy():
+def test_adversary_rejects_simultaneous_strategies():
+    """A ∥ step may contract any non-empty subset of a group's occurrences,
+    and neither table lists those moves."""
     s4 = load_system("s4")
-    with pytest.raises(ValueError):
-        adversarial_lower_bound(s4, t("s4", "f(a,b)"), Strategy.FULL, 5)
+    for strategy in (Strategy.SIMULTANEOUS, Strategy.INNERMOST_SIMULTANEOUS):
+        with pytest.raises(ValueError, match="non-empty subset"):
+            adversarial_lower_bound(s4, t("s4", "f(a,b)"), strategy, 5)
+
+
+def assert_adversary_order(system, start, depth):
+    """V_full(n) <= V_i(n) <= V_li(n): li's moves are among i's, and i's
+    among full's, so the adversary's minimum can only fall. Returns which of
+    the two steps are strict."""
+    full, i, li = (adversarial_lower_bound(system, start, s, depth) for s in ADVERSARY_STRATEGIES)
+    assert full <= i <= li, (term_to_str(start), depth, full, i, li)
+    return Counter(full_i=full < i, i_li=i < li)
+
+
+def test_adversary_order_of_full_innermost_and_leftmost_innermost():
+    strict = Counter()
+    for name, text in CORPUS_STARTS.items():
+        for depth in range(1, 7):
+            strict += assert_adversary_order(load_system(name), t(name, text), depth)
+    # r1, s1, s2, s3, s5 and s8 separate full from i; s4 separates i from li
+    assert strict["full_i"] > 20 and strict["i_li"] >= 5, strict
+    compared = 0
+    strict = Counter()
+    for rng, system, start in random_start_draws(73, 1000, 4, 300):
+        strict += assert_adversary_order(system, start, rng.randint(0, 4))
+        compared += not system.is_normal_form(start)
+    assert compared > 800 and strict["full_i"] > 0, strict
+
+
+def test_adversary_on_s1_separates_full_from_innermost():
+    """s1 is where Thm 6 is blocked: d(x) -> c(x,x) is not right-linear.
+    Under i, the g inside every d must be rewritten first, and the walk ends
+    2k - 1 steps in when its k-th coin gives bot: 1 - (3/4)^((n+1)//2).
+    Under full, an adversary that contracts d(g) first makes g a branching
+    process, g -> {3/4: c(g,g), 1/4: bot}, which dies out with probability
+    1/3, so the bound stays at or below 1/3."""
+    s1, g = load_system("s1"), t("s1", "g")
+    for depth in (4, 8, 10):
+        innermost = adversarial_lower_bound(s1, g, Strategy.INNERMOST, depth)
+        assert innermost == 1 - Fraction(3, 4) ** ((depth + 1) // 2)
+    for depth, want in ((4, Fraction(19, 64)), (8, Fraction(161, 512)), (9, Fraction(161, 512))):
+        bound = adversarial_lower_bound(s1, g, Strategy.FULL, depth)
+        assert bound == want and bound <= Fraction(1, 3), depth
 
 
 def test_negative_bounds_are_rejected():
@@ -1407,7 +1467,7 @@ def assert_statuses_and_masses_are_a_fresh_systems(system, start, depth, seed, l
                 assert len(got.nf_masses) == len(got.states) < len(trace.states), where
                 assert got.nf_masses == [fresh.nf_mass(mu) for mu in got.states], where
                 assert got.nf_masses == trace.nf_masses[: len(got.states)], where
-    for strategy in (Strategy.INNERMOST, Strategy.LEFTMOST_INNERMOST):
+    for strategy in ADVERSARY_STRATEGIES:
         adversarial_lower_bound(system, start, strategy, depth)
     starts = [u for u in default_basic_starts(system, 1) if not fresh.is_normal_form(u)]
     falsify_spare(system, depth, starts[:20])
@@ -1442,11 +1502,11 @@ def test_recorded_statuses_and_stepped_masses_match_a_fresh_system():
 
 def test_an_unfolding_walks_no_term_its_table_built(monkeypatch):
     """A lifting step learns each entry's status with one lookup: the
-    successor table recorded it when it built the entry. So under ``full``,
-    ``i`` and ``li`` the only terms walked for their status are the start
-    and the contracta, however many entries the states hold; and each state
-    is read once, by the step that lifts it, so ``nf_mass`` reads only the
-    last."""
+    successor table, or under ``par``/``ipar`` the ``SimTable``'s rebuild,
+    recorded it when it built the entry. So the only terms walked for their
+    status are the start and the contracta, however many entries the states
+    hold; and each state is read once, by the step that lifts it, so
+    ``nf_mass`` reads only the last."""
     walked, read = [], []
     real_nf, real_mass = Ptrs.is_normal_form, Ptrs.nf_mass
 
@@ -1466,6 +1526,7 @@ def test_an_unfolding_walks_no_term_its_table_built(monkeypatch):
         ("srw", "g", Strategy.INNERMOST, RightmostFirst(), 12),
         ("srw", "g", Strategy.LEFTMOST_INNERMOST, FirstMove(), 12),
         ("s1", "g", Strategy.INNERMOST, FirstMove(), 100),
+        ("s3", "f(a,a)", Strategy.INNERMOST_SIMULTANEOUS, FirstMove(), 17),
     ):
         system = fresh_system(name)
         start = parse_term(text, system)
