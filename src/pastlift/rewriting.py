@@ -112,6 +112,26 @@ def innermost_redexes(system: Ptrs, t: Term) -> list[Redex]:
     return [Redex(pos, idx, sigma) for pos, _, idx, sigma in _walk_redexes(system, t, True)]
 
 
+def components(system: Ptrs, t: Term) -> list[Term]:
+    """The non-normal, defined-rooted subterms under t's top constructor
+    layer, left to right: t itself when its root is defined, none when t is
+    normal. No redex contains a node whose ancestors are all constructors,
+    so t's redexes, in (position, rule index) order, are its components'
+    redexes in turn, and t is normal exactly when it has no component."""
+    nf = system.is_normal_form
+    found: list[Term] = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if nf(u):
+            continue
+        if system.rules_at_root(u):
+            found.append(u)
+        else:
+            stack.extend(reversed(u.args))
+    return found
+
+
 # A descent rule is a policy's choice at one non-normal node u, made from u
 # alone: the (rule index, substitution) of the redex at u, or the 1-based
 # index of the child to descend into. A pick made this way in t is the pick

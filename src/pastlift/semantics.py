@@ -260,6 +260,13 @@ def mc_runs(
       ``random``): the index zipper, ``runsim.run_by_index``;
     - otherwise (``script``): ``sample_step`` from the root.
 
+    Under ``full``, ``i`` and ``li`` both zippers hold a term that sits on
+    a top constructor layer as its components (``rewriting.components``),
+    and never intern that layer: the walk runs them in its descent rule's
+    order, and the index zipper keeps their redex counts. Under
+    ``par``/``ipar`` the walk keeps the whole term, since one group may
+    rewrite several components.
+
     The walk's entry builder is bound once here. Every run of one returned
     function shares its sampler's tables (the walk's segments and move
     table, and under ``par``/``ipar`` one ``SimTable``; or the index
@@ -275,7 +282,7 @@ def mc_runs(
         walks = rule in INNERMOST_DESCENTS
         # else an index rule under li picks among every root match at the
         # leftmost innermost redex
-        entry = partial(runsim._entry, system, rule if walks else _leftmost_innermost, not walks)
+        entry = runsim.DescentEntries(system, rule if walks else _leftmost_innermost, not walks)
     memo: runsim.Memo = {}
     moves: runsim.Moves = {}
     counts = runsim.RedexCounts(system, strategy is Strategy.INNERMOST)

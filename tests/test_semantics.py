@@ -903,7 +903,7 @@ def index_zipper_run(system, start, strategy, index, rng, step_cap, counts=None)
     matches at the leftmost innermost redex, under ``full``/``i`` the index
     zipper, counting into ``counts`` or into counts of its own."""
     if strategy is Strategy.LEFTMOST_INNERMOST:
-        entry = partial(runsim._entry, system, rewriting._leftmost_innermost, True)
+        entry = runsim.DescentEntries(system, rewriting._leftmost_innermost, True)
         return runsim.run_innermost_first(system, start, entry, rng, step_cap, pick=index)
     if counts is None:
         counts = runsim.RedexCounts(system, strategy is Strategy.INNERMOST)
@@ -941,7 +941,7 @@ def test_sampled_runs_match_the_reference_sampler_on_random_systems():
                     rule = policy.descent(strategy)
                     if rule in INNERMOST_DESCENTS:
                         fast = runsim.run_innermost_first(
-                            system, start, partial(runsim._entry, system, rule, False),
+                            system, start, runsim.DescentEntries(system, rule, False),
                             random.Random(run_seed), 25,
                         )
                         assert fast == expected, (case, strategy, spec, i)
@@ -1006,7 +1006,7 @@ def test_innermost_runs_match_the_generic_sampler_on_the_corpus():
                         system, start, rule, random.Random(run_seed), 300
                     )
                     fast = runsim.run_innermost_first(
-                        system, start, partial(runsim._entry, system, rule, False),
+                        system, start, runsim.DescentEntries(system, rule, False),
                         random.Random(run_seed), 300,
                     )
                     assert fast == expected, (name, strategy, policy.name, i)
@@ -1628,7 +1628,7 @@ def test_memoised_runs_match_the_memo_free_zipper_on_the_corpus():
                 run_seed = f"{name}:{i}"
                 expected = memo_free_zipper_run(system, start, rule, random.Random(run_seed), 300)
                 got = runsim.run_innermost_first(
-                    system, start, partial(runsim._entry, system, rule, False),
+                    system, start, runsim.DescentEntries(system, rule, False),
                     random.Random(run_seed), 300, memo,
                 )
                 assert got == expected, (name, text, strategy, policy, i)
@@ -1650,7 +1650,7 @@ def test_memoised_runs_match_the_memo_free_zipper_at_every_cap():
                     run_seed = f"{cap}:{i}"
                     expected = memo_free_zipper_run(s8, start, rule, random.Random(run_seed), cap)
                     got = runsim.run_innermost_first(
-                        s8, start, partial(runsim._entry, s8, rule, False),
+                        s8, start, runsim.DescentEntries(s8, rule, False),
                         random.Random(run_seed), cap, memo,
                     )
                     assert got == expected, (text, strategy, policy, cap, i)
@@ -1684,7 +1684,7 @@ def test_memoised_runs_match_the_memo_free_zipper_on_random_systems():
                 run_seed = f"{case}:{i}"
                 expected = memo_free_zipper_run(system, start, rule, random.Random(run_seed), cap)
                 got = runsim.run_innermost_first(
-                    system, start, partial(runsim._entry, system, rule, False),
+                    system, start, runsim.DescentEntries(system, rule, False),
                     random.Random(run_seed), cap, memo,
                 )
                 assert got == expected, (case, strategy, policy, i, cap)
@@ -1721,7 +1721,7 @@ def test_duplicated_subterms_cost_one_contraction_each(monkeypatch):
     start = s8_tower(k)
     counter = count_contractions(monkeypatch)
     for rule in INNERMOST_DESCENTS:
-        entry = partial(runsim._entry, s8, rule, False)
+        entry = runsim.DescentEntries(s8, rule, False)
         counter["calls"] = 0
         got = runsim.run_innermost_first(s8, start, entry, random.Random(1), 2**21)
         assert got == (True, 2**k - 1)
@@ -1734,7 +1734,7 @@ def test_duplicated_subterms_cost_one_contraction_each(monkeypatch):
 
 def test_skipped_segments_pay_their_draws_before_the_next_draw(monkeypatch):
     s8 = load_system("s8")
-    leftmost = partial(runsim._entry, s8, first.descent(Strategy.INNERMOST), False)
+    leftmost = runsim.DescentEntries(s8, first.descent(Strategy.INNERMOST), False)
     k = 12
     n = 2**k - 1  # more owed draws than one chunk pays
     memo = {}
@@ -1778,7 +1778,7 @@ def test_zipper_runs_sharing_a_move_table_ask_each_term_once(monkeypatch):
         start = t(name, text)
         table = SimTable(system, strategy) if strategy.simultaneous else None
         if table is None:
-            entry = partial(runsim._entry, system, rule, policy == "random:8")
+            entry = runsim.DescentEntries(system, rule, policy == "random:8")
         else:
             plain = make_policy(policy).descent(strategy.plain)
             entry = partial(runsim._sim_entry, system, table, plain)
@@ -1788,6 +1788,8 @@ def test_zipper_runs_sharing_a_move_table_ask_each_term_once(monkeypatch):
             asked.append(u)
             return entry(u)
 
+        # the descent rule's order of a constructor-rooted term's components
+        counted.split = getattr(entry, "split", None)
         seeds = [f"{name}:{i}" for i in range(40)]
         if policy.startswith("random:"):
             own = [RandomSeeded(f"{policy[7:]}:{i}") for i in range(40)]
@@ -1825,3 +1827,183 @@ def test_zipper_runs_sharing_a_move_table_ask_each_term_once(monkeypatch):
         )
         assert counter["calls"] <= branches, (name, strategy, policy)
         assert steps > 2 * counter["calls"], (name, strategy, policy)
+
+
+def test_a_deterministic_constructor_rooted_start_is_memoised_as_one_segment():
+    """s8's f(s^k(bot)) draws nothing, so a run from
+    c(f(s(s(bot))),f(s(bot))) runs each component as its own segment and
+    memoises the start as one 4-step segment, whose normal form is built from
+    its components' once the run ends; a later run is one lookup."""
+    s8 = load_system("s8")
+    start = t("s8", "c(f(s(s(bot))),f(s(bot)))")
+    for rule in INNERMOST_DESCENTS:
+        memo = {}
+        entry = runsim.DescentEntries(s8, rule)
+        assert runsim.run_innermost_first(s8, start, entry, random.Random(0), 100, memo) == (True, 4)
+        normal, steps = memo[start]
+        assert steps == 4 and s8.is_normal_form(normal)
+        assert normal is replace_at(
+            replace_at(start, (1,), memo[t("s8", "f(s(s(bot)))")][0]),
+            (2,), memo[t("s8", "f(s(bot))")][0],
+        )
+        for cap, want in ((100, (True, 4)), (4, (True, 4)), (3, (False, 3))):
+            assert runsim.run_innermost_first(s8, start, entry, random.Random(1), cap, memo, {}) == want
+
+
+# constructor-rooted corpus starts with two to four components, one of them
+# (s3's) under a non-left-linear root
+SPLIT_STARTS = [
+    ("srw", "c(g,c(g,g))"), ("srw", "c(c(g,bot),c(g,g))"), ("s8", "c(f(s(s(bot))),f(g))"),
+    ("s8", "c(g,s(f(g)))"), ("s1", "c(g,d(g))"), ("s7", "c(g,d(bot))"),
+    ("s3", "d(f(a,a),a)"), ("s5", "d(f(a,a),a,g(b,c))"),
+]
+
+
+def zipper_routes(case):
+    """Every (strategy, policy) the two zippers take: first, rightmost and
+    random:case under full, i and li."""
+    return [(strategy, spec) for strategy in (Strategy.FULL, Strategy.INNERMOST,
+                                              Strategy.LEFTMOST_INNERMOST)
+            for spec in ("first", "rightmost", f"random:{case}")]
+
+
+def split_steps(system, start, strategy, policy, rng, step_cap):
+    """The steps of a run, made from the root, after which a component's
+    root was contracted to a constructor-rooted or normal term, and the run
+    as (reached normal form, steps taken). Each step takes the policy's
+    descent rule's redex if the rule is innermost, else the redex its index
+    rule picks among every admissible move, and draws once."""
+    nf = system.is_normal_form
+    term, found = start, []
+    rule = policy.descent(strategy)
+    for steps in range(step_cap):
+        if nf(term):
+            return found, (True, steps)
+        if rule in INNERMOST_DESCENTS:
+            redex = descend(system, term, rule)
+        else:
+            redex = policy.pick_redex(term, admissible_moves(system, term, strategy))
+        pos, idx = redex.position, redex.rule_index
+        branch = system.rules[idx].pick_branch(rng.random())
+        contractum = system.contract(idx, branch, redex.subst)
+        top = not any(system.rules_at_root(subterm_at(term, pos[:d])) for d in range(len(pos)))
+        if top and (not system.rules_at_root(contractum) or nf(contractum)):
+            found.append(steps + 1)
+        term = replace_at(term, pos, contractum)
+    return found, (nf(term), step_cap)
+
+
+def constructor_rooted_start(rng, system, extra=None):
+    """c(·,·)/k(·) over two to four ground instances of the system's
+    left-hand sides, one of them ``extra`` if given, with a normal constant
+    beside some of them."""
+    parts = []
+    for _ in range(rng.randint(2, 4)):
+        lhs = rng.choice(system.rules).lhs
+        parts.append(apply_subst(lhs, {
+            name: random_term(rng, 2, vars_=(), symbols=SIGNATURE_SYMBOLS)
+            for name in sorted(lhs.vars)
+        }))
+    if extra is not None:
+        parts[rng.randrange(len(parts))] = extra
+    c, k = Symbol("c", 2), Symbol("k", 1)
+    while len(parts) > 1 or system.rules_at_root(parts[0]):
+        i = rng.randrange(len(parts))
+        roll = rng.random()
+        if roll < 0.25:
+            parts[i] = app(k, [parts[i]])
+        elif roll < 0.4:
+            pair = [parts[i], app(Symbol(rng.choice("ab"), 0))]
+            parts[i] = app(c, pair if rng.random() < 0.5 else pair[::-1])
+        elif len(parts) > 1:
+            i = min(i, len(parts) - 2)
+            parts[i : i + 2] = [app(c, parts[i : i + 2])]
+    return parts[0]
+
+
+def split_draws():
+    """(case, system, start): 300 random systems over ``SIGNATURE_SYMBOLS``,
+    every other one with a non-left-linear rule f(x,x) and an instance of it
+    among the components."""
+    rng = random.Random(67)
+    for case in range(300):
+        system = random_system(rng, symbols=SIGNATURE_SYMBOLS)
+        extra = None
+        if case % 2:
+            system, extra = with_nonlinear_rule(rng, system)
+        yield case, system, constructor_rooted_start(rng, system, extra)
+
+
+def test_split_runs_match_the_memo_free_zipper_and_the_generic_sampler(monkeypatch):
+    """Runs from constructor-rooted starts on both zippers, which replace a
+    constructor-rooted term at the top by its components, are the runs made
+    from the root: ``memo_free_zipper_run``'s under an innermost descent
+    rule, and ``_run_generic``'s under an index rule. Each run is made at a
+    cap inside the component open before its first split, at the split, just
+    past it and at the draw's cap, on tables shared by every run and cap of
+    the route, and at the draw's cap through ``mc_runs``."""
+    splits_seen = []
+    real, real_split = runsim.components, runsim.DescentEntries.split
+
+    def spy(system, u):
+        got = real(system, u)
+        if got and u is not start:
+            splits_seen.append(u)
+        return got
+
+    def split_spy(entry, u):
+        if u is not start:
+            splits_seen.append(u)
+        return real_split(entry, u)
+
+    monkeypatch.setattr(runsim, "components", spy)
+    monkeypatch.setattr(runsim.DescentEntries, "split", split_spy)
+    draws = [(name, i, load_system(name), t(name, text), 120)
+             for i, (name, text) in enumerate(SPLIT_STARTS)]
+    draws += [(f"random {case}", case, system, start, 25)
+              for case, system, start in split_draws()]
+    compared = split_runs = nonlinear = 0
+    for label, case, system, start, cap in draws:
+        assert 2 <= len(real(system, start)) <= 4, label
+        nonlinear += any(duplicated_vars(rule.lhs) for rule in system.rules)
+        for strategy, spec in zipper_routes(case):
+            policy = make_policy(spec)
+            rule = policy.descent(strategy)
+            walks = rule in INNERMOST_DESCENTS
+            memo, moves = {}, {}
+            counts = runsim.RedexCounts(system, strategy is Strategy.INNERMOST)
+            shared = mc_runs(system, start, strategy, policy, cap, case)
+            for i in range(3):
+                run_seed = f"{case}:{i}"
+                own = policy.clone_for_run(run_seed + ":policy")
+                splits, whole = split_steps(system, start, strategy, own, random.Random(run_seed), cap)
+                caps = {cap}
+                if splits:
+                    caps.update((max(splits[0] - 1, 0), splits[0], splits[0] + 1))
+                splits_seen.clear()
+                for at in sorted(caps):
+                    if walks:
+                        expected = memo_free_zipper_run(system, start, rule, random.Random(run_seed), at)
+                    else:
+                        expected = _run_generic(system, start, strategy,
+                                                policy.clone_for_run(run_seed + ":policy"),
+                                                random.Random(run_seed), at)
+                    index = policy.clone_for_run(run_seed + ":policy").index_rule()
+                    if walks or strategy is Strategy.LEFTMOST_INNERMOST:
+                        entry = runsim.DescentEntries(system, rule or rewriting._leftmost_innermost,
+                                                      not walks)
+                        got = runsim.run_innermost_first(system, start, entry, random.Random(run_seed),
+                                                         at, memo, moves, None if walks else index)
+                    else:
+                        got = runsim.run_by_index(system, start, index, random.Random(run_seed),
+                                                  at, counts)
+                    assert got == expected, (label, strategy, spec, i, at)
+                    if at == cap:
+                        assert whole == expected, (label, strategy, spec, i)
+                    compared += 1
+                split_runs += bool(splits_seen)
+                assert shared(i) == whole, (label, strategy, spec, i)
+    assert compared > 20000
+    # runs that split a constructor-rooted term other than the start
+    assert split_runs > 800
+    assert nonlinear > 150
