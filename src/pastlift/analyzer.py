@@ -2,6 +2,12 @@
 strategy-equivalence criteria fire, with machine-checkable evidence and the
 transitive closure of the licensed implications.
 
+The closure is one search (``_closure``) with one tie rule, asked only for
+the arrows a report prints: its routes into full termination, and the
+conclusions of its assertions. Each is searched alone, pruned to the atoms
+that reach a wanted target; the whole closure is built only when it is
+read, as ``analyze --json --closure`` does.
+
 The registry indexes the criteria by the numbers used throughout the tool's
 reports (Thm 1-5 for the non-probabilistic notions, Thm 6/8/9/14/20/24 and
 Cor 11/15 for the probabilistic ones). An implication is only ever licensed
@@ -16,7 +22,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .props import (
     PropertyReport,
@@ -342,29 +348,57 @@ class ClosureArrow:
     chain: tuple[str, ...]
 
 
+@dataclass(frozen=True)
+class Wanted:
+    """The arrows a closure search is asked for: those from an atom that
+    ``source`` accepts into one that ``target`` accepts. None accepts every
+    atom."""
+
+    source: Optional[Callable[[Prop], bool]] = None
+    target: Optional[Callable[[Prop], bool]] = None
+
+
+EVERY = Wanted()
+
+
+def _full(p: Prop) -> bool:
+    return p.strategy == "f" and not p.par
+
+
+# the arrows into full termination (strategy f, not w.r.t. ∥) from any other atom
+ROUTES = Wanted(lambda p: not _full(p), _full)
+
+
 @dataclass
 class AnalysisReport:
+    """One engine's report. ``arrows`` are the definitional and licensed
+    implications the searches run over; ``routes`` and ``closure`` are
+    searched on first read, so a report whose whole closure nobody reads
+    never builds it."""
+
     kind: str  # "prob" or "nonprob"
     scope: str
     properties: PropertyReport
     spare: Optional[SpareVerdict]
     spare_evidence: Optional[str]
     verdicts: list[Verdict]
-    closure: list[ClosureArrow]
+    arrows: list[tuple[Prop, Prop, str]]
     assertions: list[Prop]
     conclusions: list[ClosureArrow]
     notes: list[str] = field(default_factory=list)
 
-    @property
+    @functools.cached_property
     def routes(self) -> list[ClosureArrow]:
         """The closure arrows into full termination (strategy ``f``, not
         w.r.t. ∥) from any other atom, in closure order: the routes the
         text report prints and the JSON report lists."""
-        return [
-            c for c in self.closure
-            if c.target.strategy == "f" and not c.target.par
-            and (c.source.strategy != "f" or c.source.par)
-        ]
+        return _closure(self.arrows, ROUTES)
+
+    @functools.cached_property
+    def closure(self) -> list[ClosureArrow]:
+        """Every arrow of the closure, which only ``analyze --json
+        --closure`` prints."""
+        return _closure(self.arrows)
 
     def verdict(self, theorem_id: str) -> Verdict:
         for v in self.verdicts:
@@ -424,41 +458,83 @@ def _evidence(system: Ptrs, report: PropertyReport, spare: Optional[SpareVerdict
     return ev
 
 
-def _closure(arrows: Sequence[tuple[Prop, Prop, str]]) -> list[ClosureArrow]:
-    """Reachability from every atom of the arrows, with the cheapest
-    labelled chain per pair, preferring chains that lean on theorems over
-    ones padded with definitional hops.
+def _reaching(
+    targets: Sequence[int], adjacency: list[list[tuple[int, int, str]]]
+) -> list[int]:
+    """Bit k of entry a is set when atom a reaches ``targets[k]`` (itself
+    included), by one backward walk per target."""
+    preds: list[list[int]] = [[] for _ in adjacency]
+    for a, out in enumerate(adjacency):
+        for b, _, _ in out:
+            preds[b].append(a)
+    reach = [0] * len(adjacency)
+    for k, t in enumerate(targets):
+        bit = 1 << k
+        reach[t] |= bit
+        stack = [t]
+        while stack:
+            for a in preds[stack.pop()]:
+                if not reach[a] & bit:
+                    reach[a] |= bit
+                    stack.append(a)
+    return reach
+
+
+def _closure(
+    arrows: Sequence[tuple[Prop, Prop, str]], wanted: Wanted = EVERY
+) -> list[ClosureArrow]:
+    """Reachability between the atoms of the arrows that ``wanted`` selects,
+    with the cheapest labelled chain per pair, preferring chains that lean on
+    theorems over ones padded with definitional hops.
 
     A chain's cost is (definitional hops, hops), compared in that order. The
     search runs over integer atom indices with the pair packed into one int;
     ties between equal costs go to the earliest push, so each chain is the
     one a search over the arrows in the given order finds first. The arrows
-    come out sorted by (source token, target token)."""
-    index: dict[str, int] = {}
-    atoms: list[Prop] = []
-    adjacency: list[list[tuple[int, int, str]]] = []
+    come out sorted by (source token, target token).
 
-    def at(p: Prop) -> int:
-        token = p.token()
-        i = index.get(token)
-        if i is None:
-            i = index[token] = len(atoms)
-            atoms.append(p)
-            adjacency.append([])
-        return i
-
-    edges = [(at(a), at(b), label) for a, b, label in arrows]
+    A selection of targets prunes the search and stops it early without
+    changing a chain. An atom that reaches no wanted target has no arrow
+    into one that does, so dropping it removes only pushes whose counters
+    sit between kept ones, and every tie is broken as before. A popped
+    atom's chain is final, so a source's search stops once every wanted
+    target it reaches has been popped."""
+    # the atoms in order of first appearance; equal tokens are equal atoms
+    by_name = {p.token(): p for a, b, _ in arrows for p in (a, b)}
+    index = {token: i for i, token in enumerate(by_name)}
+    atoms = list(by_name.values())
     n = len(atoms)
     # a cheapest chain repeats no atom, so it has fewer than n hops and a
     # cost compared has at most n: definitional * (n + 1) + hops keeps the
     # order of (definitional, hops)
     width = n + 1
-    for a, b, label in edges:
-        adjacency[a].append((b, width + 1 if label in _DEFINITIONAL else 1, label))
+    adjacency: list[list[tuple[int, int, str]]] = [[] for _ in range(n)]
+    for a, b, label in arrows:
+        step = width + 1 if label in _DEFINITIONAL else 1
+        adjacency[index[a.token()]].append((index[b.token()], step, label))
     by_token = sorted(range(n), key=lambda i: atoms[i].token())
+    sources = by_token if wanted.source is None else [
+        s for s in by_token if wanted.source(atoms[s])
+    ]
+    # bit k of bits[t] stands for targets[k], and reach[a] holds the bits of
+    # the wanted targets a reaches
+    bits = [0] * n
+    if wanted.target is None:
+        targets = by_token
+        # every atom is wanted: none is dropped and no search stops early
+        reach = [-1] * n
+    else:
+        targets = [t for t in by_token if wanted.target(atoms[t])]
+        reach = _reaching(targets, adjacency)
+        for k, t in enumerate(targets):
+            bits[t] = 1 << k
+        adjacency = [[e for e in out if reach[e[0]]] for out in adjacency]
 
     out: list[ClosureArrow] = []
-    for s in by_token:
+    for s in sources:
+        remaining = reach[s]
+        if not remaining:
+            continue
         best: list[Optional[int]] = [None] * n
         chains: list[tuple[str, ...]] = [()] * n
         best[s] = 0
@@ -468,6 +544,9 @@ def _closure(arrows: Sequence[tuple[Prop, Prop, str]]) -> list[ClosureArrow]:
             cost, _, node = heappop(heap)
             if best[node] < cost:
                 continue
+            remaining &= ~bits[node]
+            if not remaining:
+                break
             chain = chains[node]
             for succ, step, label in adjacency[node]:
                 new_cost = cost + step
@@ -479,7 +558,7 @@ def _closure(arrows: Sequence[tuple[Prop, Prop, str]]) -> list[ClosureArrow]:
                     heappush(heap, (new_cost, counter, succ))
         out.extend(
             ClosureArrow(atoms[s], atoms[t], chains[t])
-            for t in by_token
+            for t in targets
             if t != s and best[t] is not None
         )
     return out
@@ -493,7 +572,9 @@ def _run_engine(
     report: PropertyReport,
     spare: Optional[SpareVerdict],
     assertions: Sequence[Prop],
-) -> tuple[list[Verdict], list[ClosureArrow], list[ClosureArrow]]:
+) -> tuple[list[Verdict], list[tuple[Prop, Prop, str]], list[ClosureArrow]]:
+    """The verdicts, the arrows the closure runs over (the definitional
+    ones, then the licensed ones in theorem order) and the conclusions."""
     evidence = _evidence(system, report, spare)
     verdicts: list[Verdict] = []
     licensed: list[tuple[Prop, Prop, str]] = []
@@ -515,17 +596,20 @@ def _run_engine(
             licensed.append((a, b, spec.theorem_id))
 
     scopes = ("all", "basic") if scope == "basic" else ("all",)
-    closure = _closure([*_structural_arrows(tuple(notions), scopes), *licensed])
-    return verdicts, closure, _conclusions(closure, assertions)
+    arrows = [*_structural_arrows(tuple(notions), scopes), *licensed]
+    return verdicts, arrows, _conclusions(arrows, assertions)
 
 
-def _conclusions(closure: list[ClosureArrow], assertions: Sequence[Prop]) -> list[ClosureArrow]:
-    """The closure arrows from the asserted atoms, in closure order, each
-    once per time its source is asserted."""
+def _conclusions(
+    arrows: Sequence[tuple[Prop, Prop, str]], assertions: Sequence[Prop]
+) -> list[ClosureArrow]:
+    """The closure arrows from the asserted atoms into every atom, in
+    closure order, each once per time its source is asserted."""
     if not assertions:
         return []
     repeats = Counter(p.token() for p in assertions)
-    return [c for c in closure for _ in range(repeats[c.source.token()])]
+    found = _closure(arrows, Wanted(source=lambda p: p.token() in repeats))
+    return [c for c in found for _ in range(repeats[c.source.token()])]
 
 
 def analyze(
@@ -533,17 +617,25 @@ def analyze(
     scope: str = "all",
     assertions: Sequence[Prop] = (),
     join_depth: int = 10,
+    *,
+    properties: Optional[PropertyReport] = None,
+    spare: Optional[SpareVerdict] = None,
 ) -> AnalysisReport:
     """Evaluate the probabilistic strategy-equivalence criteria.
 
     At basic scope the spareness-based criteria participate; when the sound
     spareness check is inconclusive there, the bounded falsifier is run over
     default basic start terms and its outcome attached as advisory evidence.
+
+    ``properties`` and ``spare``, when given, are the system's
+    ``property_report`` at ``join_depth`` and its ``prove_spare`` verdict,
+    as another engine run on the same system already computed them.
     """
     if scope not in ("all", "basic"):
         raise ValueError("scope must be 'all' or 'basic'")
-    report = property_report(system, join_depth)
-    spare = prove_spare(system)
+    report = property_report(system, join_depth) if properties is None else properties
+    if spare is None:
+        spare = prove_spare(system)
     spare_evidence = None
     if scope == "basic" and spare is SpareVerdict.UNKNOWN:
         cex = falsify_spare(
@@ -559,7 +651,7 @@ def analyze(
         else:
             spare_evidence = "reachable non-spare step:\n" + cex.describe()
 
-    verdicts, closure, conclusions = _run_engine(
+    verdicts, arrows, conclusions = _run_engine(
         system, PROB_THEOREMS, ("AST", "PAST", "SAST"), scope, report, spare, assertions
     )
     notes = []
@@ -581,7 +673,7 @@ def analyze(
         spare=spare,
         spare_evidence=spare_evidence,
         verdicts=verdicts,
-        closure=closure,
+        arrows=arrows,
         assertions=list(assertions),
         conclusions=conclusions,
         notes=notes,
@@ -601,7 +693,7 @@ def analyze_nonprob(
         raise ValueError("analyze_nonprob requires a trivial-probability system")
     report = property_report(system, join_depth)
     spare = prove_spare(system)
-    verdicts, closure, conclusions = _run_engine(
+    verdicts, arrows, conclusions = _run_engine(
         system, NONPROB_THEOREMS, ("SN",), "all", report, spare, assertions
     )
     return AnalysisReport(
@@ -611,7 +703,7 @@ def analyze_nonprob(
         spare=spare,
         spare_evidence=None,
         verdicts=verdicts,
-        closure=closure,
+        arrows=arrows,
         assertions=list(assertions),
         conclusions=conclusions,
         notes=[],

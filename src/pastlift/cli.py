@@ -219,13 +219,17 @@ def _cmd_analyze(args) -> int:
     loaded = _load(args.file)
     prob_assert, nonprob_assert = _split_assertions(args.assertions)
     reports = []
+    shared = {}
     if loaded.system.is_trivial:
-        reports.append(
-            analyze_nonprob(loaded.system, nonprob_assert, join_depth=args.join_depth)
-        )
+        nonprob = analyze_nonprob(loaded.system, nonprob_assert, join_depth=args.join_depth)
+        reports.append(nonprob)
+        # the two engines share the system's property report and spareness verdict
+        shared = {"properties": nonprob.properties, "spare": nonprob.spare}
     elif nonprob_assert:
         raise UsageError("SN/WN assertions require a trivial-probability system")
-    reports.append(analyze(loaded.system, args.scope, prob_assert, join_depth=args.join_depth))
+    reports.append(
+        analyze(loaded.system, args.scope, prob_assert, join_depth=args.join_depth, **shared)
+    )
     if args.json:
         _emit(reportmod.analysis_doc(loaded.system, reports, args.scope, args.closure))
         return EXIT_OK

@@ -470,8 +470,10 @@ def run_by_index(
             u, lo, n = args[k - 1], end, c
         idx, sigma = root_matches(u)[r - lo]
         u = contract(idx, rules[idx].pick_branch(x), sigma)
-        c = count(u)
-        if not frames and (not c or not defined(u)):
+        # a constructor-rooted contractum at the component's root is split
+        # before it is counted: only its components' counts are read
+        c = count(u) if frames or defined(u) else 0
+        if not frames and not c:
             # the component's root gave a normal or a constructor-rooted
             # term: the component's place goes to the term's components
             new = components(system, u)

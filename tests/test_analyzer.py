@@ -5,12 +5,15 @@ import pytest
 from conftest import CORPUS_STARTS, load_system, reference_closure
 from pastlift import analyzer
 from pastlift.analyzer import (
+    EVERY,
     FALSIFY_ARG_DEPTH,
     FALSIFY_DEPTH,
     FALSIFY_START_CAP,
     NONPROB_THEOREMS,
     PROB_THEOREMS,
+    ROUTES,
     Prop,
+    Wanted,
     _closure,
     _conclusions,
     _structural_arrows,
@@ -288,18 +291,44 @@ def atoms_of(arrows):
     return {p.token(): p for a, b, _ in arrows for p in (a, b)}.values()
 
 
+def selected(closure, wanted):
+    """The arrows of a closure that a selection asks for, in closure order."""
+    return [
+        c for c in closure
+        if (wanted.source is None or wanted.source(c.source))
+        and (wanted.target is None or wanted.target(c.target))
+    ]
+
+
+def is_full(p):
+    return p.strategy == "f" and not p.par
+
+
+def reference_routes(closure):
+    return [c for c in closure if is_full(c.target) and not is_full(c.source)]
+
+
 def test_closure_matches_the_reference_on_the_corpus(monkeypatch):
-    """Each engine run asks for the closure once, from every atom, and its
-    conclusions are the reference closure from the assertions."""
+    """Every closure search an engine run makes is the reference closure
+    filtered by the search's selection, and each report's routes,
+    conclusions and lazily read closure are the reference's."""
     calls = []
 
-    def recording(arrows):
-        got = _closure(arrows)
-        calls.append((arrows, got))
+    def recording(arrows, wanted=EVERY):
+        got = _closure(arrows, wanted)
+        calls.append((arrows, wanted, got))
         return got
 
     monkeypatch.setattr(analyzer, "_closure", recording)
-    concluded = 0
+    references = {}
+
+    def reference(arrows):
+        key = tuple(arrows)
+        if key not in references:
+            references[key] = reference_closure(arrows, atoms_of(arrows))
+        return references[key]
+
+    concluded = routed = reports = 0
     for name in CORPUS_STARTS:
         system = load_system(name)
         for tokens in ASSERTION_SETS:
@@ -309,17 +338,22 @@ def test_closure_matches_the_reference_on_the_corpus(monkeypatch):
             if system.is_trivial:
                 sn = [p for p in props if p.notion == "SN"]
                 runs.append((analyze_nonprob(system, sn), sn))
-            assert len(calls) % len(runs) == 0
-            for (report, asserted), (arrows, _) in zip(runs, calls[-len(runs):]):
-                assert report.conclusions == reference_closure(arrows, asserted)
+            for report, asserted in runs:
+                full = reference(report.arrows)
+                assert report.conclusions == reference_closure(report.arrows, asserted)
+                assert report.routes == reference_routes(full)
+                assert report.closure == full
                 concluded += len(report.conclusions) > 0
-    graphs = {}
-    for arrows, got in calls:
-        assert got == reference_closure(arrows, atoms_of(arrows))
-        graphs.setdefault(tuple(arrows), got)
-    for arrows, got in graphs.items():
-        assert_chains_are_cheapest(arrows, got)
-    assert len(graphs) > 10 and concluded > 50
+                routed += len(report.routes) > 0
+                reports += 1
+    for arrows, wanted, got in calls:
+        assert got == selected(reference(arrows), wanted)
+    # one routes search and one whole closure per report, each on first read
+    assert sum(wanted is ROUTES for _, wanted, _ in calls) == reports
+    assert sum(wanted == EVERY for _, wanted, _ in calls) == reports
+    for arrows, full in references.items():
+        assert_chains_are_cheapest(arrows, full)
+    assert len(references) > 10 and concluded > 50 and routed > 50
 
 
 def test_closure_matches_the_reference_on_random_arrows():
@@ -330,6 +364,8 @@ def test_closure_matches_the_reference_on_random_arrows():
     labels = [spec.theorem_id for spec in PROB_THEOREMS + NONPROB_THEOREMS]
     labels += ["definition", "restriction"]
     rng = random.Random(90)
+    # the selections draw from their own stream, so the seed-90 rounds stay
+    pick = random.Random(91)
     for round_ in range(150):
         arrows = list(structural[rng.choice(list(structural))])
         atoms = sorted({p for a, b, _ in arrows for p in (a, b)}, key=Prop.token)
@@ -343,7 +379,19 @@ def test_closure_matches_the_reference_on_random_arrows():
         sources.append(Prop("AST", "f", True, "basic"))  # not an atom of the SN arrows
         closure = _closure(arrows)
         assert closure == reference_closure(arrows, atoms), round_
-        assert _conclusions(closure, sources) == reference_closure(arrows, sources), round_
+        assert _conclusions(arrows, sources) == reference_closure(arrows, sources), round_
+        assert _closure(arrows, ROUTES) == reference_routes(closure), round_
+        for _ in range(4):
+            chosen = [
+                None if pick.random() < 0.25
+                else {p.token() for p in pick.sample(atoms, pick.randint(0, len(atoms)))}
+                for _ in range(2)
+            ]
+            wanted = Wanted(*(
+                None if tokens is None else (lambda p, tokens=tokens: p.token() in tokens)
+                for tokens in chosen
+            ))
+            assert _closure(arrows, wanted) == selected(closure, wanted), (round_, chosen)
         assert_chains_are_cheapest(arrows, closure)
 
 

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -13,8 +14,8 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DEFAULT_SYMBOLS, SYSTEMS_DIR, random_system, random_term
-from pastlift import report as reportmod
+from conftest import DEFAULT_SYMBOLS, SYSTEMS_DIR, load_system, random_system, random_term
+from pastlift import analyzer, props, report as reportmod
 from pastlift.analyzer import parse_prop_token
 from pastlift.cli import main
 from pastlift.fmt import serialize
@@ -169,6 +170,56 @@ def test_analyze_closure_decodes_to_the_report_closure(monkeypatch):
             for section in doc["sections"]:
                 del section["closure"]
             assert plain == doc, argv
+
+
+def test_default_analyze_builds_no_whole_closure(monkeypatch):
+    """Text and --json ask the closure search only for routes and
+    conclusions; --closure asks it for every pair once per section."""
+    wanted = []
+    search = analyzer._closure
+
+    def recording(arrows, selection=analyzer.EVERY):
+        wanted.append(selection)
+        return search(arrows, selection)
+
+    monkeypatch.setattr(analyzer, "_closure", recording)
+    for file in CORPUS_FILES:
+        for scope, asserted in ANALYZE_VARIANTS:
+            argv = analyze_argv(file, scope, asserted)
+            for extra in ([], ["--json"], ["--json", "--closure"]):
+                wanted.clear()
+                out = io.StringIO()
+                with redirect_stdout(out):
+                    assert main(argv + extra) == 0, argv + extra
+                whole = sum(w == analyzer.EVERY for w in wanted)
+                if "--closure" in extra:
+                    sections = len(json.loads(out.getvalue())["sections"])
+                    assert whole == sections, argv
+                else:
+                    assert whole == 0 and wanted, argv + extra
+
+
+def test_analyze_engines_share_one_property_report(monkeypatch):
+    """On a trivial-probability system the nonprob and prob engines share
+    one property report, so one bounded local-confluence check, and one
+    spareness verdict."""
+    calls = Counter()
+    for module, name in ((props, "bounded_wcr"), (analyzer, "property_report"),
+                         (analyzer, "prove_spare")):
+        def counted(*args, original=getattr(module, name), name=name):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    trivial = 0
+    for file in CORPUS_FILES:
+        calls.clear()
+        with redirect_stdout(io.StringIO()):
+            assert main(["analyze", str(file), "--scope", "basic"]) == 0
+        is_trivial = load_system(file.stem).is_trivial
+        assert calls == Counter(property_report=1, prove_spare=1, bounded_wcr=int(is_trivial)), file
+        trivial += is_trivial
+    assert trivial >= 3
 
 
 def test_analyze_json_routes_are_the_text_routes(capsys):

@@ -12,6 +12,7 @@ from conftest import (
     DEFAULT_SYMBOLS,
     SIGNATURE_SYMBOLS,
     SYSTEMS_DIR,
+    build_system,
     fires_g0,
     load_system,
     oracle_twin,
@@ -302,6 +303,43 @@ def random_start_draws(seed, draws, max_depth, extra):
     for _ in range(extra):
         system = random_system(own, symbols=SIGNATURE_SYMBOLS)
         yield own, system, random_start(own, system, max_depth, SIGNATURE_SYMBOLS)
+
+
+def separating_draws(seed, draws):
+    """(rng, system, start) for ``draws`` systems built to separate the
+    adversary's strategies: the constants a and b have one or two rules each
+    (two overlap at the root) with e0/e1 branches, f has one to three rules,
+    half of them non-left-linear f(x,x), that may start over, and h duplicates
+    or erases its argument. Each start holds a and b in two different
+    arguments, as in s4: under i the adversary may draw b first and then pick
+    a's rule to match it, under li it must pick a's rule blind."""
+    a, b, e0, e1 = (app(Symbol(name, 0)) for name in ("a", "b", "e0", "e1"))
+    f, h, c = Symbol("f", 2), Symbol("h", 1), Symbol("c", 2)
+    x, y = var("x"), var("y")
+    rng = random.Random(seed)
+
+    def branches(pool):
+        return [(p, rng.choice(pool)) for p in random_probs(rng, rng.randint(1, 2))]
+
+    for _ in range(draws):
+        rules = [
+            (const, branches([e0, e1] * 3 + [a, b]))
+            for const in (a, b) for _ in range(rng.randint(1, 2))
+        ]
+        for _ in range(rng.randint(1, 3)):
+            args = [rng.choice((v, e0, e1, e0, e1)) for v in (x, y)]
+            if rng.random() < 0.5:
+                args = [x, x]
+            lhs = app(f, args)
+            vs = [var(v) for v in sorted(lhs.vars)]
+            pool = [app(f, [a, b]), app(f, [b, a])] * 3 + [e0, app(h, [a])]
+            rules.append((lhs, branches(pool + [app(c, [v, w]) for v in vs for w in vs] + vs)))
+        rules.append((app(h, [x]), branches([app(c, [x, x]), e0, app(f, [x, x]), x])))
+        pair = [a, b]
+        rng.shuffle(pair)
+        shapes = (app(f, pair), app(f, pair), app(h, [app(f, pair)]),
+                  app(f, [app(h, [pair[0]]), pair[1]]))
+        yield rng, build_system(rules), rng.choice(shapes)
 
 
 def test_memoised_unfolding_matches_stepping_every_entry_on_random_systems():
@@ -638,6 +676,12 @@ def test_adversary_order_of_full_innermost_and_leftmost_innermost():
         strict += assert_adversary_order(system, start, rng.randint(0, 4))
         compared += not system.is_normal_form(start)
     assert compared > 800 and strict["full_i"] > 0, strict
+    # a third stream, built to separate the strategies: the first two
+    # separate full from i on 4 of their 1,300 draws and i from li on none
+    strict = Counter()
+    for rng, system, start in separating_draws(79, 1000):
+        strict += assert_adversary_order(system, start, rng.randint(1, 6))
+    assert strict == Counter(full_i=63, i_li=15), strict
 
 
 def test_adversary_on_s1_separates_full_from_innermost():
@@ -1292,6 +1336,25 @@ def test_full_index_runs_match_the_generic_sampler_on_the_corpus():
         for i in range(30):
             expected, got = full_index_runs(deep, start, spec, f"deep:{i}", 60)
             assert got == expected, ("deep", spec, i)
+
+
+def test_index_runs_count_no_constructor_rooted_contractum(monkeypatch):
+    """srw's g -> c(g,g) splits at the component's root before it is
+    counted: the redex counts of a full/random:1 estimate hold only
+    defined-rooted terms, and the estimate is the one the CI pins."""
+    made = []
+
+    class Recorded(runsim.RedexCounts):
+        def __init__(self, system, innermost):
+            super().__init__(system, innermost)
+            made.append(self)
+
+    monkeypatch.setattr(runsim, "RedexCounts", Recorded)
+    system = load_system("srw")
+    summary = mc_estimate(system, t("srw", "g"), Strategy.FULL, RandomSeeded(1), 50, 4000, 1)
+    [counts] = made
+    assert counts.known and all(system.rules_at_root(u) for u in counts.known)
+    assert summary.estimate == 0.96
 
 
 def with_nonlinear_rule(rng, system):
